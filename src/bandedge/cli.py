@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import floquet, model, perturbation, pipeline, verification
+from . import floquet, model, pipeline, verification
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -79,11 +79,10 @@ def cmd_validate(args) -> int:
 
 def cmd_floquet_scan(args) -> int:
     hopping, _, _ = _load(args)
-    hopping = model.shift_to_zero(hopping, args.grid)
-    theta_set = floquet.scan_theta_set(hopping, args.grid, args.refinements)
+    theta_set = pipeline.scan_zone(hopping, pipeline.BZConfig(args.grid, args.refinements))
     rows = []
     for theta in theta_set.minimizers:
-        ground = floquet.ground_space(hopping, theta)
+        ground = floquet.ground_space(theta_set.hopping, theta)
         row = {f"theta_{i}": float(t) for i, t in enumerate(theta)}
         row.update({"lambda_min": ground.e0, "p": ground.p, "gap": ground.gap})
         rows.append(row)
@@ -112,8 +111,8 @@ def cmd_fiber(args) -> int:
 def cmd_coefficients(args) -> int:
     hopping, potential, disorder = _load(args)
     config = pipeline.RunConfig(model=args.model, epsilon_list=tuple(args.eps or ()))
-    hopping = model.shift_to_zero(hopping, config.bz.grid_per_dim)
-    report = pipeline.coefficients_report(hopping, potential, disorder, config)
+    theta_set = pipeline.scan_zone(hopping, config.bz, config.tolerances)
+    report = pipeline.coefficients_report(theta_set, potential, disorder, config)
     best = report["best"]
     best.pop("_coeffs", None)
     for entry in report["per_theta"]:
@@ -124,10 +123,10 @@ def cmd_coefficients(args) -> int:
 
 def cmd_verify_fiber_sweep(args) -> int:
     hopping, potential, disorder = _load(args)
-    hopping = model.shift_to_zero(hopping, 64)
-    theta_set = floquet.scan_theta_set(hopping)
-    theta = theta_set.minimizers[0]
-    report = verification.fiber_bound_sandwich(hopping, potential, disorder, theta, args.eps)
+    theta_set = pipeline.scan_zone(hopping)
+    report = verification.fiber_bound_sandwich(
+        theta_set.hopping, potential, disorder, theta_set.minimizers[0], args.eps
+    )
     rows = [dataclasses.asdict(r) for r in report.rows]
     _emit_csv(rows, sys.stdout)
     _print_json(
@@ -143,7 +142,7 @@ def cmd_verify_fiber_sweep(args) -> int:
 
 def cmd_verify_montecarlo(args) -> int:
     hopping, potential, disorder = _load(args)
-    hopping = model.shift_to_zero(hopping, 64)
+    hopping = pipeline.scan_zone(hopping).hopping
     rows = []
     minima = []
     for epsilon in args.eps:

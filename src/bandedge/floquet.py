@@ -59,9 +59,12 @@ class GroundSpaceData:
 
 @dataclass(frozen=True)
 class ThetaSet:
+    """Minimizers of the lowest band and its minimum E0, for ``hopping``."""
+
     minimizers: tuple[np.ndarray, ...]
     E0: float
     resolution: float
+    hopping: HoppingOperator  # the scanned operator, shifted when the scan asked for it
 
 
 def build_floquet(hopping: HoppingOperator, theta) -> FloquetMatrix:
@@ -104,18 +107,24 @@ def scan_theta_set(
     grid_per_dim: int = DEFAULT_GRID_PER_DIM,
     refinements: int = DEFAULT_REFINEMENTS,
     tol_theta: float = DEFAULT_TOL_THETA,
+    tol_shift: float | None = None,
 ) -> ThetaSet:
     """Locate the minimizer set of the lowest band over [0, 2pi/N)^d.
 
     Runs the requested number of bisection rounds and keeps refining until the
     per-round improvement of the minimum drops below tol_theta; raises
     ConvergenceError if that never happens.
+
+    With ``tol_shift`` the same scan also zeroes the band bottom: it refines
+    to min(tol_shift, tol_theta), and if |E0| > tol_shift the result carries
+    the operator shifted by E0 and E0 re-evaluated on it at the minimizers.
     """
+    tol = tol_theta if tol_shift is None else min(tol_shift, tol_theta)
     candidates, minimum, spacing = _refine_scan(
         hopping,
         grid_per_dim,
         min_refinements=refinements,
-        tol=tol_theta,
+        tol=tol,
         keep_tol=tol_theta,
     )
     # cluster candidates at the coarse-grid scale (a flat minimum keeps a
@@ -131,7 +140,8 @@ def scan_theta_set(
     clusters: list[list[tuple[np.ndarray, float]]] = []
     for theta, value in sorted(candidates, key=lambda c: (c[1], tuple(c[0]))):
         for cluster in clusters:
-            if any(torus_dist(theta, other) <= radius for other, _ in cluster):
+            # newest members first: a candidate usually lies next to the last one added
+            if any(torus_dist(theta, other) <= radius for other, _ in reversed(cluster)):
                 cluster.append((theta, value))
                 break
         else:
@@ -140,7 +150,10 @@ def scan_theta_set(
         (min(cluster, key=lambda c: (c[1], tuple(c[0])))[0] for cluster in clusters),
         key=tuple,
     )
-    return ThetaSet(tuple(kept), minimum, spacing)
+    if tol_shift is not None and abs(minimum) > tol_shift:
+        hopping = hopping.shifted(minimum)
+        minimum = float(hopping.band_bottom(np.array(kept)).min())
+    return ThetaSet(tuple(kept), minimum, spacing, hopping)
 
 
 def ground_space(

@@ -20,6 +20,9 @@ import numpy as np
 Site = tuple[int, ...]
 
 DEFAULT_TOL_SHIFT = 1e-9
+FIBER_CHUNK = 256  # thetas per batched fiber eigensolve
+# cap on the points a scan refines per round (a flat band keeps the whole zone)
+MAX_CANDIDATES = 4096
 
 
 class ConvergenceError(RuntimeError):
@@ -76,6 +79,8 @@ class HoppingOperator:
     geometry: LatticeGeometry
     coefficients: Mapping[tuple[Site, Site, Site], complex]
     energy_shift: float = 0.0
+    offsets: np.ndarray = field(init=False, repr=False, compare=False)  # (n_m, d) shifts m
+    blocks: np.ndarray = field(init=False, repr=False, compare=False)  # (n_m, n, n) blocks H_m
 
     def __post_init__(self) -> None:
         geom = self.geometry
@@ -93,6 +98,18 @@ class HoppingOperator:
             clean[(k, kp, m)] = complex(value)
         object.__setattr__(self, "coefficients", clean)
 
+        # offset stack: one cell_size x cell_size block H_m per distinct shift m
+        index = {site: i for i, site in enumerate(geom.cell_sites())}
+        slots: dict[Site, int] = {}
+        for _, _, m in clean:
+            slots.setdefault(m, len(slots))
+        blocks = np.zeros((len(slots), geom.cell_size, geom.cell_size), dtype=complex)
+        for (k, kp, m), value in clean.items():
+            blocks[slots[m], index[k], index[kp]] = value
+        offsets = np.array(list(slots), dtype=float).reshape(len(slots), geom.d)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "blocks", blocks)
+
     def __iter__(self) -> Iterator[tuple[tuple[Site, Site, Site], complex]]:
         return iter(self.coefficients.items())
 
@@ -106,15 +123,48 @@ class HoppingOperator:
 
     def fiber(self, theta) -> np.ndarray:
         """The cell_size x cell_size quasi-momentum fiber matrix at theta."""
-        geom = self.geometry
         theta = np.asarray(theta, dtype=float)
-        if theta.shape != (geom.d,):
-            raise ValueError(f"theta must have shape ({geom.d},), got {theta.shape}")
-        matrix = np.zeros((geom.cell_size, geom.cell_size), dtype=complex)
-        for (k, kp, m), value in self:
-            phase = np.exp(-1j * float(np.dot(theta, m)))
-            matrix[geom.site_index(k), geom.site_index(kp)] += phase * value
-        return matrix
+        if theta.shape != (self.geometry.d,):
+            raise ValueError(f"theta must have shape ({self.geometry.d},), got {theta.shape}")
+        return self.fibers(theta[None])[0]
+
+    def fibers(self, thetas) -> np.ndarray:
+        """Fiber matrices at a batch of thetas, shape (len(thetas), cell_size, cell_size).
+
+        M(theta) = sum_m e^{-i theta.m} H_m over the offset stack.  Only
+        elementwise real operations are used (complex multiply, matmul and
+        einsum change their rounding with the array shape), so each theta's
+        matrix has the same bits in any batch.
+        """
+        geom = self.geometry
+        thetas = np.asarray(thetas, dtype=float)
+        if thetas.ndim != 2 or thetas.shape[1] != geom.d:
+            raise ValueError(f"thetas must have shape (b, {geom.d}), got {thetas.shape}")
+        angles = sum(thetas[:, [a]] * self.offsets[:, a] for a in range(geom.d))
+        shape = (len(thetas), geom.cell_size, geom.cell_size)
+        real, imag = np.zeros(shape), np.zeros(shape)
+        cos, sin = np.cos(angles).T[:, :, None, None], np.sin(angles).T[:, :, None, None]
+        for c, s, re, im in zip(cos, sin, self.blocks.real, self.blocks.imag):
+            real += c * re + s * im
+            imag += c * im - s * re
+        matrices = real.astype(complex)
+        matrices.imag = imag
+        return matrices
+
+    def band_bottom(self, thetas, perturbation=None) -> np.ndarray:
+        """Lowest eigenvalue of M(theta) (plus ``perturbation``) at each theta.
+
+        Eigensolves run in chunks of FIBER_CHUNK thetas, which bounds the
+        memory of the stacked fibers.
+        """
+        thetas = np.asarray(thetas, dtype=float)
+        bottoms = np.empty(len(thetas))
+        for start in range(0, len(thetas), FIBER_CHUNK):
+            stack = self.fibers(thetas[start : start + FIBER_CHUNK])
+            if perturbation is not None:
+                stack += perturbation
+            bottoms[start : start + FIBER_CHUNK] = np.linalg.eigvalsh(stack)[:, 0]
+        return bottoms
 
     def shifted(self, delta: float) -> "HoppingOperator":
         """Subtract ``delta`` from the diagonal and record it in energy_shift."""
@@ -132,7 +182,6 @@ class SingleCellPotential:
     """The Hermitian single-cell perturbation matrix."""
 
     matrix: np.ndarray
-    is_diagonal: bool = False
 
     def __post_init__(self) -> None:
         matrix = np.asarray(self.matrix, dtype=complex)
@@ -140,9 +189,6 @@ class SingleCellPotential:
             raise ValueError(f"potential must be square, got shape {matrix.shape}")
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(
-            self, "is_diagonal", bool(np.count_nonzero(matrix - np.diag(np.diag(matrix))) == 0)
-        )
 
     @property
     def norm(self) -> float:
@@ -274,10 +320,6 @@ def _theta_grid(geometry: LatticeGeometry, points_per_dim: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=-1)
 
 
-def _lambda_min(hopping: HoppingOperator, theta: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(hopping.fiber(theta))[0])
-
-
 def _refine_scan(
     hopping: HoppingOperator,
     grid_per_dim: int,
@@ -285,13 +327,13 @@ def _refine_scan(
     tol: float,
     max_refinements: int = 60,
     keep_tol: float | None = None,
-    max_candidates: int = 4096,
 ) -> tuple[list[tuple[np.ndarray, float]], float, float]:
     """Coarse grid scan plus local torus bisection around the running minimum.
 
-    Returns (candidate (theta, value) pairs, minimum value, final spacing).
-    Raises ConvergenceError if the minimum keeps improving by more than
-    ``tol`` when the refinement budget is exhausted.
+    The coarse grid and each round's deduplicated refinement points are
+    evaluated as one batch.  Returns (candidate (theta, value) pairs, minimum
+    value, final spacing).  Raises ConvergenceError if the minimum keeps
+    improving by more than ``tol`` when the refinement budget is exhausted.
     """
     geom = hopping.geometry
     width = 2.0 * math.pi / geom.N
@@ -299,30 +341,26 @@ def _refine_scan(
     keep = tol if keep_tol is None else keep_tol
 
     thetas = _theta_grid(geom, grid_per_dim)
-    values = np.array([_lambda_min(hopping, th) for th in thetas])
+    values = hopping.band_bottom(thetas)
     best = float(values.min())
-    candidates = [(thetas[i], float(values[i])) for i in np.flatnonzero(values <= best + keep)]
+    kept = values <= best + keep
+    candidates, values = thetas[kept], values[kept]
 
     offsets = np.array(list(itertools.product((-1, 0, 1), repeat=geom.d)), dtype=float)
     rounds = 0
     while True:
         spacing /= 2.0
         rounds += 1
-        seen: dict[tuple[int, ...], float] = {}
-        for base, _ in candidates:
-            for off in offsets:
-                theta = np.mod(base + off * spacing, width)
-                key = tuple(np.round(theta / (spacing / 4)).astype(int))
-                if key not in seen:
-                    seen[key] = _lambda_min(hopping, theta)
-        new_best = min(seen.values())
+        points = np.mod(candidates[:, None, :] + offsets * spacing, width).reshape(-1, geom.d)
+        keys = np.round(points / (spacing / 4)).astype(int)
+        # first point per key, in generation order
+        first = np.sort(np.unique(keys, axis=0, return_index=True)[1])
+        values = hopping.band_bottom(points[first])
+        new_best = float(values.min())
         improvement = best - new_best
         best = min(best, new_best)
-        candidates = [
-            (np.array(key, dtype=float) * (spacing / 4), v)
-            for key, v in seen.items()
-            if v <= best + keep
-        ][:max_candidates]
+        kept = np.flatnonzero(values <= best + keep)[:MAX_CANDIDATES]
+        candidates, values = keys[first][kept] * (spacing / 4), values[kept]
         if rounds >= min_refinements and improvement <= tol / 4:
             break
         if rounds >= max_refinements:
@@ -330,7 +368,7 @@ def _refine_scan(
                 f"minimum still improving by {improvement:.3e} (> {tol:.3e}) "
                 f"after {rounds} refinement rounds"
             )
-    return candidates, best, spacing
+    return list(zip(candidates, values.tolist())), best, spacing
 
 
 def shift_to_zero(
@@ -365,11 +403,6 @@ def _laplacian_coefficients(geom: LatticeGeometry) -> dict[tuple[Site, Site, Sit
                 key = (k, tuple(target), tuple(m))
                 coeffs[key] = coeffs.get(key, 0.0) - 1.0
     return coeffs
-
-
-# the quartic preset is usually written on the symmetric cell (-1, 0, 1);
-# those sites map to canonical sites (2, 0, 1)
-QUARTIC_CELL_ORDER = (-1, 0, 1)
 
 
 def _quartic_coefficients(geom: LatticeGeometry) -> dict[tuple[Site, Site, Site], complex]:

@@ -88,27 +88,37 @@ def resolve_model(
     return model.preset_model(name, **params)
 
 
-def resolved_config_dict(config: RunConfig) -> dict:
-    return dataclasses.asdict(config)
+def scan_zone(
+    hopping: model.HoppingOperator,
+    bz: BZConfig | None = None,
+    tolerances: Tolerances | None = None,
+) -> floquet.ThetaSet:
+    """The one zone scan of a run: minimizers of the lowest band, with the
+    operator shifted so that its band bottom is zero.  Configs default to
+    BZConfig() and Tolerances()."""
+    bz = bz or BZConfig()
+    tolerances = tolerances or Tolerances()
+    return floquet.scan_theta_set(
+        hopping,
+        bz.grid_per_dim,
+        bz.refinements,
+        tol_theta=tolerances.tol_theta,
+        tol_shift=tolerances.tol_shift,
+    )
 
 
 def coefficients_report(
-    hopping: model.HoppingOperator,
+    theta_set: floquet.ThetaSet,
     potential: model.SingleCellPotential,
     disorder: model.DisorderSupport,
     config: RunConfig,
 ) -> dict:
-    """Theta scan plus per-minimizer expansion coefficients.
+    """Per-minimizer expansion coefficients of a zone scan.
 
     With several minimizers the reported bound takes the minimum over them;
     ties in the coefficients are broken by lexicographic order of theta.
     """
-    theta_set = floquet.scan_theta_set(
-        hopping,
-        config.bz.grid_per_dim,
-        config.bz.refinements,
-        tol_theta=config.tolerances.tol_theta,
-    )
+    hopping = theta_set.hopping
     per_theta = []
     for theta in theta_set.minimizers:
         ground = floquet.ground_space(hopping, theta, tol_deg=config.tolerances.tol_deg)
@@ -179,13 +189,13 @@ def montecarlo_minima(
 
 
 def run_pipeline(config: RunConfig) -> tuple[int, dict]:
-    """validate -> shift -> scan -> coefficients -> optional verification.
+    """validate -> scan and shift -> coefficients -> optional verification.
 
     Returns (exit_status, report); status is nonzero iff a hard invariant
     failed.
     """
     hopping, potential, disorder = resolve_model(config.model, config.model_params)
-    report: dict = {"config": resolved_config_dict(config)}
+    report: dict = {"config": dataclasses.asdict(config)}
     status = 0
 
     validation = model.validate_hypotheses(hopping, potential, disorder)
@@ -196,12 +206,11 @@ def run_pipeline(config: RunConfig) -> tuple[int, dict]:
     if not validation.passed:
         return 1, report
 
-    hopping = model.shift_to_zero(
-        hopping, config.bz.grid_per_dim, tol_shift=config.tolerances.tol_shift
-    )
+    theta_set = scan_zone(hopping, config.bz, config.tolerances)
+    hopping = theta_set.hopping
     report["energy_shift"] = hopping.energy_shift
 
-    coeff_report = coefficients_report(hopping, potential, disorder, config)
+    coeff_report = coefficients_report(theta_set, potential, disorder, config)
     best = coeff_report["best"]
     coeffs = best.pop("_coeffs")
     for entry in coeff_report["per_theta"]:

@@ -8,7 +8,7 @@ checked against brute force rather than against themselves.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,7 +49,6 @@ class BoxSpectrumSample:
     omega: np.ndarray
     epsilon: float
     lambda_min: float
-    boundary: str = "Periodic"
 
 
 @dataclass(frozen=True)
@@ -80,20 +79,19 @@ def fiber_min_over_q(
         raise ValueError("epsilon must be nonnegative")
     theta = np.asarray(theta, dtype=float)
     base = build_floquet(hopping, theta).matrix
+    interior = np.linspace(disorder.s_minus, disorder.s_plus, guard_points + 2)[1:-1]
+    couplings = np.concatenate([[disorder.s_minus, disorder.s_plus], interior])
+    stack = base + (epsilon * couplings)[:, None, None] * potential.matrix
+    bottoms = np.linalg.eigvalsh(stack)[:, 0].tolist()
 
-    def bottom(q: float) -> float:
-        return float(np.linalg.eigvalsh(base + epsilon * q * potential.matrix)[0])
-
-    lo = bottom(disorder.s_minus)
-    hi = bottom(disorder.s_plus)
+    lo, hi = bottoms[:2]
     if lo <= hi:
         q_star, value = disorder.s_minus, lo
     else:
         q_star, value = disorder.s_plus, hi
 
-    interior = np.linspace(disorder.s_minus, disorder.s_plus, guard_points + 2)[1:-1]
-    for q in interior:
-        if bottom(q) < value - 1e-12 * (1.0 + abs(value)):
+    for q, bottom in zip(interior, bottoms[2:]):
+        if bottom < value - 1e-12 * (1.0 + abs(value)):
             raise ConvergenceError(
                 f"interior coupling q={q} beats both endpoints; concavity violated"
             )
@@ -386,12 +384,8 @@ def torus_dual_minimum(
     """
     geom = hopping.geometry
     axis = 2.0 * np.pi * np.arange(L) / (L * geom.N)
-    best = np.inf
-    for combo in itertools.product(axis, repeat=geom.d):
-        theta = np.array(combo)
-        matrix = build_floquet(hopping, theta).matrix + epsilon * q * potential.matrix
-        best = min(best, float(np.linalg.eigvalsh(matrix)[0]))
-    return best
+    thetas = np.array(list(itertools.product(axis, repeat=geom.d)))
+    return float(hopping.band_bottom(thetas, epsilon * q * potential.matrix).min())
 
 
 def fit_exponent(epsilons, values) -> ExponentFit:
@@ -485,17 +479,18 @@ KS_ONE_MINUS_COS = "one_minus_cos"
 KS_LITERAL = "literal"
 
 
-def _ks_dispersion(theta: np.ndarray, N: int, variant: str) -> float:
+def _ks_dispersion(thetas: np.ndarray, N: int, variant: str) -> np.ndarray:
+    """Free dispersion factor at each row of ``thetas`` (shape (b, d))."""
+    d = thetas.shape[1]
     if variant == KS_ONE_MINUS_COS:
-        return float(np.sum(1.0 - np.cos(theta)))
+        return np.sum(1.0 - np.cos(thetas), axis=1)
     if variant == KS_LITERAL:
-        return float(2 * len(theta) - np.sum(np.cos(theta)))
+        return 2 * d - np.sum(np.cos(thetas), axis=1)
     if variant == KS_FOLDED:
-        best = np.inf
-        for branch in itertools.product(range(N), repeat=len(theta)):
-            shifted = theta + 2.0 * np.pi * np.array(branch) / N
-            best = min(best, float(np.sum(2.0 * (1.0 - np.cos(shifted)))))
-        return best
+        # the fold over the N^d branches theta + 2 pi b / N
+        branches = 2.0 * np.pi * np.array(list(itertools.product(range(N), repeat=d))) / N
+        shifted = thetas[:, None, :] + branches
+        return np.sum(2.0 * (1.0 - np.cos(shifted)), axis=2).min(axis=1)
     raise ValueError(f"unknown dispersion variant {variant!r}")
 
 
@@ -541,23 +536,24 @@ def kirsch_simon_sandwich(
     lo_factor = (a_minus / a_plus) ** 2
     hi_factor = (a_plus / a_minus) ** 2
 
-    violations = []
-    count = 0
-    for theta in theta_grid:
-        theta = np.asarray(theta, dtype=float)
-        count += 1
-        motion = float(np.linalg.eigvalsh(build_floquet(hopping, theta).matrix)[0]) - e0
-        disp = _ks_dispersion(theta, geom.N, variant)
-        lower = lo_factor * disp
-        upper = hi_factor * disp
-        if motion < lower - tol or motion > upper + tol:
-            violations.append(
-                {"theta": theta.tolist(), "motion": motion, "lower": lower, "upper": upper}
-            )
+    thetas = np.asarray(theta_grid, dtype=float).reshape(-1, geom.d)
+    disp = _ks_dispersion(thetas, geom.N, variant)
+    motion = hopping.band_bottom(thetas) - e0
+    lower = lo_factor * disp
+    upper = hi_factor * disp
+    violations = tuple(
+        {
+            "theta": thetas[i].tolist(),
+            "motion": float(motion[i]),
+            "lower": float(lower[i]),
+            "upper": float(upper[i]),
+        }
+        for i in np.flatnonzero((motion < lower - tol) | (motion > upper + tol))
+    )
     return KirschSimonReport(
         a_minus=a_minus,
         a_plus=a_plus,
         variant=variant,
-        violations=tuple(violations),
-        n_points=count,
+        violations=violations,
+        n_points=len(thetas),
     )

@@ -1,10 +1,12 @@
 import csv
+import functools
 import io
 import json
 
 import numpy as np
 import pytest
 
+from bandedge import floquet, model, pipeline
 from bandedge.cli import main
 from bandedge.model import preset_model, save_model
 from bandedge.pipeline import RunConfig, VerifyConfig, run_pipeline
@@ -98,6 +100,28 @@ def test_verify_quartic_reports_red(capsys):
     # the trial-state inequality does not hold; the command reports that honestly
     assert status == 1
     assert '"all_satisfied": false' in out
+
+
+def test_verify_fiber_sweep_honours_scan_grid(capsys, monkeypatch):
+    grids = []
+    scan = floquet.scan_theta_set
+
+    def recorded(hopping, grid_per_dim, *args, **kwargs):
+        grids.append(grid_per_dim)
+        return scan(hopping, grid_per_dim, *args, **kwargs)
+
+    def second_scan(*args, **kwargs):
+        raise AssertionError("the zone is scanned once")
+
+    monkeypatch.setattr(floquet, "scan_theta_set", recorded)
+    monkeypatch.setattr(model, "shift_to_zero", second_scan)
+    monkeypatch.setattr(pipeline, "BZConfig", functools.partial(pipeline.BZConfig, grid_per_dim=16))
+    status, out = run_cli(
+        capsys, "verify", "fiber-sweep", "--model", "dipole", "--eps", "1e-3,1e-2,1e-1"
+    )
+    assert status == 0
+    assert grids == [16]
+    assert '"passed": true' in out
 
 
 def test_verify_kirsch_simon(capsys):

@@ -7,9 +7,10 @@ from bandedge.floquet import (
     ground_space,
     scan_theta_set,
 )
-from bandedge.model import preset_model
+from bandedge.model import FIBER_CHUNK, preset_model, save_model, shift_to_zero
+from bandedge.pipeline import RunConfig, run_pipeline
 
-from conftest import random_hopping
+from conftest import random_hopping, random_potential, sign_changing
 
 
 def test_anderson_fiber_is_dispersion():
@@ -125,3 +126,97 @@ def test_ground_space_residual_bound():
     ).max()
     tol_deg = max(1e-10, 1e-8 * ground.fiber.norm)
     assert residual <= tol_deg * max(ground.fiber.norm, 1.0)
+
+
+def _fiber_reference(hopping, theta) -> np.ndarray:
+    """The fiber at one theta, one table entry at a time."""
+    geom = hopping.geometry
+    matrix = np.zeros((geom.cell_size, geom.cell_size), dtype=complex)
+    for (k, kp, m), value in hopping:
+        phase = np.exp(-1j * float(np.dot(theta, m)))
+        matrix[geom.site_index(k), geom.site_index(kp)] += phase * value
+    return matrix
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_fibers_match_per_theta_reference(d, N):
+    rng = np.random.default_rng(10 * d + N)
+    hopping = random_hopping(rng, d=d, N=N)
+    scale = hopping.hopping_scale()
+    thetas = rng.uniform(-7.0, 7.0, size=(1000, d))
+    full = hopping.fibers(thetas)
+    assert full.shape == (1000, hopping.geometry.cell_size, hopping.geometry.cell_size)
+    for batch in (1, FIBER_CHUNK - 1, FIBER_CHUNK, 1000):
+        fibers = hopping.fibers(thetas[:batch])
+        # a theta's matrix does not depend on the batch it is evaluated in
+        assert np.array_equal(fibers, full[:batch])
+        for i in sorted({0, batch // 2, batch - 1}):
+            reference = _fiber_reference(hopping, thetas[i])
+            assert np.abs(fibers[i] - reference).max() <= 1e-13 * scale
+            assert np.array_equal(hopping.fiber(thetas[i]), fibers[i])
+
+
+@pytest.mark.parametrize("d, N", [(1, 3), (2, 2), (3, 1)])
+def test_band_bottom_matches_per_theta_eigvalsh(d, N):
+    rng = np.random.default_rng(d + 7 * N)
+    hopping = random_hopping(rng, d=d, N=N)
+    potential = random_potential(rng, hopping.geometry.cell_size).matrix
+    thetas = rng.uniform(0.0, 2.0 * np.pi, size=(1000, d))
+    tol = 1e-13 * (hopping.hopping_scale() + np.abs(potential).sum())
+    references = [_fiber_reference(hopping, t) for t in thetas]
+    for added in (None, potential):
+        shift = 0.0 if added is None else added
+        expected = np.array([np.linalg.eigvalsh(m + shift)[0] for m in references])
+        for batch in (1, FIBER_CHUNK - 1, FIBER_CHUNK, 1000):
+            bottoms = hopping.band_bottom(thetas[:batch], added)
+            assert bottoms.shape == (batch,)
+            assert np.abs(bottoms - expected[:batch]).max() <= tol
+
+
+PIPELINE_PRESETS = [
+    ("anderson", {"d": 1}),
+    ("anderson", {"d": 2}),
+    ("dipole", {"d": 1}),
+    ("dipole", {"d": 2}),
+    ("dipole", {"d": 1, "s_minus": 0.0, "s_plus": 1.0}),
+    ("dipole", {"d": 2, "s_minus": 0.0, "s_plus": 1.0}),
+    ("quartic", {}),
+    ("alloy", {"d": 1, "N": 3, "W": [0.3, 1.1, 0.7]}),
+    ("alloy", {"d": 2, "N": 3, "W": [0.3, 1.1, 0.7, 0.2, 1.9, 0.4, 1.2, 0.8, 0.05]}),
+]
+
+
+def _shift_then_scan(hopping):
+    """The zone scanned twice: once to shift, once for the minimizers."""
+    shifted = shift_to_zero(hopping, 64)
+    return shifted.energy_shift, scan_theta_set(shifted)
+
+
+@pytest.mark.parametrize("name, params", PIPELINE_PRESETS)
+def test_single_scan_equals_shift_then_scan_presets(name, params):
+    status, report = run_pipeline(RunConfig(model=name, model_params=params))
+    assert status == 0
+    shift, theta_set = _shift_then_scan(preset_model(name, **params)[0])
+    assert report["energy_shift"] == shift
+    assert report["coefficients"]["E0"] == theta_set.E0
+    minimizers = [list(map(float, t)) for t in theta_set.minimizers]
+    assert report["coefficients"]["minimizers"] == minimizers
+
+
+def test_single_scan_matches_shift_then_scan_random(tmp_path):
+    rng = np.random.default_rng(31)
+    for i, (d, N) in enumerate([(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]):
+        hopping = random_hopping(rng, d=d, N=N)
+        path = tmp_path / f"random{i}.json"
+        save_model(
+            path, hopping, random_potential(rng, hopping.geometry.cell_size), sign_changing(rng)
+        )
+        status, report = run_pipeline(RunConfig(model=str(path)))
+        assert status == 0
+        shift, theta_set = _shift_then_scan(hopping)
+        assert abs(report["energy_shift"] - shift) <= 1e-12
+        assert abs(report["coefficients"]["E0"] - theta_set.E0) <= 1e-12
+        minimizers = report["coefficients"]["minimizers"]
+        assert len(minimizers) == len(theta_set.minimizers)
+        assert np.abs(np.array(minimizers) - np.array(theta_set.minimizers)).max() <= 1e-12
