@@ -2,8 +2,8 @@
 
 Subcommands: validate, floquet-scan, fiber, coefficients,
 verify {fiber-sweep, montecarlo, quartic, kirsch-simon}, run.
-Worker count for Monte-Carlo sampling comes from the BANDEDGE_WORKERS
-environment variable.
+Monte-Carlo sampling is serial unless the BANDEDGE_WORKERS environment
+variable sets a worker thread count.
 """
 
 from __future__ import annotations
@@ -315,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=verification.SAMPLER_ENDPOINT,
         choices=[verification.SAMPLER_ENDPOINT, verification.SAMPLER_UNIFORM],
     )
-    p.add_argument("--format", default="JSON", choices=["JSON", "CSV"])
+    p.add_argument("--format", default="JSON", choices=["JSON"])
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_run)
 

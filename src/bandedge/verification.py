@@ -11,6 +11,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -293,44 +294,41 @@ def assemble_torus(
     L: int,
     omega: np.ndarray,
 ) -> sp.csr_matrix:
-    """The random operator on a torus of L^d cells with periodic boundary."""
+    """The random operator on a torus of L^d cells with periodic boundary.
+
+    The matrix is float64 when every hopping amplitude and every potential
+    entry is real, and complex otherwise.
+    """
     geom = hopping.geometry
     d, N = geom.d, geom.N
     side = L * N
     n_sites = side**d
-    cells = list(itertools.product(range(L), repeat=d))
-    strides = [side ** (d - 1 - i) for i in range(d)]
+    strides = side ** np.arange(d - 1, -1, -1)
+    # cell corners in the order of omega: lexicographic over the L^d cells
+    corners = N * np.array(list(itertools.product(range(L), repeat=d)))
 
-    def site_id(coords) -> int:
-        return sum((c % side) * s for c, s in zip(coords, strides))
+    def site_ids(offsets) -> np.ndarray:
+        """Torus site ids of corner + offset, shape (len(offsets), L^d)."""
+        return ((corners + np.asarray(offsets, dtype=int).reshape(-1, 1, d)) % side) @ strides
 
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[complex] = []
-    for ci, cell in enumerate(cells):
-        base = [c * N for c in cell]
-        for (k, kp, m), value in hopping:
-            x = site_id([b + kk for b, kk in zip(base, k)])
-            y = site_id([b + kk + mm for b, kk, mm in zip(base, kp, m)])
-            rows.append(x)
-            cols.append(y)
-            vals.append(value)
-        if epsilon != 0.0:
-            w = epsilon * omega[ci]
-            if w != 0.0:
-                cell_sites = geom.cell_sites()
-                ids = [site_id([b + kk for b, kk in zip(base, s)]) for s in cell_sites]
-                for a, ia in enumerate(ids):
-                    for b, ib in enumerate(ids):
-                        v = potential.matrix[a, b]
-                        if v != 0.0:
-                            rows.append(ia)
-                            cols.append(ib)
-                            vals.append(w * v)
-    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n_sites, n_sites)).tocsr()
+    table = hopping.coefficients
+    amplitudes = np.array(list(table.values()), dtype=complex)
+    rows = [site_ids([k for k, _, _ in table])]
+    cols = [site_ids([np.add(kp, m) for _, kp, m in table])]
+    vals = [np.repeat(amplitudes[:, None], len(corners), axis=1)]
+    if epsilon != 0.0:
+        a, b = np.nonzero(potential.matrix)
+        cell = np.array(geom.cell_sites())
+        rows.append(site_ids(cell[a]))
+        cols.append(site_ids(cell[b]))
+        vals.append(potential.matrix[a, b][:, None] * (epsilon * np.asarray(omega)))
+    data = np.concatenate(vals).ravel()
+    if not (amplitudes.imag.any() or potential.matrix.imag.any()):
+        data = data.real
     # wraparound at L = 1, 2 folds distinct hops onto the same entry; the COO
-    # constructor already accumulated duplicates
-    return matrix
+    # to CSR conversion sums the duplicates
+    ij = (np.concatenate(rows).ravel(), np.concatenate(cols).ravel())
+    return sp.coo_matrix((data, ij), shape=(n_sites, n_sites)).tocsr()
 
 
 def box_min_eig(
@@ -344,7 +342,8 @@ def box_min_eig(
     q: float | None = None,
     dense_cutoff: int = DENSE_SITE_CUTOFF,
 ) -> BoxSpectrumSample:
-    """Certified smallest eigenvalue of one disorder realization on a torus."""
+    """Certified smallest eigenvalue of one disorder realization on a torus:
+    only the lowest eigenpair is computed, and its residual is the certificate."""
     geom = hopping.geometry
     n_cells = L**geom.d
     omega = _draw_couplings(disorder, n_cells, sampler, seed, q)
@@ -353,17 +352,14 @@ def box_min_eig(
     scale = float(abs(matrix).sum(axis=1).max())  # inf-norm bound on the operator norm
 
     if n_sites <= dense_cutoff:
-        dense = matrix.toarray()
-        eigenvalues, vectors = np.linalg.eigh(dense)
-        lam = float(eigenvalues[0])
-        vec = vectors[:, 0]
+        lams, vecs = sla.eigh(matrix.toarray(), subset_by_index=[0, 0])
     else:
         try:
             lams, vecs = spla.eigsh(matrix, k=1, which="SA", tol=1e-12, maxiter=20000)
         except spla.ArpackNoConvergence as exc:
             raise ConvergenceError(f"iterative eigensolver failed on {n_sites} sites") from exc
-        lam = float(lams[0])
-        vec = vecs[:, 0]
+    lam = float(lams[0])
+    vec = vecs[:, 0]
     residual = float(np.linalg.norm(matrix @ vec - lam * vec))
     if residual > 1e-10 * max(scale, 1e-300):
         raise ConvergenceError(f"eigenpair residual {residual:.3e} exceeds certificate bound")

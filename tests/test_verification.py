@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from bandedge.floquet import ground_space
 from bandedge.model import ConvergenceError, DisorderSupport, preset_model
@@ -7,6 +10,8 @@ from bandedge.verification import (
     KS_FOLDED,
     KS_LITERAL,
     KS_ONE_MINUS_COS,
+    SAMPLER_UNIFORM,
+    assemble_torus,
     box_min_eig,
     fiber_bound_sandwich,
     fiber_min_over_q,
@@ -162,6 +167,93 @@ def test_box_reproducible_by_seed():
     b = box_min_eig(hopping, potential, disorder, 0.05, 8, seed=42)
     assert a.lambda_min == b.lambda_min
     assert np.array_equal(a.omega, b.omega)
+
+
+def reference_torus(hopping, potential, epsilon, L, omega):
+    """Per-cell loop over hops and potential entries: the torus assembly
+    before it was vectorised."""
+    geom = hopping.geometry
+    d, N = geom.d, geom.N
+    side = L * N
+    n_sites = side**d
+    cells = list(itertools.product(range(L), repeat=d))
+    strides = [side ** (d - 1 - i) for i in range(d)]
+
+    def site_id(coords) -> int:
+        return sum((c % side) * s for c, s in zip(coords, strides))
+
+    rows, cols, vals = [], [], []
+    for ci, cell in enumerate(cells):
+        base = [c * N for c in cell]
+        for (k, kp, m), value in hopping:
+            rows.append(site_id([b + kk for b, kk in zip(base, k)]))
+            cols.append(site_id([b + kk + mm for b, kk, mm in zip(base, kp, m)]))
+            vals.append(value)
+        w = epsilon * omega[ci]
+        if w != 0.0:
+            ids = [site_id([b + kk for b, kk in zip(base, s)]) for s in geom.cell_sites()]
+            for a, ia in enumerate(ids):
+                for b, ib in enumerate(ids):
+                    if potential.matrix[a, b] != 0.0:
+                        rows.append(ia)
+                        cols.append(ib)
+                        vals.append(w * potential.matrix[a, b])
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n_sites, n_sites)).tocsr()
+
+
+def _real_model(d, N):
+    """A real preset on the geometry (d, N)."""
+    if N == 1:
+        return preset_model("anderson", d=d)
+    if N == 2:
+        return preset_model("dipole", d=d)
+    if d == 1:
+        return preset_model("quartic")
+    W = np.random.default_rng(N).uniform(0.0, 2.0, N**d).tolist()
+    return preset_model("alloy", d=d, N=N, W=W)
+
+
+def _complex_model(d, N):
+    rng = np.random.default_rng(10 * d + N)
+    hopping = random_hopping(rng, d=d, N=N)
+    return hopping, random_potential(rng, hopping.geometry.cell_size), sign_changing(rng)
+
+
+MODELS = {"real": _real_model, "complex": _complex_model}
+# every d, N in {1, 2, 3} and L in {1, 2, 3, 5} (L = 1, 2 fold hops onto
+# each other), up to 1,000 sites; a complex table has (3 N^2)^d entries, so
+# its reference loop is capped at 100,000 cell-entry pairs
+TORUS_CASES = [
+    pytest.param(kind, d, N, L, id=f"{kind}-d{d}-N{N}-L{L}")
+    for kind in MODELS
+    for d, N, L in itertools.product((1, 2, 3), (1, 2, 3), (1, 2, 3, 5))
+    if (L * N) ** d <= 1000 and (kind == "real" or (3 * N * N * L) ** d <= 100_000)
+]
+
+
+@pytest.mark.parametrize("kind,d,N,L", TORUS_CASES)
+def test_assemble_torus_matches_reference_loop(kind, d, N, L):
+    hopping, potential, _ = MODELS[kind](d, N)
+    omega = np.random.default_rng(L).uniform(-1.0, 1.0, L**d)
+    for epsilon in (0.0, 0.3):
+        matrix = assemble_torus(hopping, potential, epsilon, L, omega)
+        reference = reference_torus(hopping, potential, epsilon, L, omega).toarray()
+        scale = np.abs(reference).sum(axis=1).max()
+        assert matrix.dtype == (np.float64 if kind == "real" else np.complex128)
+        assert matrix.shape == reference.shape
+        assert np.abs(matrix.toarray() - reference).max() <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("kind,d,N,L", TORUS_CASES)
+def test_box_min_eig_matches_full_eigvalsh(kind, d, N, L):
+    hopping, potential, disorder = MODELS[kind](d, N)
+    for epsilon in (0.0, 0.3):
+        sample = box_min_eig(
+            hopping, potential, disorder, epsilon, L, sampler=SAMPLER_UNIFORM, seed=L
+        )
+        reference = reference_torus(hopping, potential, epsilon, L, sample.omega).toarray()
+        scale = np.abs(reference).sum(axis=1).max()
+        assert abs(sample.lambda_min - np.linalg.eigvalsh(reference)[0]) <= 1e-12 * scale
 
 
 def test_fit_exponent_exact_lines():
