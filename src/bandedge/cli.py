@@ -2,8 +2,6 @@
 
 Subcommands: validate, floquet-scan, fiber, coefficients,
 verify {fiber-sweep, montecarlo, quartic, kirsch-simon}, run.
-Monte-Carlo sampling is serial unless the BANDEDGE_WORKERS environment
-variable sets a worker thread count.
 """
 
 from __future__ import annotations
@@ -223,7 +221,7 @@ def cmd_run(args) -> int:
         verify=pipeline.VerifyConfig(
             L=args.L, samples=args.samples, seed=args.seed, sampler=args.sampler
         ),
-        output=pipeline.OutputConfig(format=args.format, path=args.output),
+        output=pipeline.OutputConfig(path=args.output),
         model_params=_model_params(args),
     )
     status, report = pipeline.run_pipeline(config)
@@ -315,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=verification.SAMPLER_ENDPOINT,
         choices=[verification.SAMPLER_ENDPOINT, verification.SAMPLER_UNIFORM],
     )
-    p.add_argument("--format", default="JSON", choices=["JSON"])
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_run)
 

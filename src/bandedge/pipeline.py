@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -13,18 +11,13 @@ import numpy as np
 
 from . import floquet, model, perturbation, verification
 
-WORKERS_ENV = "BANDEDGE_WORKERS"
-
 
 def worker_count() -> int:
-    """Monte-Carlo worker threads: BANDEDGE_WORKERS when it holds an integer,
-    else 1 (serial), because a thread pool measured slower than serial
-    sampling on a 2-core host.
+    """Monte-Carlo worker count, recorded in benchmark environments. Sampling
+    is serial: a thread pool measured slower than the serial loop on a 2-core
+    host.
     """
-    try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
-    except ValueError:
-        return 1
+    return 1
 
 
 @dataclass(frozen=True)
@@ -173,22 +166,13 @@ def montecarlo_minima(
     seed: int,
     sampler: str = verification.SAMPLER_ENDPOINT,
 ) -> list[verification.BoxSpectrumSample]:
-    """Independent disorder realizations, reduced in seed order so parallel
-    and serial runs report identically."""
-    seeds = [seed + i for i in range(samples)]
-
-    def one(s: int) -> verification.BoxSpectrumSample:
-        return verification.box_min_eig(
-            hopping, potential, disorder, epsilon, L, sampler=sampler, seed=s
+    """Independent disorder realizations, one per seed seed + i, in seed order."""
+    return [
+        verification.box_min_eig(
+            hopping, potential, disorder, epsilon, L, sampler=sampler, seed=seed + i
         )
-
-    workers = worker_count()
-    if workers == 1 or samples <= 1:
-        results = {s: one(s) for s in seeds}
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = dict(zip(seeds, pool.map(one, seeds)))
-    return [results[s] for s in sorted(results)]
+        for i in range(samples)
+    ]
 
 
 def run_pipeline(config: RunConfig) -> tuple[int, dict]:
