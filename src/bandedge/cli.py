@@ -64,8 +64,8 @@ def _print_json(payload) -> None:
 
 
 def cmd_validate(args) -> int:
-    hopping, potential, disorder = _load(args)
-    report = model.validate_hypotheses(hopping, potential, disorder)
+    hopping, potential, _ = _load(args)
+    report = model.validate_hypotheses(hopping, potential)
     _print_json(
         {
             "passed": report.passed,

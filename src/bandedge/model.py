@@ -241,12 +241,13 @@ class ValidationReport:
 def validate_hypotheses(
     hopping: HoppingOperator,
     potential: SingleCellPotential,
-    disorder: DisorderSupport,
     hermitian_tol: float = 0.0,
 ) -> ValidationReport:
     """Check the standing model hypotheses and report each with a witness.
 
     Always returns a report; callers decide whether failures abort a run.
+    The disorder support needs no check here: ``DisorderSupport`` rejects a
+    support that does not fit its regime when it is built.
     """
     geom = hopping.geometry
     checks: list[HypothesisCheck] = []
@@ -295,18 +296,6 @@ def validate_hypotheses(
             "potential_cell_sized",
             expected,
             {"shape": potential.matrix.shape, "cell_size": geom.cell_size},
-        )
-    )
-
-    if disorder.regime == DisorderSupport.SIGN_CHANGING:
-        ok = disorder.s_minus < 0 < disorder.s_plus
-    else:
-        ok = 0 <= disorder.s_minus < disorder.s_plus
-    checks.append(
-        HypothesisCheck(
-            "disorder_support",
-            ok,
-            {"s_minus": disorder.s_minus, "s_plus": disorder.s_plus, "regime": disorder.regime},
         )
     )
 

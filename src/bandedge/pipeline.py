@@ -185,7 +185,7 @@ def run_pipeline(config: RunConfig) -> tuple[int, dict]:
     report: dict = {"config": dataclasses.asdict(config)}
     status = 0
 
-    validation = model.validate_hypotheses(hopping, potential, disorder)
+    validation = model.validate_hypotheses(hopping, potential)
     report["validation"] = {
         "passed": validation.passed,
         "checks": [dataclasses.asdict(c) for c in validation.checks],

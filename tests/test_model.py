@@ -44,8 +44,8 @@ def test_hopping_rejects_out_of_range_offsets():
 
 
 def test_validate_anderson_all_pass():
-    hopping, potential, disorder = preset_model("anderson")
-    report = validate_hypotheses(hopping, potential, disorder)
+    hopping, potential, _ = preset_model("anderson")
+    report = validate_hypotheses(hopping, potential)
     assert report.passed, report.failed_names()
 
 
@@ -53,14 +53,13 @@ def test_validate_flags_non_hermitian_diagonal():
     geom = LatticeGeometry(1, 1)
     hopping = HoppingOperator(geom, {((0,), (0,), (0,)): 1j, ((0,), (0,), (1,)): -1.0, ((0,), (0,), (-1,)): -1.0})
     potential = SingleCellPotential(np.array([[1.0]]))
-    disorder = DisorderSupport(-1.0, 1.0, DisorderSupport.SIGN_CHANGING)
-    report = validate_hypotheses(hopping, potential, disorder)
+    report = validate_hypotheses(hopping, potential)
     assert "hopping_hermitian" in report.failed_names()
 
 
 def test_validate_flags_zero_potential():
-    hopping, _, disorder = preset_model("anderson")
-    report = validate_hypotheses(hopping, SingleCellPotential(np.zeros((1, 1))), disorder)
+    hopping, _, _ = preset_model("anderson")
+    report = validate_hypotheses(hopping, SingleCellPotential(np.zeros((1, 1))))
     assert "potential_nontrivial" in report.failed_names()
 
 
@@ -68,8 +67,7 @@ def test_validate_flags_trivial_hopping():
     geom = LatticeGeometry(1, 1)
     hopping = HoppingOperator(geom, {((0,), (0,), (0,)): 3.0})
     potential = SingleCellPotential(np.array([[1.0]]))
-    disorder = DisorderSupport(-1.0, 1.0, DisorderSupport.SIGN_CHANGING)
-    report = validate_hypotheses(hopping, potential, disorder)
+    report = validate_hypotheses(hopping, potential)
     assert "hopping_nontrivial" in report.failed_names()
 
 

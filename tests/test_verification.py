@@ -3,7 +3,9 @@ import itertools
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from bandedge import verification
 from bandedge.floquet import ground_space
 from bandedge.model import ConvergenceError, DisorderSupport, preset_model
 from bandedge.verification import (
@@ -254,6 +256,42 @@ def test_box_min_eig_matches_full_eigvalsh(kind, d, N, L):
         reference = reference_torus(hopping, potential, epsilon, L, sample.omega).toarray()
         scale = np.abs(reference).sum(axis=1).max()
         assert abs(sample.lambda_min - np.linalg.eigvalsh(reference)[0]) <= 1e-12 * scale
+
+
+# random endpoint disorder past a lowered dense cutoff: the shifted ARPACK
+# solve and its Rayleigh quotient against a full dense spectrum
+SPARSE_CASES = [
+    pytest.param(model, d, N, L, epsilon, id=f"{model}-d{d}-N{N}-L{L}-eps{epsilon:g}")
+    for model, d, N, L in (("real", 2, 2, 20), ("real", 2, 3, 10), ("complex", 2, 2, 8))
+    for epsilon in (1e-4, 0.3)
+]
+
+
+@pytest.mark.parametrize("kind,d,N,L,epsilon", SPARSE_CASES)
+def test_box_sparse_path_matches_eigvalsh(kind, d, N, L, epsilon):
+    hopping, potential, disorder = MODELS[kind](d, N)
+    sample = box_min_eig(hopping, potential, disorder, epsilon, L, seed=L, dense_cutoff=10)
+    matrix = assemble_torus(hopping, potential, epsilon, L, sample.omega).toarray()
+    scale = np.abs(matrix).sum(axis=1).max()
+    assert abs(sample.lambda_min - np.linalg.eigvalsh(matrix)[0]) <= 1e-12 * scale
+
+
+def test_box_sparse_path_independent_of_earlier_arpack_calls():
+    hopping, potential, disorder = preset_model("dipole", d=2)
+    first = box_min_eig(hopping, potential, disorder, 0.01, 12, seed=5, dense_cutoff=10)
+    spla.eigsh(sp.diags(np.arange(1.0, 301.0)), k=2)  # advances ARPACK's own start-vector state
+    second = box_min_eig(hopping, potential, disorder, 0.01, 12, seed=5, dense_cutoff=10)
+    assert first.lambda_min == second.lambda_min
+
+
+def test_box_sparse_path_arpack_failure_is_named(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(verification.spla, "eigsh", no_convergence)
+    hopping, potential, disorder = preset_model("anderson")
+    with pytest.raises(ConvergenceError, match="on 64 sites"):
+        box_min_eig(hopping, potential, disorder, 0.05, 64, dense_cutoff=10)
 
 
 def test_fit_exponent_exact_lines():
