@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import sys
 
@@ -192,14 +193,8 @@ def cmd_verify_quartic(args) -> int:
 
 def cmd_verify_kirsch_simon(args) -> int:
     hopping, _, _ = _load(args)
-    d = hopping.geometry.d
     axis = np.linspace(0.0, 2.0 * np.pi / hopping.geometry.N, args.grid, endpoint=False)
-    if d == 1:
-        grid = [[t] for t in axis]
-    else:
-        import itertools
-
-        grid = [list(c) for c in itertools.product(axis, repeat=d)]
+    grid = [list(c) for c in itertools.product(axis, repeat=hopping.geometry.d)]
     report = verification.kirsch_simon_sandwich(hopping, grid, variant=args.variant)
     _print_json(
         {

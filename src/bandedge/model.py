@@ -241,7 +241,6 @@ class ValidationReport:
 def validate_hypotheses(
     hopping: HoppingOperator,
     potential: SingleCellPotential,
-    hermitian_tol: float = 0.0,
 ) -> ValidationReport:
     """Check the standing model hypotheses and report each with a witness.
 
@@ -264,7 +263,7 @@ def validate_hypotheses(
     checks.append(
         HypothesisCheck(
             "hopping_hermitian",
-            worst_err <= hermitian_tol * scale + 1e-14 * scale,
+            worst_err <= 1e-14 * scale,
             {"max_asymmetry": worst_err, "pair": worst_pair},
         )
     )

@@ -242,9 +242,9 @@ def run_pipeline(config: RunConfig) -> tuple[int, dict]:
 
 
 def write_report(report: dict, output: OutputConfig) -> str | None:
-    if output.path is None:
-        return json.dumps(report, indent=2, default=_json_default)
     text = json.dumps(report, indent=2, default=_json_default)
+    if output.path is None:
+        return text
     Path(output.path).write_text(text + "\n")
     return None
 

@@ -8,12 +8,11 @@ checked against brute force rather than against themselves.
 from __future__ import annotations
 
 import itertools
+import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .floquet import build_floquet, fiber_eigh, ground_space
 from .model import (
@@ -32,6 +31,9 @@ from .perturbation import (
     edge_bound,
     edge_coefficients,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 DENSE_SITE_CUTOFF = 4096
 
@@ -299,6 +301,7 @@ def assemble_torus(
     The matrix is float64 when every hopping amplitude and every potential
     entry is real, and complex otherwise.
     """
+    import scipy.sparse as sp  # here, not at module top: only torus work needs scipy
     geom = hopping.geometry
     d, N = geom.d, geom.N
     side = L * N
@@ -354,6 +357,11 @@ def box_min_eig(
     depend on earlier ARPACK calls in the process. Both paths must pass the
     same certificate: residual at most ``1e-10*scale`` on the unshifted matrix.
     """
+    # here, not at module top: only torus work needs scipy
+    import scipy.linalg as sla
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     geom = hopping.geometry
     n_cells = L**geom.d
     omega = _draw_couplings(disorder, n_cells, sampler, seed, q)
@@ -361,7 +369,7 @@ def box_min_eig(
     n_sites = matrix.shape[0]
     scale = float(abs(matrix).sum(axis=1).max())  # inf-norm bound on the operator norm
 
-    if n_sites <= dense_cutoff:
+    if n_sites <= max(dense_cutoff, 1):  # ARPACK needs k < n: one site is dense
         lams, vecs = sla.eigh(matrix.toarray(), subset_by_index=[0, 0])
         lam = float(lams[0])
         vec = vecs[:, 0]
@@ -405,8 +413,6 @@ def fit_exponent(epsilons, values) -> ExponentFit:
     usable = values < 0
     excluded = int(np.count_nonzero(~usable))
     if excluded:
-        import warnings
-
         warnings.warn(f"fit_exponent: excluded {excluded} nonnegative value(s)", stacklevel=2)
     eps = epsilons[usable]
     vals = values[usable]

@@ -1,11 +1,15 @@
 import itertools
+import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from bandedge import verification
+import bandedge
 from bandedge.floquet import ground_space
 from bandedge.model import ConvergenceError, DisorderSupport, preset_model
 from bandedge.verification import (
@@ -288,10 +292,47 @@ def test_box_sparse_path_arpack_failure_is_named(monkeypatch):
     def no_convergence(*args, **kwargs):
         raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
 
-    monkeypatch.setattr(verification.spla, "eigsh", no_convergence)
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh", no_convergence)
     hopping, potential, disorder = preset_model("anderson")
     with pytest.raises(ConvergenceError, match="on 64 sites"):
         box_min_eig(hopping, potential, disorder, 0.05, 64, dense_cutoff=10)
+
+
+def test_box_one_site_torus_takes_dense_path():
+    hopping, potential, disorder = preset_model("anderson")
+    sample = box_min_eig(hopping, potential, disorder, 0.05, 1, seed=3, dense_cutoff=0)
+    matrix = assemble_torus(hopping, potential, 0.05, 1, sample.omega)
+    assert matrix.shape == (1, 1)
+    assert sample.lambda_min == matrix[0, 0]
+
+
+# a fresh interpreter: which scipy modules are loaded after each step
+SCIPY_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+def loaded():
+    return [m for m in ("scipy.linalg", "scipy.sparse") if m in sys.modules]
+steps = []
+import bandedge
+steps.append(loaded())
+import bandedge.cli
+steps.append(loaded())
+from bandedge import pipeline
+config = pipeline.RunConfig(model="dipole", epsilon_list=(1e-3, 1e-2), model_params={"d": 2})
+assert pipeline.run_pipeline(config)[0] == 0
+steps.append(loaded())
+bandedge.box_min_eig(*bandedge.preset_model("anderson"), 0.05, 4)
+steps.append(loaded())
+print(json.dumps(steps))
+"""
+
+
+def test_scipy_loaded_only_by_torus_work():
+    src = str(Path(bandedge.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, src], capture_output=True, text=True, check=True
+    ).stdout
+    assert json.loads(out) == [[], [], [], ["scipy.linalg", "scipy.sparse"]]
 
 
 def test_fit_exponent_exact_lines():
