@@ -27,7 +27,6 @@ from .perturbation import (
     coeff_A1,
     coeff_A2,
     coeff_A2_variational,
-    coeffs_positive_regime,
     edge_bound,
     edge_coefficients,
     nondegeneracy_check,

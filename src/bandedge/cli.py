@@ -112,11 +112,7 @@ def cmd_coefficients(args) -> int:
     config = pipeline.RunConfig(model=args.model, epsilon_list=tuple(args.eps or ()))
     theta_set = pipeline.scan_zone(hopping, config.bz, config.tolerances)
     report = pipeline.coefficients_report(theta_set, potential, disorder, config)
-    best = report["best"]
-    best.pop("_coeffs", None)
-    for entry in report["per_theta"]:
-        entry.pop("_coeffs", None)
-    _print_json(best)
+    _print_json(report["best"])
     return 0
 
 

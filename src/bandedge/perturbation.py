@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .floquet import GroundSpaceData, _fix_phases, fiber_eigh, build_floquet
+from .floquet import GroundSpaceData, _fix_phases, ground_space
 from .model import (
     ConvergenceError,
     DisorderSupport,
@@ -75,25 +75,42 @@ def coeff_A1(pert: PerturbationMatrix, disorder: DisorderSupport) -> float:
     return float(min(disorder.s_plus * pert.P[0], disorder.s_minus * pert.P[-1]))
 
 
-SUBSPACE_FULL = "full"
-SUBSPACE_V01 = "v01"
+GAP_TOL = 1e-12  # smallest spectral gap the second-order pseudoinverse accepts
+TOL_V01 = 1e-10  # eigenvalues of the perturbation matrix within this of P_1 span V01
+ASCENT_ITERATIONS = 200
+ASCENT_STARTS = 8
 
 
-def _second_order_operator(
-    ground: GroundSpaceData, potential: SingleCellPotential, gap_tol: float
-) -> np.ndarray:
-    """V Q (fiber restricted to the complement)^+ Q V, as a full-cell matrix."""
-    if ground.gap is None or ground.gap <= gap_tol:
+def _v01(pert: PerturbationMatrix) -> np.ndarray:
+    """Mask of the diagonalizing columns spanning V01, the P_1 eigenspace."""
+    return pert.P <= pert.P[0] + TOL_V01
+
+
+def _second_order(
+    ground: GroundSpaceData, pert: PerturbationMatrix, disorder: DisorderSupport
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """(c^2, B, (fiber restricted to the complement)^+) for both A2 estimates.
+
+    c^2 is the squared extremal coupling and B spans the ground subspace the
+    second order acts on: the whole ground space for sign-changing couplings,
+    V01 for nonnegative ones.
+    """
+    if ground.gap is None or ground.gap <= GAP_TOL:
         raise ConvergenceError(
             f"spectral gap {ground.gap} too small for the second-order pseudoinverse"
         )
+    if disorder.regime == DisorderSupport.SIGN_CHANGING:
+        c2 = max(disorder.s_minus**2, disorder.s_plus**2)
+        B = pert.diagonalizing_basis
+    else:
+        c2 = disorder.s_plus**2
+        B = pert.diagonalizing_basis[:, _v01(pert)]
     vectors = ground.eigenvectors
     eigenvalues = ground.eigenvalues
     p = ground.p
     inv = np.zeros_like(eigenvalues)
     inv[p:] = 1.0 / (eigenvalues[p:] - eigenvalues[0])
-    pinv = (vectors * inv) @ vectors.conj().T
-    return potential.matrix @ pinv @ potential.matrix
+    return c2, B, (vectors * inv) @ vectors.conj().T
 
 
 def coeff_A2(
@@ -101,34 +118,18 @@ def coeff_A2(
     pert: PerturbationMatrix,
     potential: SingleCellPotential,
     disorder: DisorderSupport,
-    subspace: str = SUBSPACE_FULL,
-    gap_tol: float = 1e-12,
-    tol_deg: float = 1e-10,
 ) -> float:
     """Second-order coefficient via the closed-form pseudoinverse eigenproblem.
 
     Returns -c^2 * lambda_max(B* V Q (H|_perp)^+ Q V B) with B spanning the
-    requested ground subspace and c^2 the squared extremal coupling.
+    ground subspace of the regime and c^2 the squared extremal coupling.
     """
-    B = _subspace_basis(pert, subspace, tol_deg)
-    if disorder.regime == DisorderSupport.SIGN_CHANGING:
-        c2 = max(disorder.s_minus**2, disorder.s_plus**2)
-    else:
-        c2 = disorder.s_plus**2
-    operator = _second_order_operator(ground, potential, gap_tol)
+    c2, B, pinv = _second_order(ground, pert, disorder)
+    operator = potential.matrix @ pinv @ potential.matrix
     restricted = B.conj().T @ operator @ B
     restricted = 0.5 * (restricted + restricted.conj().T)
     top = float(np.linalg.eigvalsh(restricted)[-1])
     return -c2 * max(top, 0.0)
-
-
-def _subspace_basis(pert: PerturbationMatrix, subspace: str, tol_deg: float) -> np.ndarray:
-    if subspace == SUBSPACE_FULL:
-        return pert.diagonalizing_basis
-    if subspace == SUBSPACE_V01:
-        keep = pert.P <= pert.P[0] + tol_deg
-        return pert.diagonalizing_basis[:, keep]
-    raise ValueError(f"unknown subspace {subspace!r}")
 
 
 def coeff_A2_variational(
@@ -136,36 +137,17 @@ def coeff_A2_variational(
     pert: PerturbationMatrix,
     potential: SingleCellPotential,
     disorder: DisorderSupport,
-    subspace: str = SUBSPACE_FULL,
-    iters: int = 200,
-    seeds: int = 8,
     seed: int = 0,
-    tol: float = 1e-12,
-    gap_tol: float = 1e-12,
-    tol_deg: float = 1e-10,
 ) -> float:
     """Independent estimate of the second-order coefficient by alternating ascent.
 
     Maximizes |<psi, V phi>|^2 / <H phi, phi> over unit psi in the ground
-    subspace and phi in its orthogonal complement, from several random starts.
+    subspace of the regime and phi in its orthogonal complement, from
+    ASCENT_STARTS random starts of at most ASCENT_ITERATIONS steps each.
     """
-    B = _subspace_basis(pert, subspace, tol_deg)
-    if ground.gap is None or ground.gap <= gap_tol:
-        raise ConvergenceError("spectral gap too small for the variational second-order estimate")
-    if disorder.regime == DisorderSupport.SIGN_CHANGING:
-        c2 = max(disorder.s_minus**2, disorder.s_plus**2)
-    else:
-        c2 = disorder.s_plus**2
-
-    vectors = ground.eigenvectors
+    c2, B, pinv = _second_order(ground, pert, disorder)
     eigenvalues = ground.eigenvalues
-    p = ground.p
-    n = vectors.shape[0]
-    if p == n or B.shape[1] == 0:
-        return 0.0
-    inv = np.zeros_like(eigenvalues)
-    inv[p:] = 1.0 / (eigenvalues[p:] - eigenvalues[0])
-    pinv = (vectors * inv) @ vectors.conj().T
+    n = len(eigenvalues)
     V = potential.matrix
 
     def objective(psi: np.ndarray, phi: np.ndarray) -> float:
@@ -176,64 +158,41 @@ def coeff_A2_variational(
 
     rng = np.random.default_rng(seed)
     best = 0.0
-    for _ in range(seeds):
+    for _ in range(ASCENT_STARTS):
         coeff = rng.standard_normal(B.shape[1]) + 1j * rng.standard_normal(B.shape[1])
         psi = B @ coeff
         psi /= np.linalg.norm(psi)
         value = 0.0
-        converged = False
-        for _ in range(iters):
+        for _ in range(ASCENT_ITERATIONS):
             phi = pinv @ (V @ psi)
             norm_phi = np.linalg.norm(phi)
             if norm_phi < 1e-300:
                 value = 0.0
-                converged = True
                 break
             phi /= norm_phi
             projected = B @ (B.conj().T @ (V @ phi))
             norm_psi = np.linalg.norm(projected)
             if norm_psi < 1e-300:
                 value = 0.0
-                converged = True
                 break
             psi = projected / norm_psi
             new_value = objective(psi, phi)
-            if abs(new_value - value) <= tol * (1.0 + new_value):
+            if abs(new_value - value) <= 1e-12 * (1.0 + new_value):
                 value = new_value
-                converged = True
                 break
             value = new_value
-        if not converged:
+        else:
             raise ConvergenceError(
-                f"alternating ascent did not settle in {iters} iterations; best={-c2 * max(best, value):.6e}"
+                f"alternating ascent did not settle in {ASCENT_ITERATIONS} iterations; "
+                f"best={-c2 * max(best, value):.6e}"
             )
         best = max(best, value)
     return -c2 * best
 
 
-def coeffs_positive_regime(
-    ground: GroundSpaceData,
-    pert: PerturbationMatrix,
-    potential: SingleCellPotential,
-    disorder: DisorderSupport,
-    tol_deg: float = 1e-10,
-) -> tuple[float, float, int]:
-    """First and second coefficients for nonnegative couplings, plus dim of the
-    minimal-eigenvalue subspace used for the second order."""
-    if disorder.regime != DisorderSupport.POSITIVE:
-        raise ValueError("positive-regime coefficients need the positive regime")
-    P1 = float(pert.P[0])
-    A1_prime = min(disorder.s_plus * P1, disorder.s_minus * P1)
-    A2_prime = coeff_A2(ground, pert, potential, disorder, subspace=SUBSPACE_V01, tol_deg=tol_deg)
-    V01_dim = int(np.count_nonzero(pert.P <= pert.P[0] + tol_deg))
-    return A1_prime, A2_prime, V01_dim
-
-
-def nondegeneracy_check(
-    ground: GroundSpaceData, potential: SingleCellPotential, tol: float = 1e-12
-) -> bool:
+def nondegeneracy_check(ground: GroundSpaceData, potential: SingleCellPotential) -> bool:
     """True iff the potential acts nontrivially on the ground space."""
-    return bool(np.linalg.norm(potential.matrix @ ground.basis) > tol * (1.0 + potential.norm))
+    return bool(np.linalg.norm(potential.matrix @ ground.basis) > 1e-12 * (1.0 + potential.norm))
 
 
 def edge_coefficients(
@@ -246,42 +205,24 @@ def edge_coefficients(
     pert = perturbation_matrix(ground, potential)
     if tol_case is None:
         tol_case = case_tolerance(potential, disorder)
-    nondeg = nondegeneracy_check(ground, potential)
-
+    A2 = 0.0 if ground.gap is None else coeff_A2(ground, pert, potential, disorder)
     if disorder.regime == DisorderSupport.SIGN_CHANGING:
         A1 = coeff_A1(pert, disorder)
-        A2 = coeff_A2(ground, pert, potential, disorder) if ground.gap else 0.0
-        if ground.gap is None:
-            A2 = 0.0
-        if abs(A1) > tol_case:
-            case = CASE_LINEAR
-        elif abs(A2) > tol_case:
-            case = CASE_QUADRATIC
-        else:
-            case = CASE_NO_MOTION
-        return EdgeCoefficients(
-            theta=ground.theta,
-            regime=disorder.regime,
-            P=pert.P,
-            A1=A1,
-            A2=A2,
-            A1_prime=None,
-            A2_prime=None,
-            case=case,
-            nondegenerate=nondeg,
-        )
-
-    if ground.gap is None:
-        P1 = float(pert.P[0])
-        A1_prime = min(disorder.s_plus * P1, disorder.s_minus * P1)
-        A2_prime = 0.0
-        V01_dim = int(np.count_nonzero(pert.P <= pert.P[0] + 1e-10))
+        linear = abs(A1) > tol_case
+        orders = dict(A1=A1, A2=A2, A1_prime=None, A2_prime=None)
     else:
-        A1_prime, A2_prime, V01_dim = coeffs_positive_regime(ground, pert, potential, disorder)
-    P1 = float(pert.P[0])
-    if abs(P1) > tol_case:
+        P1 = float(pert.P[0])
+        linear = abs(P1) > tol_case
+        orders = dict(
+            A1=None,
+            A2=None,
+            A1_prime=min(disorder.s_plus * P1, disorder.s_minus * P1),
+            A2_prime=A2,
+            V01_dim=int(np.count_nonzero(_v01(pert))),
+        )
+    if linear:
         case = CASE_LINEAR
-    elif abs(A2_prime) > tol_case:
+    elif abs(A2) > tol_case:
         case = CASE_QUADRATIC
     else:
         case = CASE_NO_MOTION
@@ -289,18 +230,21 @@ def edge_coefficients(
         theta=ground.theta,
         regime=disorder.regime,
         P=pert.P,
-        A1=None,
-        A2=None,
-        A1_prime=A1_prime,
-        A2_prime=A2_prime,
         case=case,
-        nondegenerate=nondeg,
-        V01_dim=V01_dim,
+        nondegenerate=nondegeneracy_check(ground, potential),
+        **orders,
     )
 
 
-def edge_bound(coeffs: EdgeCoefficients, epsilon: float, warn_threshold: float = 0.1) -> float:
-    """Predicted bound on the spectral bottom shift at coupling strength epsilon."""
+def edge_bound(coeffs: EdgeCoefficients, epsilon: float) -> float:
+    """Leading-order shift of the spectral bottom at coupling strength epsilon.
+
+    The bound is one-sided: the constant coupling at the extremal endpoint
+    gives inf Sigma_as <= E0 + epsilon * A1 (or epsilon^2 * A2) + higher
+    order, and 0 for NoMotion. Non-constant coupling patterns can move the
+    edge further: on the dipole chain alternating +-1 couplings reach about
+    twice epsilon^2 * A2.
+    """
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
     if coeffs.case == CASE_LINEAR:
@@ -323,25 +267,21 @@ class PFReport:
         return bool(self.applicable and self.simple and self.strictly_positive)
 
 
-def perron_frobenius_check(
-    hopping: HoppingOperator, tol_pos: float = 1e-12
-) -> PFReport:
+def perron_frobenius_check(hopping: HoppingOperator) -> PFReport:
     """At theta = 0 the lowest fiber state of -Delta + W is simple and positive."""
-    W = alloy_periodic_background(hopping)
-    if W is None:
+    if alloy_periodic_background(hopping) is None:
         return PFReport(applicable=False)
-    theta0 = np.zeros(hopping.geometry.d)
-    fiber = build_floquet(hopping, theta0)
-    eigenvalues, vectors = fiber_eigh(fiber)
+    ground = ground_space(hopping, np.zeros(hopping.geometry.d))
+    eigenvalues = ground.eigenvalues
     scale = max(float(np.abs(eigenvalues).max()), 1.0)
     simple = bool(len(eigenvalues) == 1 or eigenvalues[1] - eigenvalues[0] > 1e-10 * scale)
-    psi = _fix_phases(vectors[:, :1])[:, 0]
+    psi = ground.basis[:, 0]
     if np.abs(psi.imag).max() > 1e-10:
         positive = False
         min_entry = float("nan")
     else:
         min_entry = float(psi.real.min())
-        positive = min_entry > tol_pos
+        positive = min_entry > 1e-12
     gap = float(eigenvalues[1] - eigenvalues[0]) if len(eigenvalues) > 1 else None
     return PFReport(
         applicable=True,

@@ -137,7 +137,6 @@ def coefficients_report(
                 "bound": {
                     repr(e): perturbation.edge_bound(coeffs, e) for e in config.epsilon_list
                 },
-                "_coeffs": coeffs,
             }
         )
     best = min(
@@ -197,15 +196,10 @@ def run_pipeline(config: RunConfig) -> tuple[int, dict]:
     hopping = theta_set.hopping
     report["energy_shift"] = hopping.energy_shift
 
-    coeff_report = coefficients_report(theta_set, potential, disorder, config)
-    best = coeff_report["best"]
-    coeffs = best.pop("_coeffs")
-    for entry in coeff_report["per_theta"]:
-        entry.pop("_coeffs", None)
-    report["coefficients"] = coeff_report
+    report["coefficients"] = coefficients_report(theta_set, potential, disorder, config)
 
     if config.epsilon_list:
-        theta = np.array(best["theta"])
+        theta = np.array(report["coefficients"]["best"]["theta"])
         sandwich = verification.fiber_bound_sandwich(
             hopping, potential, disorder, theta, config.epsilon_list
         )

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .floquet import build_floquet, fiber_eigh, ground_space
+from .floquet import build_floquet, ground_space
 from .model import (
     ConvergenceError,
     DisorderSupport,
@@ -27,7 +27,6 @@ from .perturbation import (
     CASE_LINEAR,
     CASE_NO_MOTION,
     CASE_QUADRATIC,
-    EdgeCoefficients,
     edge_bound,
     edge_coefficients,
 )
@@ -36,6 +35,8 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 DENSE_SITE_CUTOFF = 4096
+GUARD_POINTS = 9  # interior couplings that guard the endpoint minimum
+SLACK_FACTOR = 1.25  # sweep residuals may exceed the fitted remainder by this factor
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,6 @@ def fiber_min_over_q(
     disorder: DisorderSupport,
     theta,
     epsilon: float,
-    guard_points: int = 9,
 ) -> FiberMinResult:
     """Minimum over the coupling support of the perturbed fiber bottom.
 
@@ -82,7 +82,7 @@ def fiber_min_over_q(
         raise ValueError("epsilon must be nonnegative")
     theta = np.asarray(theta, dtype=float)
     base = build_floquet(hopping, theta).matrix
-    interior = np.linspace(disorder.s_minus, disorder.s_plus, guard_points + 2)[1:-1]
+    interior = np.linspace(disorder.s_minus, disorder.s_plus, GUARD_POINTS + 2)[1:-1]
     couplings = np.concatenate([[disorder.s_minus, disorder.s_plus], interior])
     stack = base + (epsilon * couplings)[:, None, None] * potential.matrix
     bottoms = np.linalg.eigvalsh(stack)[:, 0].tolist()
@@ -114,7 +114,6 @@ class SandwichRow:
 @dataclass(frozen=True)
 class SandwichReport:
     case: str
-    coefficients: EdgeCoefficients
     remainder_power: float | None
     C: float
     rows: tuple[SandwichRow, ...]
@@ -130,14 +129,14 @@ def fiber_bound_sandwich(
     disorder: DisorderSupport,
     theta,
     epsilon_list,
-    slack_factor: float = 1.25,
 ) -> SandwichReport:
     """Check the coupling-swept fiber bottom against the predicted expansion.
 
     The remainder constant C is fitted from the two largest epsilons (where
     the remainder dominates rounding); every epsilon must then stay within
-    C * slack_factor times the remainder power, so residuals decaying at the
-    predicted order or faster pass.
+    C * SLACK_FACTOR times the remainder power, so residuals decaying at the
+    predicted order or faster pass. NoMotion predicts no shift: only the lower
+    side is checked, to a rounding floor.
     """
     epsilons = sorted(float(e) for e in epsilon_list)
     ground = ground_space(hopping, theta)
@@ -145,39 +144,28 @@ def fiber_bound_sandwich(
     power = {CASE_LINEAR: 1.5, CASE_QUADRATIC: 3.0, CASE_NO_MOTION: None}[coeffs.case]
 
     results = [fiber_min_over_q(hopping, potential, disorder, theta, e) for e in epsilons]
-    residuals = [r.value - edge_bound(coeffs, r.epsilon) for r in results]
+    predicted = [edge_bound(coeffs, e) for e in epsilons]
+    residuals = [r.value - p for r, p in zip(results, predicted)]
 
     floor = 1e-12 * (1.0 + abs(ground.e0))
     if power is None:
         C = 0.0
-        rows = tuple(
-            SandwichRow(
-                epsilon=r.epsilon,
-                value=r.value,
-                predicted=0.0,
-                residual=res,
-                lower_ok=res >= -floor,
-                upper_ok=True,
-            )
-            for r, res in zip(results, residuals)
-        )
-        return SandwichReport(coeffs.case, coeffs, None, C, rows)
-
-    C = max(abs(res) / (r.epsilon**power) for r, res in zip(results[-2:], residuals[-2:]))
+    else:
+        C = max(abs(res) / (r.epsilon**power) for r, res in zip(results[-2:], residuals[-2:]))
     rows = []
-    for r, res in zip(results, residuals):
-        slack = slack_factor * C * r.epsilon**power + floor
+    for r, p, res in zip(results, predicted, residuals):
+        slack = floor if power is None else SLACK_FACTOR * C * r.epsilon**power + floor
         rows.append(
             SandwichRow(
                 epsilon=r.epsilon,
                 value=r.value,
-                predicted=edge_bound(coeffs, r.epsilon),
+                predicted=p,
                 residual=res,
                 lower_ok=res >= -slack,
-                upper_ok=res <= slack,
+                upper_ok=power is None or res <= slack,
             )
         )
-    return SandwichReport(coeffs.case, coeffs, power, C, rows)
+    return SandwichReport(coeffs.case, power, C, tuple(rows))
 
 
 def _apply_lattice_operator(
@@ -231,27 +219,19 @@ def quasiperiodic_rayleigh(
         raise ValueError("u0 must be a nonzero cell vector")
     coupling = epsilon * q
 
-    sites = hopping.geometry.cell_sites()
     norm0 = float(np.vdot(u0, u0).real)
     v_energy = float(np.vdot(u0, potential.matrix @ u0).real)
-
+    # a hop by m = N t survives truncation in (n - |t_i|)+ window positions
+    # per dimension: weight the offset stack and take the fiber quotient
+    cells = np.abs(hopping.offsets) / geom.N
+    phases = np.exp(-1j * (hopping.offsets @ theta))
     quotients = []
     for n in n_list:
         n = int(n)
-        # hopping energy counted per offset: a hop displacing by t cells
-        # survives truncation in (n - |t_i|)+ window positions per dimension
-        h_energy = 0.0 + 0.0j
-        for (k, kp, m), value in hopping:
-            t = np.array(m) // geom.N
-            count = 1.0
-            for ti in t:
-                count *= max(0, n - abs(int(ti)))
-            phase = np.exp(-1j * float(np.dot(theta, m)))
-            i, j = geom.site_index(k), geom.site_index(kp)
-            h_energy += np.conj(u0[i]) * value * phase * u0[j] * count
-        total_cells = float(n**geom.d)
-        quotient = (h_energy.real + coupling * v_energy * total_cells) / (norm0 * total_cells)
-        quotients.append(float(quotient))
+        weights = np.prod(np.maximum(n - cells, 0.0), axis=1) / float(n**geom.d)
+        fiber = np.tensordot(weights * phases, hopping.blocks, axes=1)
+        h_energy = float(np.vdot(u0, fiber @ u0).real)
+        quotients.append((h_energy + coupling * v_energy) / norm0)
     return quotients
 
 
@@ -539,16 +519,13 @@ def kirsch_simon_sandwich(
     if alloy_periodic_background(hopping) is None:
         raise ValueError("sandwich check applies only to operators of the form -Delta + W")
     geom = hopping.geometry
-    theta0 = np.zeros(geom.d)
-    eigenvalues, vectors = fiber_eigh(build_floquet(hopping, theta0))
-    psi = vectors[:, 0]
-    pivot = psi[int(np.argmax(np.abs(psi)))]
-    psi = psi * (np.conj(pivot) / abs(pivot))
+    ground = ground_space(hopping, np.zeros(geom.d))
+    psi = ground.basis[:, 0]
     if np.abs(psi.imag).max() > 1e-10 or psi.real.min() <= 0:
         raise ConvergenceError("ground state at theta = 0 is not strictly positive")
     a_minus = float(psi.real.min())
     a_plus = float(psi.real.max())
-    e0 = float(eigenvalues[0])
+    e0 = ground.e0
     lo_factor = (a_minus / a_plus) ** 2
     hi_factor = (a_plus / a_minus) ** 2
 

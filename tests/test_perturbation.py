@@ -11,11 +11,9 @@ from bandedge.perturbation import (
     CASE_LINEAR,
     CASE_NO_MOTION,
     CASE_QUADRATIC,
-    SUBSPACE_V01,
     coeff_A1,
     coeff_A2,
     coeff_A2_variational,
-    coeffs_positive_regime,
     edge_bound,
     edge_coefficients,
     nondegeneracy_check,
@@ -23,7 +21,7 @@ from bandedge.perturbation import (
     perturbation_matrix,
 )
 
-from conftest import no_motion_model
+from conftest import no_motion_model, random_potential
 
 
 def _ground(name, theta=None):
@@ -122,21 +120,36 @@ def test_coeff_A2_variational_quartic_negative():
 def test_positive_regime_dipole():
     ground, potential, _ = _ground("dipole")
     disorder = DisorderSupport(0.0, 1.0, DisorderSupport.POSITIVE)
+    coeffs = edge_coefficients(ground, potential, disorder)
+    assert coeffs.A1_prime == pytest.approx(0.0, abs=1e-12)
+    assert coeffs.A2_prime == pytest.approx(-0.25, abs=1e-12)
+    assert coeffs.V01_dim == 1
+
+
+def test_positive_regime_second_order_over_v01():
+    # dipole d=2 at theta = (pi/2, 0): fiber spectrum (2, 2, 6, 6), so a
+    # generic potential splits the ground space and V01 is one of its two lines
+    hopping, _, _ = preset_model("dipole", d=2)
+    ground = ground_space(hopping, [np.pi / 2, 0.0])
+    potential = random_potential(np.random.default_rng(5), 4)
     pert = perturbation_matrix(ground, potential)
-    A1p, A2p, V01_dim = coeffs_positive_regime(ground, pert, potential, disorder)
-    assert A1p == pytest.approx(0.0, abs=1e-12)
-    assert A2p == pytest.approx(-0.25, abs=1e-12)
-    assert V01_dim == 1
+    positive = DisorderSupport(0.0, 1.0, DisorderSupport.POSITIVE)
+    coeffs = edge_coefficients(ground, potential, positive)
+    assert ground.p == 2 and coeffs.V01_dim == 1
+    variational = coeff_A2_variational(ground, pert, potential, positive, seed=1)
+    assert abs(coeffs.A2_prime - variational) <= 1e-8 * (1.0 + abs(coeffs.A2_prime))
+    # the same c^2 = 1 over the whole ground space reaches further
+    sign_changing = DisorderSupport(-1.0, 1.0, DisorderSupport.SIGN_CHANGING)
+    assert edge_coefficients(ground, potential, sign_changing).A2 < coeffs.A2_prime - 0.1
 
 
 def test_positive_regime_arithmetic():
-    # A1' = min(s_plus * P1, s_minus * P1) with P = (2, 5), support (1, 3)
-    ground, potential, _ = _ground("dipole")
-    pert = perturbation_matrix(ground, potential)
-    fake = type(pert)(A=pert.A, P=np.array([2.0, 5.0]), diagonalizing_basis=pert.diagonalizing_basis)
+    # A1' = min(s_plus * P1, s_minus * P1) with support (1, 3) and P1 = +-1
+    ground, _, _ = _ground("anderson")
     disorder = DisorderSupport(1.0, 3.0, DisorderSupport.POSITIVE)
-    A1p = min(disorder.s_plus * fake.P[0], disorder.s_minus * fake.P[0])
-    assert A1p == 2.0
+    for sign, expected in ((1.0, 1.0), (-1.0, -3.0)):
+        potential = SingleCellPotential(np.array([[sign]]))
+        assert edge_coefficients(ground, potential, disorder).A1_prime == expected
 
 
 def test_nondegeneracy_dipole_true():

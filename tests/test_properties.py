@@ -40,9 +40,12 @@ def test_sign_coefficients_nonpositive(seed, N, theta):
 
 
 @settings(max_examples=25, deadline=None)
-@given(seed=seeds, N=st.integers(min_value=2, max_value=3))
-def test_closed_form_matches_variational(seed, N):
+@given(seed=seeds, N=st.integers(min_value=2, max_value=3), positive=st.booleans())
+def test_closed_form_matches_variational(seed, N, positive):
+    # positive couplings take the second order over V01 instead of the ground space
     hopping, potential, disorder = _model(seed, N)
+    if positive:
+        disorder = DisorderSupport(0.5, 1.5, DisorderSupport.POSITIVE)
     ground = ground_space(hopping, [0.4])
     if ground.gap is None or ground.gap < 0.1:
         return

@@ -250,6 +250,45 @@ def test_assemble_torus_matches_reference_loop(kind, d, N, L):
         assert np.abs(matrix.toarray() - reference).max() <= 1e-15 * scale
 
 
+def reference_rayleigh(hopping, potential, q, epsilon, theta, u0, n_list):
+    """quasiperiodic_rayleigh as a loop over the hopping table, as it was
+    before it was vectorised."""
+    geom = hopping.geometry
+    theta = np.asarray(theta, dtype=float)
+    u0 = np.asarray(u0, dtype=complex)
+    norm0 = float(np.vdot(u0, u0).real)
+    v_energy = float(np.vdot(u0, potential.matrix @ u0).real)
+    quotients = []
+    for n in n_list:
+        h_energy = 0.0 + 0.0j
+        for (k, kp, m), value in hopping:
+            count = 1.0
+            for ti in np.array(m) // geom.N:
+                count *= max(0, n - abs(int(ti)))
+            phase = np.exp(-1j * float(np.dot(theta, m)))
+            i, j = geom.site_index(k), geom.site_index(kp)
+            h_energy += np.conj(u0[i]) * value * phase * u0[j] * count
+        total_cells = float(n**geom.d)
+        quotient = (h_energy.real + epsilon * q * v_energy * total_cells) / (norm0 * total_cells)
+        quotients.append(float(quotient))
+    return quotients
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+@pytest.mark.parametrize("d,N", [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 1)])
+def test_quasiperiodic_rayleigh_matches_reference_loop(kind, d, N):
+    hopping, potential, _ = MODELS[kind](d, N)
+    rng = np.random.default_rng(d + 7 * N)
+    theta = rng.uniform(0.0, 2.0 * np.pi / N, d)
+    u0 = rng.standard_normal(N**d) + 1j * rng.standard_normal(N**d)
+    ns = [1, 2, 3, 8, 64]
+    quotients = quasiperiodic_rayleigh(hopping, potential, 0.7, 0.01, theta, u0, ns)
+    reference = reference_rayleigh(hopping, potential, 0.7, 0.01, theta, u0, ns)
+    # the sums run in another order: allow rounding at the scale of the table
+    scale = hopping.hopping_scale() + potential.norm
+    assert np.abs(np.subtract(quotients, reference)).max() <= 1e-14 * scale
+
+
 @pytest.mark.parametrize("kind,d,N,L", TORUS_CASES)
 def test_box_min_eig_matches_full_eigvalsh(kind, d, N, L):
     hopping, potential, disorder = MODELS[kind](d, N)
