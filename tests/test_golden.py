@@ -1,9 +1,14 @@
-"""Fixed-seed `run_pipeline` reports against checked-in expected reports.
+"""Fixed-seed `run_pipeline` reports and CLI outputs against checked-in
+expected ones.
 
 A refactor that should not change any number must leave these reports as
 they are: keys, key order, strings, ints, bools and None exactly, floats to
 1e-12 relative or 1e-14 absolute (so that BLAS rounding on another host does
 not fail the test).
+
+CLI outputs are compared the same way after parsing: the CSV rows (cells
+that read as int or float become numbers) and the JSON payload that follows
+them.
 
 When a report change is deliberate, rewrite the expected files with
 
@@ -12,12 +17,16 @@ When a report change is deliberate, rewrite the expected files with
 and say in the change log which entries moved and why.
 """
 
+import contextlib
+import csv
+import io
 import json
 import math
 from pathlib import Path
 
 import pytest
 
+from bandedge.cli import main
 from bandedge.pipeline import OutputConfig, RunConfig, VerifyConfig, run_pipeline, write_report
 
 DATA = Path(__file__).parent / "data" / "golden"
@@ -43,11 +52,55 @@ CASES = {
     ),
 }
 
+SWEEP_EPS = ["--eps", "1e-3,1e-2,1e-1"]
+CLI_CASES = {
+    "validate_dipole_d2": ["validate", "--model", "dipole", "--d", "2"],
+    "floquet_scan_alloy_d2": ["floquet-scan", "--model", "alloy", "--d", "2", "--N", "3",
+                              "--W", ",".join(map(str, W_D2))],
+    "floquet_scan_quartic": ["floquet-scan", "--model", "quartic"],
+    "fiber_quartic": ["fiber", "--model", "quartic", "--theta", "0.3"],
+    "coefficients_dipole_d2": ["coefficients", "--model", "dipole", "--d", "2",
+                               "--eps", "1e-3,1e-2"],
+    "coefficients_quartic": ["coefficients", "--model", "quartic"],
+    "fiber_sweep_dipole": ["verify", "fiber-sweep", "--model", "dipole", *SWEEP_EPS],
+    "fiber_sweep_quartic": ["verify", "fiber-sweep", "--model", "quartic", *SWEEP_EPS],
+    "fiber_sweep_anderson": ["verify", "fiber-sweep", "--model", "anderson", *SWEEP_EPS],
+    "montecarlo_anderson": ["verify", "montecarlo", "--model", "anderson", "--eps", "0.1,0.2,0.3",
+                            "--L", "16", "--samples", "3", "--seed", "5"],
+    "kirsch_simon_alloy": ["verify", "kirsch-simon", "--model", "alloy", "--N", "2",
+                           "--W", "0,1", "--grid", "64"],
+}
+
 
 def report_text(name: str) -> str:
     config = RunConfig(epsilon_list=EPS, output=OutputConfig(), **CASES[name])
     _, report = run_pipeline(config)
     return write_report(report, config.output)
+
+
+def cli_text(name: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(CLI_CASES[name])
+    return out.getvalue()
+
+
+def _cell(text: str):
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def parse_cli(text: str) -> dict:
+    """CSV rows up to the first line that opens a JSON object, then that JSON."""
+    lines = text.splitlines()
+    start = next((i for i, line in enumerate(lines) if line.startswith("{")), len(lines))
+    rows = [{k: _cell(v) for k, v in row.items()} for row in csv.DictReader(lines[:start])]
+    payload = json.loads("\n".join(lines[start:])) if start < len(lines) else None
+    return {"csv": rows, "json": payload}
 
 
 def assert_same(expected, actual, path="report"):
@@ -74,6 +127,18 @@ def test_report_matches_golden(name):
     assert_same(expected, json.loads(report_text(name)))
 
 
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_output_matches_golden(name):
+    expected = parse_cli((DATA / f"cli_{name}.txt").read_text())
+    assert_same(expected, parse_cli(cli_text(name)))
+
+
+def test_cli_parse_splits_csv_and_json():
+    parsed = parse_cli('a,b,c\n1,0.5,True\n{\n  "x": 2.0\n}\n')
+    assert parsed == {"csv": [{"a": 1, "b": 0.5, "c": "True"}], "json": {"x": 2.0}}
+    assert parse_cli('{"x": 1}\n') == {"csv": [], "json": {"x": 1}}
+
+
 def test_comparison_catches_changes():
     report = {"a": 1.0, "b": [1, True, "x", None]}
     assert_same(report, {"a": 1.0 + 1e-13, "b": [1, True, "x", None]})
@@ -94,3 +159,6 @@ if __name__ == "__main__":
     for name in sorted(CASES):
         (DATA / f"{name}.json").write_text(report_text(name) + "\n")
         print(f"wrote {DATA / name}.json")
+    for name in sorted(CLI_CASES):
+        (DATA / f"cli_{name}.txt").write_text(cli_text(name))
+        print(f"wrote {DATA / f'cli_{name}.txt'}")
