@@ -111,16 +111,18 @@ def cmd_coefficients(args) -> int:
     hopping, potential, disorder = _load(args)
     config = pipeline.RunConfig(model=args.model, epsilon_list=tuple(args.eps or ()))
     theta_set = pipeline.scan_zone(hopping, config.bz, config.tolerances)
-    report = pipeline.coefficients_report(theta_set, potential, disorder, config)
+    report, _, _ = pipeline.coefficients_report(theta_set, potential, disorder, config)
     _print_json(report["best"])
     return 0
 
 
 def cmd_verify_fiber_sweep(args) -> int:
     hopping, potential, disorder = _load(args)
+    config = pipeline.RunConfig(model=args.model, epsilon_list=tuple(args.eps))
     theta_set = pipeline.scan_zone(hopping)
+    _, ground, coeffs = pipeline.coefficients_report(theta_set, potential, disorder, config)
     report = verification.fiber_bound_sandwich(
-        theta_set.hopping, potential, disorder, theta_set.minimizers[0], args.eps
+        theta_set.hopping, potential, disorder, ground, coeffs, args.eps
     )
     rows = [dataclasses.asdict(r) for r in report.rows]
     _emit_csv(rows, sys.stdout)

@@ -2,19 +2,19 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    ConvergenceError,
-    HoppingOperator,
-    _refine_scan,
-)
+from .model import ConvergenceError, HoppingOperator
 
 DEFAULT_TOL_THETA = 1e-9
 DEFAULT_GRID_PER_DIM = 64
 DEFAULT_REFINEMENTS = 6
+MAX_REFINEMENTS = 60
+# cap on the points a scan refines per round (a flat band keeps the whole zone)
+MAX_CANDIDATES = 4096
 
 
 @dataclass(frozen=True)
@@ -111,45 +111,76 @@ def scan_theta_set(
 ) -> ThetaSet:
     """Locate the minimizer set of the lowest band over [0, 2pi/N)^d.
 
-    Runs the requested number of bisection rounds and keeps refining until the
-    per-round improvement of the minimum drops below tol_theta; raises
-    ConvergenceError if that never happens.
+    A coarse grid scan, then local torus bisection around every point within
+    tol_theta of the running minimum (at most MAX_CANDIDATES of the lowest
+    ones); each round's deduplicated points are evaluated as one batch.  Runs
+    the requested number of rounds and keeps refining until the per-round
+    improvement of the minimum drops below tol/4; raises ConvergenceError if
+    that has not happened after MAX_REFINEMENTS rounds.
 
     With ``tol_shift`` the same scan also zeroes the band bottom: it refines
-    to min(tol_shift, tol_theta), and if |E0| > tol_shift the result carries
-    the operator shifted by E0 and E0 re-evaluated on it at the minimizers.
+    to tol = min(tol_shift, tol_theta), and if |E0| > tol_shift the result
+    carries the operator shifted by E0 and E0 re-evaluated on it at the
+    minimizers.  Without it tol = tol_theta.
     """
+    if grid_per_dim < 1:
+        raise ValueError(f"grid_per_dim must be >= 1, got {grid_per_dim}")
+    if refinements > MAX_REFINEMENTS:
+        raise ValueError(f"refinements must be <= {MAX_REFINEMENTS}, got {refinements}")
     tol = tol_theta if tol_shift is None else min(tol_shift, tol_theta)
-    candidates, minimum, spacing = _refine_scan(
-        hopping,
-        grid_per_dim,
-        min_refinements=refinements,
-        tol=tol,
-        keep_tol=tol_theta,
-    )
+    geom = hopping.geometry
+    width = 2.0 * np.pi / geom.N
+    spacing = width / grid_per_dim
+    axis = np.arange(grid_per_dim) * spacing
+    points = np.stack([g.ravel() for g in np.meshgrid(*([axis] * geom.d), indexing="ij")], -1)
+    values = hopping.band_bottom(points)
+    minimum = float(values.min())
+    candidates = points
+    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=geom.d)), dtype=float)
+    rounds, improvement = 0, np.inf
+    while True:
+        # the MAX_CANDIDATES lowest values within tol_theta, in generation order
+        kept = np.sort(np.argsort(values, kind="stable")[:MAX_CANDIDATES])
+        kept = kept[values[kept] <= minimum + tol_theta]
+        candidates, values = candidates[kept], values[kept]
+        if rounds >= refinements and improvement <= tol / 4:
+            break
+        if rounds == MAX_REFINEMENTS:
+            raise ConvergenceError(
+                f"minimum still improving by {improvement:.3e} (> {tol / 4:.3e}) "
+                f"after {rounds} refinement rounds"
+            )
+        spacing /= 2.0
+        rounds += 1
+        points = np.mod(candidates[:, None, :] + offsets * spacing, width).reshape(-1, geom.d)
+        keys = np.round(points / (spacing / 4))
+        # first point per key, in generation order
+        first = np.sort(np.unique(keys, axis=0, return_index=True)[1])
+        values = hopping.band_bottom(points[first])
+        candidates = keys[first] * (spacing / 4)
+        new_minimum = float(values.min())
+        improvement = minimum - new_minimum
+        minimum = min(minimum, new_minimum)
+
     # cluster candidates at the coarse-grid scale (a flat minimum keeps a
-    # whole blob within tol_theta of E0); one representative per cluster,
-    # the best value with lexicographic tie-break
-    width = 2.0 * np.pi / hopping.geometry.N
+    # whole blob within tol_theta of E0); in (value, theta) order, so each
+    # cluster's first member is its representative
     radius = width / grid_per_dim
 
     def torus_dist(a: np.ndarray, b: np.ndarray) -> float:
         delta = np.abs(a - b)
         return float(np.minimum(delta, width - delta).max())
 
-    clusters: list[list[tuple[np.ndarray, float]]] = []
-    for theta, value in sorted(candidates, key=lambda c: (c[1], tuple(c[0]))):
+    clusters: list[list[np.ndarray]] = []
+    for theta in candidates[np.lexsort((*candidates.T[::-1], values))]:
         for cluster in clusters:
             # newest members first: a candidate usually lies next to the last one added
-            if any(torus_dist(theta, other) <= radius for other, _ in reversed(cluster)):
-                cluster.append((theta, value))
+            if any(torus_dist(theta, other) <= radius for other in reversed(cluster)):
+                cluster.append(theta)
                 break
         else:
-            clusters.append([(theta, value)])
-    kept = sorted(
-        (min(cluster, key=lambda c: (c[1], tuple(c[0])))[0] for cluster in clusters),
-        key=tuple,
-    )
+            clusters.append([theta])
+    kept = sorted((cluster[0] for cluster in clusters), key=tuple)
     if tol_shift is not None and abs(minimum) > tol_shift:
         hopping = hopping.shifted(minimum)
         minimum = float(hopping.band_bottom(np.array(kept)).min())

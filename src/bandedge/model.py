@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
@@ -21,8 +20,6 @@ Site = tuple[int, ...]
 
 DEFAULT_TOL_SHIFT = 1e-9
 FIBER_CHUNK = 256  # thetas per batched fiber eigensolve
-# cap on the points a scan refines per round (a flat band keeps the whole zone)
-MAX_CANDIDATES = 4096
 
 
 class ConvergenceError(RuntimeError):
@@ -301,74 +298,15 @@ def validate_hypotheses(
     return ValidationReport(tuple(checks))
 
 
-def _theta_grid(geometry: LatticeGeometry, points_per_dim: int) -> np.ndarray:
-    width = 2.0 * math.pi / geometry.N
-    axis = np.arange(points_per_dim) * (width / points_per_dim)
-    grids = np.meshgrid(*([axis] * geometry.d), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
-
-
-def _refine_scan(
-    hopping: HoppingOperator,
-    grid_per_dim: int,
-    min_refinements: int,
-    tol: float,
-    max_refinements: int = 60,
-    keep_tol: float | None = None,
-) -> tuple[list[tuple[np.ndarray, float]], float, float]:
-    """Coarse grid scan plus local torus bisection around the running minimum.
-
-    The coarse grid and each round's deduplicated refinement points are
-    evaluated as one batch.  Returns (candidate (theta, value) pairs, minimum
-    value, final spacing).  Raises ConvergenceError if the minimum keeps
-    improving by more than ``tol`` when the refinement budget is exhausted.
-    """
-    geom = hopping.geometry
-    width = 2.0 * math.pi / geom.N
-    spacing = width / grid_per_dim
-    keep = tol if keep_tol is None else keep_tol
-
-    thetas = _theta_grid(geom, grid_per_dim)
-    values = hopping.band_bottom(thetas)
-    best = float(values.min())
-    kept = values <= best + keep
-    candidates, values = thetas[kept], values[kept]
-
-    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=geom.d)), dtype=float)
-    rounds = 0
-    while True:
-        spacing /= 2.0
-        rounds += 1
-        points = np.mod(candidates[:, None, :] + offsets * spacing, width).reshape(-1, geom.d)
-        keys = np.round(points / (spacing / 4)).astype(int)
-        # first point per key, in generation order
-        first = np.sort(np.unique(keys, axis=0, return_index=True)[1])
-        values = hopping.band_bottom(points[first])
-        new_best = float(values.min())
-        improvement = best - new_best
-        best = min(best, new_best)
-        kept = np.flatnonzero(values <= best + keep)[:MAX_CANDIDATES]
-        candidates, values = keys[first][kept] * (spacing / 4), values[kept]
-        if rounds >= min_refinements and improvement <= tol / 4:
-            break
-        if rounds >= max_refinements:
-            raise ConvergenceError(
-                f"minimum still improving by {improvement:.3e} (> {tol:.3e}) "
-                f"after {rounds} refinement rounds"
-            )
-    return list(zip(candidates, values.tolist())), best, spacing
-
-
 def shift_to_zero(
     hopping: HoppingOperator,
     bz_resolution: int = 64,
     tol_shift: float = DEFAULT_TOL_SHIFT,
 ) -> HoppingOperator:
     """Shift the diagonal so the global fiber minimum over the zone is zero."""
-    _, minimum, _ = _refine_scan(hopping, bz_resolution, min_refinements=6, tol=tol_shift)
-    if abs(minimum) <= tol_shift:
-        return hopping
-    return hopping.shifted(minimum)
+    from .floquet import scan_theta_set  # here, not at the top: floquet imports model
+
+    return scan_theta_set(hopping, bz_resolution, tol_theta=tol_shift, tol_shift=tol_shift).hopping
 
 
 def _laplacian_coefficients(geom: LatticeGeometry) -> dict[tuple[Site, Site, Site], complex]:

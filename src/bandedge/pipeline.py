@@ -108,51 +108,47 @@ def coefficients_report(
     potential: model.SingleCellPotential,
     disorder: model.DisorderSupport,
     config: RunConfig,
-) -> dict:
-    """Per-minimizer expansion coefficients of a zone scan.
+) -> tuple[dict, floquet.GroundSpaceData, perturbation.EdgeCoefficients]:
+    """Per-minimizer expansion coefficients of a zone scan, plus the best
+    minimizer's ground space and coefficients.
 
     With several minimizers the reported bound takes the minimum over them;
     ties in the coefficients are broken by lexicographic order of theta.
     """
     hopping = theta_set.hopping
-    per_theta = []
+    rows = []
     for theta in theta_set.minimizers:
         ground = floquet.ground_space(hopping, theta, tol_deg=config.tolerances.tol_deg)
         coeffs = perturbation.edge_coefficients(
             ground, potential, disorder, tol_case=config.tolerances.tol_case
         )
-        per_theta.append(
-            {
-                "theta": list(map(float, theta)),
-                "p": ground.p,
-                "gap": ground.gap,
-                "P": [float(x) for x in coeffs.P],
-                "A1": coeffs.A1,
-                "A2": coeffs.A2,
-                "A1_prime": coeffs.A1_prime,
-                "A2_prime": coeffs.A2_prime,
-                "case": coeffs.case,
-                "nondegenerate": coeffs.nondegenerate,
-                "V01_dim": coeffs.V01_dim,
-                "bound": {
-                    repr(e): perturbation.edge_bound(coeffs, e) for e in config.epsilon_list
-                },
-            }
-        )
-    best = min(
-        per_theta,
-        key=lambda entry: (
-            min(entry["bound"].values(), default=0.0),
-            tuple(entry["theta"]),
-        ),
+        entry = {
+            "theta": list(map(float, theta)),
+            "p": ground.p,
+            "gap": ground.gap,
+            "P": [float(x) for x in coeffs.P],
+            "A1": coeffs.A1,
+            "A2": coeffs.A2,
+            "A1_prime": coeffs.A1_prime,
+            "A2_prime": coeffs.A2_prime,
+            "case": coeffs.case,
+            "nondegenerate": coeffs.nondegenerate,
+            "V01_dim": coeffs.V01_dim,
+            "bound": {repr(e): perturbation.edge_bound(coeffs, e) for e in config.epsilon_list},
+        }
+        rows.append((entry, ground, coeffs))
+    best, ground, coeffs = min(
+        rows,
+        key=lambda row: (min(row[0]["bound"].values(), default=0.0), tuple(row[0]["theta"])),
     )
-    return {
+    report = {
         "E0": theta_set.E0,
         "resolution": theta_set.resolution,
         "minimizers": [list(map(float, t)) for t in theta_set.minimizers],
-        "per_theta": per_theta,
+        "per_theta": [entry for entry, _, _ in rows],
         "best": best,
     }
+    return report, ground, coeffs
 
 
 def montecarlo_minima(
@@ -196,12 +192,13 @@ def run_pipeline(config: RunConfig) -> tuple[int, dict]:
     hopping = theta_set.hopping
     report["energy_shift"] = hopping.energy_shift
 
-    report["coefficients"] = coefficients_report(theta_set, potential, disorder, config)
+    report["coefficients"], ground, coeffs = coefficients_report(
+        theta_set, potential, disorder, config
+    )
 
     if config.epsilon_list:
-        theta = np.array(report["coefficients"]["best"]["theta"])
         sandwich = verification.fiber_bound_sandwich(
-            hopping, potential, disorder, theta, config.epsilon_list
+            hopping, potential, disorder, ground, coeffs, config.epsilon_list
         )
         report["fiber_sweep"] = {
             "case": sandwich.case,

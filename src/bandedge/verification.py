@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .floquet import build_floquet, ground_space
+from .floquet import GroundSpaceData, build_floquet, ground_space
 from .model import (
     ConvergenceError,
     DisorderSupport,
@@ -27,8 +27,8 @@ from .perturbation import (
     CASE_LINEAR,
     CASE_NO_MOTION,
     CASE_QUADRATIC,
+    EdgeCoefficients,
     edge_bound,
-    edge_coefficients,
 )
 
 if TYPE_CHECKING:
@@ -127,10 +127,12 @@ def fiber_bound_sandwich(
     hopping: HoppingOperator,
     potential: SingleCellPotential,
     disorder: DisorderSupport,
-    theta,
+    ground: GroundSpaceData,
+    coeffs: EdgeCoefficients,
     epsilon_list,
 ) -> SandwichReport:
-    """Check the coupling-swept fiber bottom against the predicted expansion.
+    """Check the coupling-swept fiber bottom at ``ground.theta`` against the
+    expansion ``coeffs`` predicts there.
 
     The remainder constant C is fitted from the two largest epsilons (where
     the remainder dominates rounding); every epsilon must then stay within
@@ -139,11 +141,9 @@ def fiber_bound_sandwich(
     side is checked, to a rounding floor.
     """
     epsilons = sorted(float(e) for e in epsilon_list)
-    ground = ground_space(hopping, theta)
-    coeffs = edge_coefficients(ground, potential, disorder)
     power = {CASE_LINEAR: 1.5, CASE_QUADRATIC: 3.0, CASE_NO_MOTION: None}[coeffs.case]
 
-    results = [fiber_min_over_q(hopping, potential, disorder, theta, e) for e in epsilons]
+    results = [fiber_min_over_q(hopping, potential, disorder, ground.theta, e) for e in epsilons]
     predicted = [edge_bound(coeffs, e) for e in epsilons]
     residuals = [r.value - p for r, p in zip(results, predicted)]
 
@@ -473,6 +473,7 @@ def quartic_trial_energy(
 KS_FOLDED = "folded"
 KS_ONE_MINUS_COS = "one_minus_cos"
 KS_LITERAL = "literal"
+KS_SLACK = 1e-9  # band motion may leave the Kirsch-Simon sandwich by this much
 
 
 def _ks_dispersion(thetas: np.ndarray, N: int, variant: str) -> np.ndarray:
@@ -507,7 +508,6 @@ def kirsch_simon_sandwich(
     hopping: HoppingOperator,
     theta_grid,
     variant: str = KS_FOLDED,
-    tol: float = 1e-9,
 ) -> KirschSimonReport:
     """Two-sided comparison of the lowest band with the free dispersion.
 
@@ -541,7 +541,7 @@ def kirsch_simon_sandwich(
             "lower": float(lower[i]),
             "upper": float(upper[i]),
         }
-        for i in np.flatnonzero((motion < lower - tol) | (motion > upper + tol))
+        for i in np.flatnonzero((motion < lower - KS_SLACK) | (motion > upper + KS_SLACK))
     )
     return KirschSimonReport(
         a_minus=a_minus,

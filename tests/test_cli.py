@@ -6,10 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from bandedge import floquet, model, pipeline
+from bandedge import floquet, model, perturbation, pipeline, verification
 from bandedge.cli import main
 from bandedge.model import preset_model, save_model
-from bandedge.pipeline import RunConfig, VerifyConfig, run_pipeline
+from bandedge.pipeline import RunConfig, Tolerances, VerifyConfig, run_pipeline
 
 
 def run_cli(capsys, *argv):
@@ -163,6 +163,37 @@ def test_run_deterministic_reports():
     _, a = run_pipeline(config)
     _, b = run_pipeline(config)
     assert json.dumps(a, default=str) == json.dumps(b, default=str)
+
+
+def test_run_sweeps_with_the_reported_coefficients():
+    # tol_case = 1.0 makes the dipole's A2 = -1/4 count as zero; the sweep
+    # judges the case the coefficients block reports, and refutes it
+    config = RunConfig(
+        model="dipole", epsilon_list=(1e-3, 1e-2), tolerances=Tolerances(tol_case=1.0)
+    )
+    status, report = run_pipeline(config)
+    assert report["coefficients"]["best"]["case"] == "NoMotion"
+    assert report["fiber_sweep"]["case"] == "NoMotion"
+    assert report["fiber_sweep"]["passed"] is False
+    assert status == 1
+
+
+def test_run_computes_coefficients_once_per_minimizer(monkeypatch):
+    calls = []
+    original = perturbation.edge_coefficients
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (perturbation, pipeline, verification):
+        for name, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, name, counting)
+    status, report = run_pipeline(RunConfig(model="dipole", epsilon_list=(1e-3, 1e-2)))
+    assert status == 0
+    assert len(report["coefficients"]["minimizers"]) == 1
+    assert len(calls) == 1
 
 
 def test_verify_config_requires_seed():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bandedge.floquet import (
+    MAX_REFINEMENTS,
     build_floquet,
     fiber_eigh,
     ground_space,
@@ -77,6 +78,31 @@ def test_scan_finds_interior_minimizer():
     theta_set = scan_theta_set(shifted)
     assert len(theta_set.minimizers) == 1
     assert theta_set.minimizers[0][0] == pytest.approx(2.0 * np.pi - 1.0, abs=5e-4)
+
+
+def test_scan_keeps_the_lowest_candidates():
+    # past MAX_CANDIDATES points within tol_theta the lowest are refined,
+    # not the first generated, so theta = 0 survives
+    hopping, _, _ = preset_model("anderson")
+    theta_set = scan_theta_set(hopping, 64, 24)
+    assert len(theta_set.minimizers) == 1
+    assert theta_set.minimizers[0][0] == 0.0
+    assert hopping.band_bottom(np.array(theta_set.minimizers))[0] == 0.0
+    assert theta_set.E0 == 0.0
+
+
+def test_scan_deep_refinement_keys_do_not_overflow():
+    hopping, _, _ = preset_model("anderson")
+    theta_set = scan_theta_set(hopping, 64, 58)
+    assert len(theta_set.minimizers) == 1
+    assert theta_set.E0 == 0.0
+
+
+@pytest.mark.parametrize("grid, refinements", [(0, 6), (-1, 6), (64, MAX_REFINEMENTS + 1)])
+def test_scan_rejects_bad_arguments(grid, refinements):
+    hopping, _, _ = preset_model("anderson")
+    with pytest.raises(ValueError, match="grid_per_dim|refinements"):
+        scan_theta_set(hopping, grid, refinements)
 
 
 def test_ground_space_dipole():

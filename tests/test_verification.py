@@ -12,6 +12,7 @@ import scipy.sparse.linalg as spla
 import bandedge
 from bandedge.floquet import ground_space
 from bandedge.model import ConvergenceError, DisorderSupport, preset_model
+from bandedge.perturbation import edge_coefficients
 from bandedge.verification import (
     KS_FOLDED,
     KS_LITERAL,
@@ -65,9 +66,15 @@ def test_fiber_min_guard_on_random_models():
         fiber_min_over_q(hopping, potential, disorder, [rng.uniform(0, np.pi)], 0.05)
 
 
+def sandwich_at_zero(hopping, potential, disorder, epsilon_list):
+    ground = ground_space(hopping, [0.0])
+    coeffs = edge_coefficients(ground, potential, disorder)
+    return fiber_bound_sandwich(hopping, potential, disorder, ground, coeffs, epsilon_list)
+
+
 def test_sandwich_anderson_exact():
     hopping, potential, disorder = preset_model("anderson")
-    report = fiber_bound_sandwich(hopping, potential, disorder, [0.0], [1e-3, 1e-2, 1e-1])
+    report = sandwich_at_zero(hopping, potential, disorder, [1e-3, 1e-2, 1e-1])
     assert report.case == "Linear"
     assert report.passed
     for row in report.rows:
@@ -76,9 +83,7 @@ def test_sandwich_anderson_exact():
 
 def test_sandwich_dipole_quadratic():
     hopping, potential, disorder = preset_model("dipole")
-    report = fiber_bound_sandwich(
-        hopping, potential, disorder, [0.0], [1e-3, 3e-3, 1e-2, 3e-2, 1e-1]
-    )
+    report = sandwich_at_zero(hopping, potential, disorder, [1e-3, 3e-3, 1e-2, 3e-2, 1e-1])
     assert report.case == "Quadratic"
     assert report.passed
     # residual is quartic in epsilon for this model
@@ -90,7 +95,7 @@ def test_sandwich_dipole_quadratic():
 
 def test_sandwich_no_motion_nonnegative():
     hopping, potential, disorder = no_motion_model()
-    report = fiber_bound_sandwich(hopping, potential, disorder, [0.0], [1e-4, 1e-3, 1e-2])
+    report = sandwich_at_zero(hopping, potential, disorder, [1e-4, 1e-3, 1e-2])
     assert report.case == "NoMotion"
     assert report.passed
 
