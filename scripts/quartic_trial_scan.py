@@ -2,10 +2,12 @@
 """Scan the two-momentum trial-state quotient for the squared-Laplacian model.
 
 Prints the Rayleigh quotient of u_n = f_n(0) + eps^xi f_n(eps^xi) next to the
-conjectured -(1/6) eps^(1+2xi) threshold. The quotient comes out positive at
-this scale (the single-cell potential terms cancel exactly along the trial
-state), which is why the threshold comparison in the verification suite is
-red; this script makes the numbers easy to inspect.
+conjectured -(1/6) eps^(1+2xi) threshold. The quotient comes out positive.
+The trial state uses the constant coupling q = 1, so the operator has period
+3, and a period-3 potential cannot couple theta = 0 with theta = eps^xi: what
+is left is the kinetic energy of the eps^xi copy, and the sharp window cut
+adds about eps^(1+2xi)/3 more. That is why the threshold comparison in the
+verification suite is red; this script makes the numbers easy to inspect.
 """
 
 import argparse

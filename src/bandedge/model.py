@@ -276,11 +276,10 @@ def validate_hypotheses(
     checks.append(HypothesisCheck("hopping_nontrivial", witness_hop is not None, witness_hop or {}))
 
     vnorm = potential.norm
+    asymmetry = float(np.abs(potential.matrix - potential.matrix.conj().T).max())
     checks.append(
         HypothesisCheck(
-            "potential_hermitian",
-            bool(np.array_equal(potential.matrix, potential.matrix.conj().T)),
-            {"max_asymmetry": float(np.abs(potential.matrix - potential.matrix.conj().T).max())},
+            "potential_hermitian", asymmetry <= 1e-14 * vnorm, {"max_asymmetry": asymmetry}
         )
     )
     checks.append(HypothesisCheck("potential_nontrivial", vnorm > 0, {"norm": vnorm}))

@@ -57,6 +57,13 @@ def test_validate_flags_non_hermitian_diagonal():
     assert "hopping_hermitian" in report.failed_names()
 
 
+@pytest.mark.parametrize("off,passed", [(np.nextafter(0.1, 1.0), True), (0.1 + 1e-6, False)])
+def test_validate_potential_hermitian_up_to_rounding(off, passed):
+    hopping, _, _ = preset_model("dipole")
+    report = validate_hypotheses(hopping, SingleCellPotential(np.array([[1.0, off], [0.1, 0.0]])))
+    assert ("potential_hermitian" not in report.failed_names()) is passed
+
+
 def test_validate_flags_zero_potential():
     hopping, _, _ = preset_model("anderson")
     report = validate_hypotheses(hopping, SingleCellPotential(np.zeros((1, 1))))

@@ -11,7 +11,13 @@ import scipy.sparse.linalg as spla
 
 import bandedge
 from bandedge.floquet import ground_space
-from bandedge.model import ConvergenceError, DisorderSupport, preset_model
+from bandedge.model import (
+    ConvergenceError,
+    DisorderSupport,
+    HoppingOperator,
+    SingleCellPotential,
+    preset_model,
+)
 from bandedge.perturbation import edge_coefficients
 from bandedge.verification import (
     KS_FOLDED,
@@ -304,6 +310,81 @@ def test_box_min_eig_matches_full_eigvalsh(kind, d, N, L):
         reference = reference_torus(hopping, potential, epsilon, L, sample.omega).toarray()
         scale = np.abs(reference).sum(axis=1).max()
         assert abs(sample.lambda_min - np.linalg.eigvalsh(reference)[0]) <= 1e-12 * scale
+
+
+def _refuse(name):
+    def refused(*args, **kwargs):
+        raise AssertionError(f"scipy.linalg.{name} was called")
+
+    return refused
+
+
+# 1-D rings long enough for the banded solve (reverse Cuthill-McKee gives
+# half-bandwidth b = 2 to 8, and BAND_RATIO * b <= n), and one d = 2 torus
+# whose band (b = 31 on 256 sites) keeps it on the dense eigh
+BAND_CASES = [
+    pytest.param(kind, 1, N, L, "eigh", id=f"{kind}-d1-N{N}-L{L}")
+    for kind in MODELS
+    for N in (1, 2, 3)
+    for L in (64, 128)
+] + [pytest.param("real", 2, 1, 16, "eig_banded", id="real-d2-N1-L16-dense")]
+
+
+@pytest.mark.parametrize("kind,d,N,L,unused", BAND_CASES)
+def test_box_banded_branch_matches_eigvalsh(kind, d, N, L, unused, monkeypatch):
+    monkeypatch.setattr(f"scipy.linalg.{unused}", _refuse(unused))
+    hopping, potential, disorder = MODELS[kind](d, N)
+    for epsilon in (0.0, 0.3):
+        sample = box_min_eig(
+            hopping, potential, disorder, epsilon, L, sampler=SAMPLER_UNIFORM, seed=L
+        )
+        matrix = assemble_torus(hopping, potential, epsilon, L, sample.omega).toarray()
+        scale = np.abs(matrix).sum(axis=1).max()
+        assert abs(sample.lambda_min - np.linalg.eigvalsh(matrix)[0]) <= 1e-12 * scale
+
+
+def flat_band_model():
+    """A chain on site 0 and site 1 decoupled at -5, with the potential on
+    the chain only: the bottom band is flat at -5 for every coupling."""
+    hopping, _, disorder = no_motion_model()
+    coeffs = dict(hopping.coefficients)
+    coeffs[((1,), (1,), (0,))] = -5.0
+    return HoppingOperator(hopping.geometry, coeffs), SingleCellPotential(np.diag([1.0, 0.0])), disorder
+
+
+def test_box_banded_branch_degenerate_ground_space(monkeypatch):
+    monkeypatch.setattr("scipy.linalg.eigh", _refuse("eigh"))
+    hopping, potential, disorder = flat_band_model()
+    for epsilon in (0.0, 0.3):
+        # the lowest eigenvalue is 128-fold degenerate: any vector in that
+        # space passes the certificate
+        sample = box_min_eig(
+            hopping, potential, disorder, epsilon, 128, sampler=SAMPLER_UNIFORM, seed=1
+        )
+        matrix = assemble_torus(hopping, potential, epsilon, 128, sample.omega).toarray()
+        scale = np.abs(matrix).sum(axis=1).max()
+        spectrum = np.linalg.eigvalsh(matrix)
+        assert np.all(np.abs(spectrum[:128] + 5.0) <= 1e-12 * scale) and spectrum[128] > -4.0
+        assert abs(sample.lambda_min + 5.0) <= 1e-12 * scale
+
+
+def _nan_solve(bands, band, rhs, **kwargs):
+    return np.full_like(rhs, np.nan)
+
+
+def _singular_solve(*args, **kwargs):
+    raise np.linalg.LinAlgError("singular matrix")
+
+
+@pytest.mark.parametrize(
+    "solve,message",
+    [(_nan_solve, "exceeds certificate bound"), (_singular_solve, "banded solve failed")],
+)
+def test_box_banded_branch_failure_is_named(monkeypatch, solve, message):
+    monkeypatch.setattr("scipy.linalg.solve_banded", solve)
+    hopping, potential, disorder = preset_model("anderson")
+    with pytest.raises(ConvergenceError, match=message):
+        box_min_eig(hopping, potential, disorder, 0.05, 64)
 
 
 # random endpoint disorder past a lowered dense cutoff: the shifted ARPACK
