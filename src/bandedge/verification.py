@@ -39,6 +39,11 @@ DENSE_SITE_CUTOFF = 4096
 # banded bisection beats a dense subset eigh on a 1-D ring (b = 2) and ties
 # with it on a d = 2, L = 8 torus (b = 31, n = 64)
 BAND_RATIO = 16
+# past the dense cutoff, Lanczos runs on the degree-FILTER_DEGREE Chebyshev
+# polynomial of the torus, with its lower edge a share FILTER_GAP of the way
+# from the coarse Ritz value up to the norm bound
+FILTER_DEGREE = 16  # must be even: see _filtered_lowest_vector
+FILTER_GAP = 0.01
 GUARD_POINTS = 9  # interior couplings that guard the endpoint minimum
 SLACK_FACTOR = 1.25  # sweep residuals may exceed the fitted remainder by this factor
 
@@ -366,6 +371,53 @@ def _banded_lowest_vector(matrix: sp.csr_matrix, scale: float) -> np.ndarray | N
     return vec
 
 
+def _filtered_lowest_vector(matrix: sp.csr_matrix, scale: float) -> np.ndarray:
+    """Lowest eigenvector of a large Hermitian torus by Chebyshev-filtered
+    Lanczos (Zhou & Saad, SIAM J. Matrix Anal. Appl. 29, 2007); see
+    ``box_min_eig``. ``scale`` must bound the spectrum.
+    """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    n = matrix.shape[0]
+    identity = sp.identity(n, dtype=matrix.dtype, format="csr")
+    v0 = np.random.default_rng(0).standard_normal(n).astype(matrix.dtype)
+    if scale == 0.0:  # the zero torus: ARPACK rejects it, and any vector will do
+        return v0
+    try:
+        ritz, vecs = spla.eigsh(
+            matrix + scale * identity, k=1, which="SA", tol=1e-2, maxiter=20000, v0=v0
+        )
+        rho = float(ritz[0]) - scale
+        width = scale - rho
+        if width <= 1e-12 * scale:
+            return vecs[:, 0]
+        # T_m with m even maps the spectrum below lo above 1, and lo > rho >=
+        # lambda_min keeps the bottom there. An odd m (the bottom maps below
+        # -1) or a lo below lambda_min would make a non-lowest eigenpair the
+        # dominant one, and it would still pass the residual certificate.
+        lo = rho + FILTER_GAP * width
+        # the affine map of [lo, scale] onto [-1, 1], in one CSR copy
+        mapped = ((2.0 / (scale - lo)) * matrix - ((scale + lo) / (scale - lo)) * identity).tocsr()
+
+        def filtered(x: np.ndarray) -> np.ndarray:
+            previous, current = x, mapped @ x
+            for _ in range(FILTER_DEGREE - 1):
+                previous, current = current, 2.0 * (mapped @ current) - previous
+            return current
+
+        operator = spla.LinearOperator((n, n), matvec=filtered, dtype=matrix.dtype)
+        # a restart here costs FILTER_DEGREE times the products of an
+        # unfiltered one: divide the cap of 20,000 restarts to keep the
+        # product budget, and so the time to fail, of an unfiltered solve
+        _, vecs = spla.eigsh(
+            operator, k=1, which="LA", tol=1e-12, maxiter=20000 // FILTER_DEGREE, v0=v0
+        )
+    except spla.ArpackNoConvergence as exc:
+        raise ConvergenceError(f"iterative eigensolver failed on {n} sites") from exc
+    return vecs[:, 0]
+
+
 def box_min_eig(
     hopping: HoppingOperator,
     potential: SingleCellPotential,
@@ -387,22 +439,42 @@ def box_min_eig(
     inverse iteration shifted ``1e-12*scale`` below it. Wider bands take a
     dense subset ``eigh``.
 
-    Past ``dense_cutoff`` sites ARPACK runs on ``matrix + scale*I``, whose
-    spectrum lies in [0, 2*scale]: its stopping test is relative to the Ritz
-    value, so the shift turns it into an absolute residual of about
-    ``1e-12*scale`` however close the bottom sits to zero. Its start vector is
-    a fixed seeded Gaussian, so the result does not depend on earlier ARPACK
-    calls in the process.
+    Past ``dense_cutoff`` sites the solve is Chebyshev-filtered Lanczos, in
+    real space. A coarse ARPACK solve (``tol=1e-2``) on ``matrix + scale*I``
+    gives a Ritz value ``rho``; as a Rayleigh quotient it is at least
+    ``lambda_min``. Then ARPACK (``which="LA"``, ``tol=1e-12``) runs on
+    ``T_m`` of the torus with ``[lo, scale]`` mapped onto [-1, 1], where
+    ``lo = rho + FILTER_GAP*(scale - rho)`` and ``T_m`` is the Chebyshev
+    polynomial of even degree ``m = FILTER_DEGREE``. ``scale`` bounds the
+    spectrum, so every eigenvalue above ``lo`` maps into [-1, 1], and every
+    eigenvalue below it maps above 1, the lower the larger; as
+    ``lo > rho >= lambda_min``, the eigenvector of ``lambda_min`` is the
+    dominant one of the filtered operator. Each Krylov step costs ``m``
+    matrix-vector products, so far fewer steps re-orthogonalise against
+    the stored Lanczos vectors. Both solves start from a fixed seeded
+    Gaussian, so the result does not depend on earlier ARPACK calls in the
+    process. When ``scale - rho`` is within rounding (a multiple of the
+    identity) the coarse Ritz pair goes straight to the certificate.
 
     On every path the eigenvalue is the Rayleigh quotient of the returned
     vector on the unshifted matrix, and the pair must pass the same
     certificate: residual at most ``1e-10*scale``. A pair that misses it (or
-    is not finite) raises ``ConvergenceError``.
+    is not finite) raises ``ConvergenceError``. The dense and banded paths
+    return the lowest eigenvalue; past the cutoff the residual certifies
+    *an* eigenpair, not that it is the lowest. Bad input (``L < 1``, a
+    negative or non-finite ``epsilon``, a non-finite coupling, hopping or
+    potential) raises ``ValueError`` before any assembly.
     """
+    if not isinstance(L, (int, np.integer)) or L < 1:
+        raise ValueError(f"L must be a positive integer, got {L!r}")
+    if not 0 <= epsilon < np.inf:
+        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
+    if q is not None and not np.isfinite(q):
+        raise ValueError(f"coupling q must be finite, got {q!r}")
+    if not (np.isfinite(hopping.blocks).all() and np.isfinite(potential.matrix).all()):
+        raise ValueError("hopping amplitudes and potential entries must be finite")
     # here, not at module top: only torus work needs scipy
     import scipy.linalg as sla
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
 
     geom = hopping.geometry
     n_cells = L**geom.d
@@ -416,13 +488,7 @@ def box_min_eig(
         if vec is None:
             vec = sla.eigh(matrix.toarray(), subset_by_index=[0, 0])[1][:, 0]
     else:
-        shifted = matrix + scale * sp.identity(n_sites, dtype=matrix.dtype, format="csr")
-        v0 = np.random.default_rng(0).standard_normal(n_sites).astype(matrix.dtype)
-        try:
-            _, vecs = spla.eigsh(shifted, k=1, which="SA", tol=1e-12, maxiter=20000, v0=v0)
-        except spla.ArpackNoConvergence as exc:
-            raise ConvergenceError(f"iterative eigensolver failed on {n_sites} sites") from exc
-        vec = vecs[:, 0]
+        vec = _filtered_lowest_vector(matrix, scale)
     lam = float(np.vdot(vec, matrix @ vec).real / np.vdot(vec, vec).real)
     residual = float(np.linalg.norm(matrix @ vec - lam * vec))
     if not residual <= 1e-10 * max(scale, 1e-300):  # a NaN residual fails too

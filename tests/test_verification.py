@@ -15,6 +15,7 @@ from bandedge.model import (
     ConvergenceError,
     DisorderSupport,
     HoppingOperator,
+    LatticeGeometry,
     SingleCellPotential,
     preset_model,
 )
@@ -23,6 +24,7 @@ from bandedge.verification import (
     KS_FOLDED,
     KS_LITERAL,
     KS_ONE_MINUS_COS,
+    SAMPLER_CONSTANT,
     SAMPLER_UNIFORM,
     assemble_torus,
     box_min_eig,
@@ -314,7 +316,7 @@ def test_box_min_eig_matches_full_eigvalsh(kind, d, N, L):
 
 def _refuse(name):
     def refused(*args, **kwargs):
-        raise AssertionError(f"scipy.linalg.{name} was called")
+        raise AssertionError(f"{name} was called")
 
     return refused
 
@@ -387,11 +389,18 @@ def test_box_banded_branch_failure_is_named(monkeypatch, solve, message):
         box_min_eig(hopping, potential, disorder, 0.05, 64)
 
 
-# random endpoint disorder past a lowered dense cutoff: the shifted ARPACK
+# random endpoint disorder past a lowered dense cutoff: the filtered Lanczos
 # solve and its Rayleigh quotient against a full dense spectrum
 SPARSE_CASES = [
     pytest.param(model, d, N, L, epsilon, id=f"{model}-d{d}-N{N}-L{L}-eps{epsilon:g}")
-    for model, d, N, L in (("real", 2, 2, 20), ("real", 2, 3, 10), ("complex", 2, 2, 8))
+    for model, d, N, L in (
+        ("real", 2, 2, 20),
+        ("real", 2, 3, 10),
+        ("complex", 2, 2, 8),
+        ("real", 3, 1, 8),
+        ("real", 3, 2, 4),
+        ("complex", 3, 1, 6),
+    )
     for epsilon in (1e-4, 0.3)
 ]
 
@@ -403,6 +412,37 @@ def test_box_sparse_path_matches_eigvalsh(kind, d, N, L, epsilon):
     matrix = assemble_torus(hopping, potential, epsilon, L, sample.omega).toarray()
     scale = np.abs(matrix).sum(axis=1).max()
     assert abs(sample.lambda_min - np.linalg.eigvalsh(matrix)[0]) <= 1e-12 * scale
+
+
+def two_minimizer_chain():
+    """A chain with hops -1 at distance 1 and +1/2 at distance 2 on N = 2
+    cells, and the dipole potential: the dispersion -2 cos(phi) + cos(2 phi)
+    has its minimum -3/2 at phi = +-pi/3, so a ring whose site count is a
+    multiple of 6 has a twofold bottom at epsilon = 0."""
+    geom = LatticeGeometry(d=1, N=2)
+    coeffs = {}
+    for k in (0, 1):
+        for distance, value in ((1, -1.0), (-1, -1.0), (2, 0.5), (-2, 0.5)):
+            target = k + distance
+            coeffs[((k,), (target % 2,), (target - target % 2,))] = value
+    return (
+        HoppingOperator(geom, coeffs),
+        SingleCellPotential(np.diag([1.0, -1.0])),
+        DisorderSupport(-1.0, 1.0, DisorderSupport.SIGN_CHANGING),
+    )
+
+
+@pytest.mark.parametrize("L", [30, 150])
+def test_box_sparse_path_degenerate_bottom(L):
+    hopping, potential, disorder = two_minimizer_chain()
+    for epsilon in (0.0, 0.3):
+        sample = box_min_eig(hopping, potential, disorder, epsilon, L, seed=L, dense_cutoff=10)
+        matrix = assemble_torus(hopping, potential, epsilon, L, sample.omega).toarray()
+        scale = np.abs(matrix).sum(axis=1).max()
+        spectrum = np.linalg.eigvalsh(matrix)
+        if epsilon == 0.0:
+            assert np.abs(spectrum[:2] + 1.5).max() <= 1e-12 * scale < spectrum[2] + 1.5
+        assert abs(sample.lambda_min - spectrum[0]) <= 1e-12 * scale
 
 
 def test_box_sparse_path_independent_of_earlier_arpack_calls():
@@ -421,6 +461,70 @@ def test_box_sparse_path_arpack_failure_is_named(monkeypatch):
     hopping, potential, disorder = preset_model("anderson")
     with pytest.raises(ConvergenceError, match="on 64 sites"):
         box_min_eig(hopping, potential, disorder, 0.05, 64, dense_cutoff=10)
+
+
+def test_box_sparse_path_filtered_failure_is_named(monkeypatch):
+    eigsh = spla.eigsh
+    calls = []
+
+    def filtered_fails(operator, *args, **kwargs):
+        calls.append(kwargs["which"])
+        if kwargs["which"] == "LA":
+            raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+        return eigsh(operator, *args, **kwargs)
+
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh", filtered_fails)
+    hopping, potential, disorder = preset_model("anderson")
+    with pytest.raises(ConvergenceError, match="on 64 sites"):
+        box_min_eig(hopping, potential, disorder, 0.05, 64, dense_cutoff=10)
+    assert calls == ["SA", "LA"]
+
+
+def on_site_torus(value):
+    """An on-site-only table in d = 2: the torus is value * I."""
+    hopping = HoppingOperator(LatticeGeometry(d=2, N=1), {((0, 0), (0, 0), (0, 0)): value})
+    disorder = DisorderSupport(-1.0, 1.0, DisorderSupport.SIGN_CHANGING)
+    return hopping, SingleCellPotential(np.eye(1)), disorder
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "value,epsilon,expected", [(1.0, 0.0, 1.0), (1.0, 0.1, 1.1), (0.0, 0.0, 0.0)]
+)
+def test_box_sparse_path_multiple_of_identity(value, epsilon, expected):
+    # 6,400 sites, past the cutoff: the filter interval [lo, scale] has zero
+    # width, so the coarse Ritz pair goes to the certificate as it is
+    hopping, potential, disorder = on_site_torus(value)
+    sample = box_min_eig(hopping, potential, disorder, epsilon, 80, sampler=SAMPLER_CONSTANT, q=1.0)
+    assert sample.lambda_min == expected
+
+
+def _nan_table():
+    hopping, potential, disorder = preset_model("anderson", d=2)
+    coeffs = dict(hopping.coefficients)
+    coeffs[((0, 0), (0, 0), (0, 0))] = float("nan")
+    return HoppingOperator(hopping.geometry, coeffs), potential, disorder
+
+
+@pytest.mark.parametrize(
+    "model,epsilon,L,q,message",
+    [
+        (lambda: preset_model("anderson"), 0.05, 0, 1.0, "L must be a positive integer"),
+        (lambda: preset_model("anderson"), 0.05, 2.0, 1.0, "L must be a positive integer"),
+        (lambda: preset_model("anderson"), -0.01, 64, 1.0, "epsilon must be finite"),
+        (lambda: preset_model("anderson"), float("inf"), 64, 1.0, "epsilon must be finite"),
+        (lambda: preset_model("anderson", d=2), 0.05, 72, float("nan"), "q must be finite"),
+        (_nan_table, 0.05, 72, 1.0, "hopping amplitudes and potential entries"),
+    ],
+    ids=["L0", "L-float", "eps-negative", "eps-inf", "q-nan", "hopping-nan"],
+)
+def test_box_rejects_bad_input_before_assembly(monkeypatch, capfd, model, epsilon, L, q, message):
+    monkeypatch.setattr("bandedge.verification.assemble_torus", _refuse("assemble_torus"))
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh", _refuse("eigsh"))
+    hopping, potential, disorder = model()
+    with pytest.raises(ValueError, match=message):
+        box_min_eig(hopping, potential, disorder, epsilon, L, sampler=SAMPLER_CONSTANT, q=q)
+    assert capfd.readouterr().err == ""
 
 
 def test_box_one_site_torus_takes_dense_path():
