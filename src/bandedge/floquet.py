@@ -102,6 +102,27 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return fixed
 
 
+def grid_band_bottom(
+    hopping: HoppingOperator, n: int, perturbation=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The n^d zone grid theta_j = j * 2pi / (n N), in meshgrid "ij" order, and
+    the band bottom of M (plus ``perturbation``) at each point.
+
+    A real table and perturbation give M(-theta) = conj M(theta), and M has
+    period 2pi/N per axis, so points j and (-j) mod n share a bottom: only the
+    first of each pair is solved.  Otherwise every point is solved.
+    """
+    geom = hopping.geometry
+    axis = np.arange(n) * (2.0 * np.pi / geom.N / n)
+    points = np.stack([g.ravel() for g in np.meshgrid(*([axis] * geom.d), indexing="ij")], -1)
+    if hopping.blocks.imag.any() or (perturbation is not None and np.imag(perturbation).any()):
+        return points, hopping.band_bottom(points, perturbation)
+    shape = (n,) * geom.d
+    partner = np.ravel_multi_index(tuple(-np.indices(shape).reshape(geom.d, -1) % n), shape)
+    solved, pair = np.unique(np.minimum(np.arange(len(points)), partner), return_inverse=True)
+    return points, hopping.band_bottom(points[solved], perturbation)[pair]
+
+
 def scan_theta_set(
     hopping: HoppingOperator,
     grid_per_dim: int = DEFAULT_GRID_PER_DIM,
@@ -127,15 +148,15 @@ def scan_theta_set(
         raise ValueError(f"grid_per_dim must be >= 1, got {grid_per_dim}")
     if refinements > MAX_REFINEMENTS:
         raise ValueError(f"refinements must be <= {MAX_REFINEMENTS}, got {refinements}")
+    for name, value in (("tol_theta", tol_theta), ("tol_shift", tol_shift)):
+        if value is not None and not 0 < value < np.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
     tol = tol_theta if tol_shift is None else min(tol_shift, tol_theta)
     geom = hopping.geometry
     width = 2.0 * np.pi / geom.N
     spacing = width / grid_per_dim
-    axis = np.arange(grid_per_dim) * spacing
-    points = np.stack([g.ravel() for g in np.meshgrid(*([axis] * geom.d), indexing="ij")], -1)
-    values = hopping.band_bottom(points)
+    candidates, values = grid_band_bottom(hopping, grid_per_dim)
     minimum = float(values.min())
-    candidates = points
     offsets = np.array(list(itertools.product((-1, 0, 1), repeat=geom.d)), dtype=float)
     rounds, improvement = 0, np.inf
     while True:

@@ -131,7 +131,8 @@ class HoppingOperator:
         M(theta) = sum_m e^{-i theta.m} H_m over the offset stack.  Only
         elementwise real operations are used (complex multiply, matmul and
         einsum change their rounding with the array shape), so each theta's
-        matrix has the same bits in any batch.
+        matrix has the same bits in any batch.  A real table skips the products
+        with its zero imaginary blocks, which changes no bit but a zero's sign.
         """
         geom = self.geometry
         thetas = np.asarray(thetas, dtype=float)
@@ -141,9 +142,10 @@ class HoppingOperator:
         shape = (len(thetas), geom.cell_size, geom.cell_size)
         real, imag = np.zeros(shape), np.zeros(shape)
         cos, sin = np.cos(angles).T[:, :, None, None], np.sin(angles).T[:, :, None, None]
+        real_table = not self.blocks.imag.any()
         for c, s, re, im in zip(cos, sin, self.blocks.real, self.blocks.imag):
-            real += c * re + s * im
-            imag += c * im - s * re
+            real += c * re if real_table else c * re + s * im
+            imag -= s * re if real_table else s * re - c * im
         matrices = real.astype(complex)
         matrices.imag = imag
         return matrices

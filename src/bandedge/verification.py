@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .floquet import GroundSpaceData, build_floquet, ground_space
+from .floquet import GroundSpaceData, build_floquet, grid_band_bottom, ground_space
 from .model import (
     ConvergenceError,
     DisorderSupport,
@@ -226,6 +226,9 @@ def quasiperiodic_rayleigh(
     u0 = np.asarray(u0, dtype=complex)
     if u0.shape != (geom.cell_size,) or not np.linalg.norm(u0):
         raise ValueError("u0 must be a nonzero cell vector")
+    n_list = [int(n) for n in n_list]
+    if any(n < 1 for n in n_list):
+        raise ValueError(f"window sizes in n_list must be positive, got {n_list}")
     coupling = epsilon * q
 
     norm0 = float(np.vdot(u0, u0).real)
@@ -236,7 +239,6 @@ def quasiperiodic_rayleigh(
     phases = np.exp(-1j * (hopping.offsets @ theta))
     quotients = []
     for n in n_list:
-        n = int(n)
         weights = np.prod(np.maximum(n - cells, 0.0), axis=1) / float(n**geom.d)
         fiber = np.tensordot(weights * phases, hopping.blocks, axes=1)
         h_energy = float(np.vdot(u0, fiber @ u0).real)
@@ -506,12 +508,11 @@ def torus_dual_minimum(
     """Fiber-decomposition value of the constant-coupling torus bottom.
 
     The torus of L^d cells is exactly the direct sum of fibers on the dual
-    grid theta_j = 2 pi j / (L N).
+    grid theta_j = 2 pi j / (L N), which ``grid_band_bottom`` solves.
     """
-    geom = hopping.geometry
-    axis = 2.0 * np.pi * np.arange(L) / (L * geom.N)
-    thetas = np.array(list(itertools.product(axis, repeat=geom.d)))
-    return float(hopping.band_bottom(thetas, epsilon * q * potential.matrix).min())
+    if not isinstance(L, (int, np.integer)) or L < 1:
+        raise ValueError(f"L must be a positive integer, got {L!r}")
+    return float(grid_band_bottom(hopping, L, epsilon * q * potential.matrix)[1].min())
 
 
 def fit_exponent(epsilons, values) -> ExponentFit:
@@ -647,6 +648,9 @@ def kirsch_simon_sandwich(
     if alloy_periodic_background(hopping) is None:
         raise ValueError("sandwich check applies only to operators of the form -Delta + W")
     geom = hopping.geometry
+    thetas = np.asarray(theta_grid, dtype=float).reshape(-1, geom.d)
+    if not len(thetas):
+        raise ValueError("theta_grid is empty: the sandwich would hold vacuously")
     ground = ground_space(hopping, np.zeros(geom.d))
     psi = ground.basis[:, 0]
     if np.abs(psi.imag).max() > 1e-10 or psi.real.min() <= 0:
@@ -657,7 +661,6 @@ def kirsch_simon_sandwich(
     lo_factor = (a_minus / a_plus) ** 2
     hi_factor = (a_plus / a_minus) ** 2
 
-    thetas = np.asarray(theta_grid, dtype=float).reshape(-1, geom.d)
     disp = _ks_dispersion(thetas, geom.N, variant)
     motion = hopping.band_bottom(thetas) - e0
     lower = lo_factor * disp

@@ -5,10 +5,18 @@ from bandedge.floquet import (
     MAX_REFINEMENTS,
     build_floquet,
     fiber_eigh,
+    grid_band_bottom,
     ground_space,
     scan_theta_set,
 )
-from bandedge.model import FIBER_CHUNK, preset_model, save_model, shift_to_zero
+from bandedge.model import (
+    FIBER_CHUNK,
+    HoppingOperator,
+    LatticeGeometry,
+    preset_model,
+    save_model,
+    shift_to_zero,
+)
 from bandedge.pipeline import RunConfig, run_pipeline
 
 from conftest import random_hopping, random_potential, sign_changing
@@ -103,6 +111,24 @@ def test_scan_rejects_bad_arguments(grid, refinements):
     hopping, _, _ = preset_model("anderson")
     with pytest.raises(ValueError, match="grid_per_dim|refinements"):
         scan_theta_set(hopping, grid, refinements)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "tol_theta, tol_shift",
+    [(NAN, None), (-1e-9, None), (0.0, None), (np.inf, None), (1e-9, NAN), (1e-9, -1e-9),
+     (1e-9, 0.0), (1e-9, np.inf)],
+)
+def test_scan_rejects_bad_tolerances(monkeypatch, tol_theta, tol_shift):
+    def refuse(*args, **kwargs):
+        raise AssertionError("band solved before the tolerances were checked")
+
+    monkeypatch.setattr(HoppingOperator, "band_bottom", refuse)
+    hopping, _, _ = preset_model("dipole", d=2)
+    with pytest.raises(ValueError, match="tol_(theta|shift) must be finite and positive"):
+        scan_theta_set(hopping, tol_theta=tol_theta, tol_shift=tol_shift)
 
 
 def test_ground_space_dipole():
@@ -246,3 +272,105 @@ def test_single_scan_matches_shift_then_scan_random(tmp_path):
         minimizers = report["coefficients"]["minimizers"]
         assert len(minimizers) == len(theta_set.minimizers)
         assert np.abs(np.array(minimizers) - np.array(theta_set.minimizers)).max() <= 1e-12
+
+
+def _count_solved(monkeypatch) -> list[int]:
+    """Record the number of thetas of every band_bottom call."""
+    solve = HoppingOperator.band_bottom
+    counts: list[int] = []
+
+    def counting(self, thetas, perturbation=None):
+        counts.append(len(thetas))
+        return solve(self, thetas, perturbation)
+
+    monkeypatch.setattr(HoppingOperator, "band_bottom", counting)
+    return counts
+
+
+@pytest.mark.parametrize("name, params", PIPELINE_PRESETS)
+def test_grid_band_bottom_folds_real_tables(monkeypatch, name, params):
+    hopping, potential, _ = preset_model(name, **params)
+    geom = hopping.geometry
+    axis = np.arange(64) * (2.0 * np.pi / geom.N / 64)
+    grid = np.stack([g.ravel() for g in np.meshgrid(*([axis] * geom.d), indexing="ij")], -1)
+    scale = hopping.hopping_scale() + np.abs(potential.matrix).sum()
+    for added in (None, 0.3 * potential.matrix):
+        full = hopping.band_bottom(grid, added)
+        counts = _count_solved(monkeypatch)
+        points, values = grid_band_bottom(hopping, 64, added)
+        monkeypatch.undo()
+        # one point per orbit of j -> (-j) mod 64: 2 + 62/2 per axis pair
+        assert sum(counts) == {1: 33, 2: 2050}[geom.d]
+        assert np.array_equal(points, grid)
+        assert np.abs(values - full).max() <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("d, N", [(1, 3), (2, 2)])
+def test_grid_band_bottom_solves_every_point_when_complex(monkeypatch, d, N):
+    rng = np.random.default_rng(4 * d + N)
+    complex_table = random_hopping(rng, d=d, N=N)
+    real_table = HoppingOperator(complex_table.geometry, {k: v.real for k, v in complex_table})
+    potential = random_potential(rng, complex_table.geometry.cell_size).matrix
+    for hopping, added in ((complex_table, None), (real_table, potential)):
+        full = hopping.band_bottom(grid_band_bottom(hopping, 16)[0], added)
+        counts = _count_solved(monkeypatch)
+        _, values = grid_band_bottom(hopping, 16, added)
+        monkeypatch.undo()
+        assert counts == [16**d]
+        assert np.array_equal(values, full)
+
+
+def test_scan_complex_table_finds_the_unmirrored_minimizer():
+    # Peierls phase on the x-bonds: band -2 cos(theta_x + 1) - 2 cos(theta_y),
+    # lowest at (2 pi - 1, 0) alone; its mirror (1, 0) is not a minimizer
+    geom = LatticeGeometry(2, 1)
+    o = (0, 0)
+    hopping = HoppingOperator(
+        geom,
+        {
+            (o, o, (1, 0)): -np.exp(-1j),
+            (o, o, (-1, 0)): -np.exp(1j),
+            (o, o, (0, 1)): -1.0,
+            (o, o, (0, -1)): -1.0,
+        },
+    )
+    theta_set = scan_theta_set(hopping)
+    assert len(theta_set.minimizers) == 1
+    delta = np.abs(theta_set.minimizers[0] - np.array([2.0 * np.pi - 1.0, 0.0]))
+    assert np.minimum(delta, 2.0 * np.pi - delta).max() <= 5e-4
+    assert theta_set.E0 == pytest.approx(-4.0, abs=1e-6)
+
+
+def _fiber_loop(hopping, theta) -> np.ndarray:
+    """M(theta) summed entry by entry over the hopping table, offsets in the
+    order they first appear, with the fiber kernel's real arithmetic."""
+    geom = hopping.geometry
+    slots = list(dict.fromkeys(m for _, _, m in hopping.coefficients))
+    angles = np.array([sum(t * mi for t, mi in zip(theta, m)) for m in slots])
+    cos, sin = np.cos(angles), np.sin(angles)
+    real = np.zeros((geom.cell_size, geom.cell_size))
+    imag = np.zeros((geom.cell_size, geom.cell_size))
+    for slot, m in enumerate(slots):
+        for (k, kp, offset), value in hopping:
+            if offset == m:
+                i, j = geom.site_index(k), geom.site_index(kp)
+                real[i, j] += cos[slot] * value.real + sin[slot] * value.imag
+                imag[i, j] += cos[slot] * value.imag - sin[slot] * value.real
+    matrix = real.astype(complex)
+    matrix.imag = imag
+    return matrix
+
+
+def test_fibers_match_the_table_loop_and_real_ones_are_conjugate():
+    rng = np.random.default_rng(8)
+    tables = [preset_model(name, **params)[0] for name, params in PIPELINE_PRESETS]
+    for d, N in [(1, 3), (2, 2), (3, 1)]:
+        table = random_hopping(rng, d=d, N=N)
+        tables += [table, HoppingOperator(table.geometry, {k: v.real for k, v in table})]
+    for hopping in tables:
+        thetas = rng.uniform(-7.0, 7.0, size=(50, hopping.geometry.d))
+        fibers = hopping.fibers(thetas)
+        # == ignores the sign of an exact zero, the one bit the real path may flip
+        assert np.array_equal(fibers, np.array([_fiber_loop(hopping, t) for t in thetas]))
+        if not hopping.blocks.imag.any():
+            assert np.array_equal(hopping.fibers(-thetas), fibers.conj())

@@ -150,6 +150,39 @@ def test_box_constant_coupling_matches_dual_grid():
         assert sample.lambda_min == pytest.approx(-0.05, abs=1e-10)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_dual_grid_complex_potential_matches_torus(d):
+    # an imaginary hop i from site 0 to each neighbour inside the cell breaks
+    # M(-theta) = conj M(theta): at L >= 5 the torus bottom sits off theta = 0,
+    # where a copy from the mirrored point would read a higher band value
+    hopping, _, disorder = preset_model("alloy", d=d, N=2, W=[0.0] * 2**d)
+    matrix = np.zeros((2**d, 2**d), dtype=complex)
+    for axis in range(d):
+        neighbour = 2 ** (d - 1 - axis)
+        matrix[0, neighbour], matrix[neighbour, 0] = 1j, -1j
+    potential = SingleCellPotential(matrix)
+    for L in (1, 5, 8):
+        sample = box_min_eig(
+            hopping, potential, disorder, 1.0, L, sampler=SAMPLER_CONSTANT, q=1.0
+        )
+        dual = torus_dual_minimum(hopping, potential, 1.0, 1.0, L)
+        assert abs(sample.lambda_min - dual) < 1e-10
+
+
+@pytest.mark.parametrize("L", [0, -1, 2.0])
+def test_torus_dual_minimum_rejects_bad_L(L):
+    hopping, potential, _ = preset_model("anderson")
+    with pytest.raises(ValueError, match="L must be a positive integer"):
+        torus_dual_minimum(hopping, potential, 0.05, -1.0, L)
+
+
+@pytest.mark.parametrize("ns", [[0], [8, 0, 16], [-4]])
+def test_quasiperiodic_rejects_nonpositive_windows(ns):
+    hopping, potential, _ = preset_model("dipole")
+    with pytest.raises(ValueError, match="n_list must be positive"):
+        quasiperiodic_rayleigh(hopping, potential, 1.0, 0.01, [0.0], [1.0, 1.0], ns)
+
+
 def test_box_epsilon_zero_nonnegative():
     hopping, potential, disorder = preset_model("dipole")
     sample = box_min_eig(hopping, potential, disorder, 0.0, 8, seed=1)
@@ -632,6 +665,13 @@ def test_kirsch_simon_variants_differ():
     one_minus = kirsch_simon_sandwich(hopping, grid, variant=KS_ONE_MINUS_COS)
     assert not literal.passed
     assert not one_minus.passed
+
+
+@pytest.mark.parametrize("grid", [[], np.empty((0, 1))])
+def test_kirsch_simon_rejects_empty_grid(grid):
+    hopping, _, _ = preset_model("alloy", N=2, W=[0.0, 1.0])
+    with pytest.raises(ValueError, match="theta_grid is empty"):
+        kirsch_simon_sandwich(hopping, grid)
 
 
 def test_kirsch_simon_rejects_non_alloy():
