@@ -115,7 +115,7 @@ def grid_band_bottom(
     geom = hopping.geometry
     axis = np.arange(n) * (2.0 * np.pi / geom.N / n)
     points = np.stack([g.ravel() for g in np.meshgrid(*([axis] * geom.d), indexing="ij")], -1)
-    if hopping.blocks.imag.any() or (perturbation is not None and np.imag(perturbation).any()):
+    if not hopping.real or (perturbation is not None and np.imag(perturbation).any()):
         return points, hopping.band_bottom(points, perturbation)
     shape = (n,) * geom.d
     partner = np.ravel_multi_index(tuple(-np.indices(shape).reshape(geom.d, -1) % n), shape)

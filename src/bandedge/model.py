@@ -78,6 +78,7 @@ class HoppingOperator:
     energy_shift: float = 0.0
     offsets: np.ndarray = field(init=False, repr=False, compare=False)  # (n_m, d) shifts m
     blocks: np.ndarray = field(init=False, repr=False, compare=False)  # (n_m, n, n) blocks H_m
+    real: bool = field(init=False, repr=False, compare=False)  # no H_m has an imaginary part
 
     def __post_init__(self) -> None:
         geom = self.geometry
@@ -106,6 +107,7 @@ class HoppingOperator:
         offsets = np.array(list(slots), dtype=float).reshape(len(slots), geom.d)
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "real", not blocks.imag.any())
 
     def __iter__(self) -> Iterator[tuple[tuple[Site, Site, Site], complex]]:
         return iter(self.coefficients.items())
@@ -142,10 +144,9 @@ class HoppingOperator:
         shape = (len(thetas), geom.cell_size, geom.cell_size)
         real, imag = np.zeros(shape), np.zeros(shape)
         cos, sin = np.cos(angles).T[:, :, None, None], np.sin(angles).T[:, :, None, None]
-        real_table = not self.blocks.imag.any()
         for c, s, re, im in zip(cos, sin, self.blocks.real, self.blocks.imag):
-            real += c * re if real_table else c * re + s * im
-            imag -= s * re if real_table else s * re - c * im
+            real += c * re if self.real else c * re + s * im
+            imag -= s * re if self.real else s * re - c * im
         matrices = real.astype(complex)
         matrices.imag = imag
         return matrices

@@ -367,10 +367,11 @@ def test_fibers_match_the_table_loop_and_real_ones_are_conjugate():
     for d, N in [(1, 3), (2, 2), (3, 1)]:
         table = random_hopping(rng, d=d, N=N)
         tables += [table, HoppingOperator(table.geometry, {k: v.real for k, v in table})]
+    assert [t.real for t in tables] == [True] * len(PIPELINE_PRESETS) + [False, True] * 3
     for hopping in tables:
         thetas = rng.uniform(-7.0, 7.0, size=(50, hopping.geometry.d))
         fibers = hopping.fibers(thetas)
         # == ignores the sign of an exact zero, the one bit the real path may flip
         assert np.array_equal(fibers, np.array([_fiber_loop(hopping, t) for t in thetas]))
-        if not hopping.blocks.imag.any():
+        if hopping.real:
             assert np.array_equal(hopping.fibers(-thetas), fibers.conj())
