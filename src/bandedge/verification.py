@@ -36,9 +36,10 @@ if TYPE_CHECKING:
 
 DENSE_SITE_CUTOFF = 4096
 # a dense torus is solved through its band when BAND_RATIO * b <= n: the
-# banded bisection beats a dense subset eigh on a 1-D ring (b = 2) and ties
-# with it on a d = 2, L = 8 torus (b = 31, n = 64)
-BAND_RATIO = 16
+# banded solve takes 1.1-1.2 ms on the 256-site d = 2 tori (b = 31), where a
+# dense subset eigh takes 3.4-4.5 ms, and wins from n/b = 6.3 up; at
+# n/b = 4.3 (d = 2, 64 sites, b = 15) the dense eigh is faster
+BAND_RATIO = 6
 # past the dense cutoff, Lanczos runs on the degree-FILTER_DEGREE Chebyshev
 # polynomial of the torus, with its lower edge a share FILTER_GAP of the way
 # from the coarse Ritz value up to the norm bound
@@ -299,7 +300,7 @@ def assemble_torus(
     n_sites = side**d
     strides = side ** np.arange(d - 1, -1, -1)
     # cell corners in the order of omega: lexicographic over the L^d cells
-    corners = N * np.array(list(itertools.product(range(L), repeat=d)))
+    corners = N * np.indices((L,) * d).reshape(d, -1).T
 
     def site_ids(offsets) -> np.ndarray:
         """Torus site ids of corner + offset, shape (len(offsets), L^d)."""
@@ -325,15 +326,24 @@ def assemble_torus(
     return sp.coo_matrix((data, ij), shape=(n_sites, n_sites)).tocsr()
 
 
-def _banded_lowest_vector(matrix: sp.csr_matrix, scale: float) -> np.ndarray | None:
-    """Lowest eigenvector of a Hermitian torus through its band, or None when
-    the band is too wide to beat a dense solve.
+def _shifted_cholesky(band: np.ndarray, shift: float) -> np.ndarray | None:
+    """LAPACK ?pbtrf factor of ``band - shift*I``, or None when that matrix is
+    not positive definite, which means ``shift >= lambda_min``."""
+    import scipy.linalg as sla
 
-    Reverse Cuthill-McKee orders the sites, LAPACK's banded bisection
-    (?sbevx / ?hbevx) gives the lowest eigenvalue, and two steps of inverse
-    iteration from a fixed seeded vector, shifted 1e-12*scale below it, give
-    the vector in the original site order. A diagonal matrix (b = 0, such as
-    a one-site torus) needs no solve: its lowest unit vector is exact.
+    shifted = band.copy()
+    shifted[0] -= shift
+    factor, info = sla.get_lapack_funcs("pbtrf", (band,))(shifted, lower=1, overwrite_ab=1)
+    return None if info else factor
+
+
+def _banded_lowest_vector(
+    matrix: sp.csr_matrix, scale: float
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Lowest eigenvector of a Hermitian torus in the original site order,
+    and the torus's lower band, ``band[i - j, j] = a[i, j]`` in reverse
+    Cuthill-McKee order; None when the band is too wide to beat a dense
+    solve. See ``box_min_eig``.
     """
     import scipy.linalg as sla
     from scipy.sparse.csgraph import reverse_cuthill_mckee
@@ -343,34 +353,50 @@ def _banded_lowest_vector(matrix: sp.csr_matrix, scale: float) -> np.ndarray | N
     rank = np.empty_like(order)
     rank[order] = np.arange(n)
     entries = matrix.tocoo()
-    nonzero = entries.data != 0
-    rows, cols = rank[entries.row[nonzero]], rank[entries.col[nonzero]]
-    b = int(np.abs(rows - cols).max(initial=0))
+    rows, cols = rank[entries.row], rank[entries.col]
+    lower = (entries.data != 0) & (rows >= cols)
+    b = int((rows - cols)[lower].max(initial=0))
     if BAND_RATIO * b > n:
         return None
-    # LAPACK's general band layout: band[b + i - j, j] = a[i, j], so row b
-    # is the diagonal and rows b..2b are the lower band eig_banded reads
-    band = np.zeros((2 * b + 1, n), dtype=matrix.dtype)
-    band[b + rows - cols, cols] = entries.data[nonzero]
-    if b == 0:
-        x = np.zeros(n, dtype=matrix.dtype)
+    band = np.zeros((b + 1, n), dtype=matrix.dtype)
+    band[(rows - cols)[lower], cols[lower]] = entries.data[lower]
+    x = np.zeros(n, dtype=matrix.dtype)
+    if b == 0:  # a diagonal torus, such as one site: its lowest unit vector is exact
         x[np.argmin(band[0].real)] = 1.0
     else:
-        lam = sla.eig_banded(
-            band[b:], lower=True, eigvals_only=True, select="i", select_range=(0, 0),
-            check_finite=False,
-        )[0]
-        band[b] -= lam - 1e-12 * scale
-        x = np.random.default_rng(0).standard_normal(n).astype(matrix.dtype)
-        for _ in range(2):
-            try:
-                x = sla.solve_banded((b, b), band, x, check_finite=False)
-            except np.linalg.LinAlgError as exc:
-                raise ConvergenceError(f"shifted banded solve failed on {n} sites") from exc
-            x /= np.linalg.norm(x)
+        pbtrs = sla.get_lapack_funcs("pbtrs", (band,))
+        radii = np.bincount(rows, np.abs(entries.data) * (rows != cols), n)
+        lo = float((band[0].real - radii).min()) - 1e-10 * scale  # below Gershgorin's bound
+        hi = float(band[0].real.min())  # a Rayleigh quotient
+        factor, failed = _shifted_cholesky(band, lo), False
+        if factor is None:
+            raise ConvergenceError(f"Cholesky below the Gershgorin bound failed on {n} sites")
+        y = np.random.default_rng(0).standard_normal(n).astype(matrix.dtype)
+        for _ in range(100):  # a budget: an unconverged iterate fails the certificate
+            for _ in range(2):
+                x = y / np.linalg.norm(y)
+                y = pbtrs(factor, x, lower=1)[0]
+            # (H - lo) y = x gives the Rayleigh quotient lo + mu of y and its
+            # residual without a product with H
+            mu = np.vdot(y, x).real / np.vdot(y, y).real
+            residual = np.linalg.norm(x - mu * y) / np.linalg.norm(y)
+            if not residual > 1e-13 * scale:  # converged, or NaN: the certificate decides
+                break
+            hi = min(hi, lo + mu)
+            shift = lo + mu - residual  # rho - r, else bisect: see box_min_eig
+            if failed or shift >= hi:
+                shift = 0.5 * (lo + hi)
+            if shift > lo:
+                better = _shifted_cholesky(band, shift)
+                failed = better is None
+                if failed:
+                    hi = shift
+                else:
+                    factor, lo = better, shift
+        x = y / np.linalg.norm(y)
     vec = np.empty_like(x)
     vec[order] = x
-    return vec
+    return vec, band
 
 
 def _filtered_lowest_vector(matrix: sp.csr_matrix, scale: float) -> np.ndarray:
@@ -436,10 +462,15 @@ def box_min_eig(
 
     Up to ``dense_cutoff`` sites the torus is ordered by reverse
     Cuthill-McKee and its half-bandwidth ``b`` is read off. When
-    ``BAND_RATIO * b <= n`` (a 1-D ring has ``b = 2``), the lowest eigenvalue
-    comes from LAPACK's banded bisection and the vector from two steps of
-    inverse iteration shifted ``1e-12*scale`` below it. Wider bands take a
-    dense subset ``eigh``.
+    ``BAND_RATIO * b <= n`` (a 1-D ring has ``b = 2``), inverse iteration
+    from a fixed seeded start takes two solves per banded Cholesky factor
+    (LAPACK ?pbtrf / ?pbtrs). ``H - s*I`` factors if and only if ``s <
+    lambda_min`` (Sylvester's law of inertia), and only shifts that factored
+    are used: Gershgorin's bound less ``1e-10*scale``, then ``rho - r`` of
+    the latest iterate (below ``lambda_min`` once half its weight is on the
+    lowest eigenvector), and after a failed shift the midpoint between the
+    last shift and the least upper bound. Wider bands take a dense subset
+    ``eigh``.
 
     Past ``dense_cutoff`` sites the solve is Chebyshev-filtered Lanczos, in
     real space. A coarse ARPACK solve (``tol=1e-2``) on ``matrix + scale*I``
@@ -461,9 +492,11 @@ def box_min_eig(
     On every path the eigenvalue is the Rayleigh quotient of the returned
     vector on the unshifted matrix, and the pair must pass the same
     certificate: residual at most ``1e-10*scale``. A pair that misses it (or
-    is not finite) raises ``ConvergenceError``. The dense and banded paths
-    return the lowest eigenvalue; past the cutoff the residual certifies
-    *an* eigenpair, not that it is the lowest. Bad input (``L < 1``, a
+    is not finite) raises ``ConvergenceError``. The banded path must also
+    factor the band at ``lambda - 1e-10*scale``, which proves ``lambda``
+    within the bound of ``lambda_min``; the dense path returns the lowest
+    eigenvalue too, and past the cutoff the residual certifies *an*
+    eigenpair, not that it is the lowest. Bad input (``L < 1``, a
     negative or non-finite ``epsilon``, a non-finite coupling, hopping or
     potential) raises ``ValueError`` before any assembly.
     """
@@ -483,18 +516,21 @@ def box_min_eig(
     omega = _draw_couplings(disorder, n_cells, sampler, seed, q)
     matrix = assemble_torus(hopping, potential, epsilon, L, omega)
     n_sites = matrix.shape[0]
-    scale = float(abs(matrix).sum(axis=1).max())  # inf-norm bound on the operator norm
+    # the inf-norm bounds the operator norm; a Hermitian torus's column sums are its row sums
+    scale = float(np.bincount(matrix.indices, np.abs(matrix.data)).max(initial=0.0))
+    bound = 1e-10 * max(scale, 1e-300)
 
     if n_sites <= max(dense_cutoff, 1):  # ARPACK needs k < n: one site is dense
-        vec = _banded_lowest_vector(matrix, scale)
-        if vec is None:
-            vec = sla.eigh(matrix.toarray(), subset_by_index=[0, 0])[1][:, 0]
+        banded = _banded_lowest_vector(matrix, scale)
+        vec, band = banded or (sla.eigh(matrix.toarray(), subset_by_index=[0, 0])[1][:, 0], None)
     else:
-        vec = _filtered_lowest_vector(matrix, scale)
+        vec, band = _filtered_lowest_vector(matrix, scale), None
     lam = float(np.vdot(vec, matrix @ vec).real / np.vdot(vec, vec).real)
     residual = float(np.linalg.norm(matrix @ vec - lam * vec))
-    if not residual <= 1e-10 * max(scale, 1e-300):  # a NaN residual fails too
+    if not residual <= bound:  # a NaN residual fails too
         raise ConvergenceError(f"eigenpair residual {residual:.3e} exceeds certificate bound")
+    if band is not None and _shifted_cholesky(band, lam - bound) is None:
+        raise ConvergenceError(f"Rayleigh quotient {lam!r} is not the lowest eigenvalue")
     return BoxSpectrumSample(L=L, omega=omega, epsilon=epsilon, lambda_min=lam)
 
 

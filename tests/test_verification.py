@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import subprocess
@@ -6,10 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import bandedge
+from bandedge import verification
 from bandedge.floquet import ground_space
 from bandedge.model import (
     ConvergenceError,
@@ -63,6 +66,20 @@ def test_fiber_min_dipole_matches_closed_form():
     result = fiber_min_over_q(hopping, potential, disorder, [0.0], epsilon)
     # eigenvalues of [[2+eq, -2], [-2, 2-eq]] are 2 -+ sqrt(4 + (eq)^2)
     assert result.value == pytest.approx(2.0 - np.sqrt(4.0 + epsilon**2), abs=1e-14)
+
+
+def test_fiber_min_dipole_closed_form_to_rounding():
+    # the closed form evaluated at 50 digits leaves only the rounding of the
+    # 2x2 eigvalsh, which must stay within one unit roundoff of ||M||_2 =
+    # 2 + sqrt(4 + eps^2); what criterion 2's sweep residuals show above this
+    # floor is truncation of the expansion, not rounding
+    mpmath = pytest.importorskip("mpmath")
+    hopping, potential, disorder = preset_model("dipole")
+    for epsilon in 10.0 ** -np.arange(1.0, 8.5, 0.5):
+        value = fiber_min_over_q(hopping, potential, disorder, [0.0], epsilon).value
+        with mpmath.workdps(50):
+            error = abs(mpmath.mpf(value) - (2 - mpmath.sqrt(4 + mpmath.mpf(epsilon) ** 2)))
+        assert float(error) <= np.finfo(float).eps * (2.0 + np.sqrt(4.0 + epsilon**2))
 
 
 def test_fiber_min_guard_on_random_models():
@@ -354,25 +371,51 @@ def _refuse(name):
     return refused
 
 
+def _band_case(model, L, unused="eigh", epsilons=(0.0, 0.3), *, id):
+    return pytest.param(model, L, epsilons, unused, id=id)
+
+
 # 1-D rings long enough for the banded solve (reverse Cuthill-McKee gives
-# half-bandwidth b = 2 to 8, and BAND_RATIO * b <= n), and one d = 2 torus
-# whose band (b = 31 on 256 sites) keeps it on the dense eigh
+# half-bandwidth b = 2 to 8, and BAND_RATIO * b <= n), two d = 2 tori of 256
+# sites (b = 31) that take it too, and a d = 2 torus of 64 sites (b = 15)
+# that stays on the dense eigh. Under constant couplings the quartic ring of
+# 85 cells has near-degenerate bottoms (gaps of 3.7e-7 at eps = 1e-2 and
+# 1.6e-15 at 1e-1); the d = 1 alloy has N = 3.
 BAND_CASES = [
-    pytest.param(kind, 1, N, L, "eigh", id=f"{kind}-d1-N{N}-L{L}")
+    _band_case(functools.partial(MODELS[kind], 1, N), L, id=f"{kind}-d1-N{N}-L{L}")
     for kind in MODELS
     for N in (1, 2, 3)
     for L in (64, 128)
-] + [pytest.param("real", 2, 1, 16, "eig_banded", id="real-d2-N1-L16-dense")]
+] + [
+    _band_case(functools.partial(MODELS["real"], 2, 1), 16, id="real-d2-N1-L16"),
+    _band_case(functools.partial(MODELS["real"], 2, 2), 8, id="real-d2-N2-L8"),
+    _band_case(
+        functools.partial(MODELS["real"], 2, 1), 8, "get_lapack_funcs", id="real-d2-N1-L8-dense"
+    ),
+    _band_case(
+        functools.partial(preset_model, "quartic"),
+        85,
+        epsilons=(1e-3, 1e-2, 1e-1),
+        id="quartic-L85",
+    ),
+    _band_case(
+        functools.partial(preset_model, "alloy", d=1, N=3, W=[0.0, 0.7, 0.3]),
+        64,
+        epsilons=(0.0, 0.1, 0.3),
+        id="alloy-d1-N3-L64",
+    ),
+]
 
 
-@pytest.mark.parametrize("kind,d,N,L,unused", BAND_CASES)
-def test_box_banded_branch_matches_eigvalsh(kind, d, N, L, unused, monkeypatch):
+@pytest.mark.parametrize("model,L,epsilons,unused", BAND_CASES)
+def test_box_banded_branch_matches_eigvalsh(model, L, epsilons, unused, monkeypatch):
     monkeypatch.setattr(f"scipy.linalg.{unused}", _refuse(unused))
-    hopping, potential, disorder = MODELS[kind](d, N)
-    for epsilon in (0.0, 0.3):
-        sample = box_min_eig(
-            hopping, potential, disorder, epsilon, L, sampler=SAMPLER_UNIFORM, seed=L
-        )
+    hopping, potential, disorder = model()
+    draws = [(SAMPLER_UNIFORM, None)] + [
+        (SAMPLER_CONSTANT, q) for q in (disorder.s_minus, disorder.s_plus)
+    ]
+    for epsilon, (sampler, q) in itertools.product(epsilons, draws):
+        sample = box_min_eig(hopping, potential, disorder, epsilon, L, sampler=sampler, seed=L, q=q)
         matrix = assemble_torus(hopping, potential, epsilon, L, sample.omega).toarray()
         scale = np.abs(matrix).sum(axis=1).max()
         assert abs(sample.lambda_min - np.linalg.eigvalsh(matrix)[0]) <= 1e-12 * scale
@@ -403,23 +446,58 @@ def test_box_banded_branch_degenerate_ground_space(monkeypatch):
         assert abs(sample.lambda_min + 5.0) <= 1e-12 * scale
 
 
-def _nan_solve(bands, band, rhs, **kwargs):
-    return np.full_like(rhs, np.nan)
+def _lapack_replaced(name, routine):
+    """scipy.linalg.get_lapack_funcs with the LAPACK routine ``name`` replaced."""
+    get = scipy.linalg.get_lapack_funcs
+
+    def patched(names, *args, **kwargs):
+        return routine if names == name else get(names, *args, **kwargs)
+
+    return patched
 
 
-def _singular_solve(*args, **kwargs):
-    raise np.linalg.LinAlgError("singular matrix")
+def _nan_solve(factor, rhs, **kwargs):
+    return np.full_like(rhs, np.nan), 0
+
+
+def _not_positive_definite(band, **kwargs):
+    return band, 1  # LAPACK: the leading minor of order 1 is not positive definite
 
 
 @pytest.mark.parametrize(
-    "solve,message",
-    [(_nan_solve, "exceeds certificate bound"), (_singular_solve, "banded solve failed")],
+    "name,routine,message",
+    [
+        pytest.param("pbtrs", _nan_solve, "exceeds certificate bound", id="nan-solve"),
+        pytest.param(
+            "pbtrf", _not_positive_definite, "Gershgorin bound failed on 64 sites", id="no-factor"
+        ),
+    ],
 )
-def test_box_banded_branch_failure_is_named(monkeypatch, solve, message):
-    monkeypatch.setattr("scipy.linalg.solve_banded", solve)
+def test_box_banded_branch_failure_is_named(monkeypatch, name, routine, message):
+    monkeypatch.setattr("scipy.linalg.get_lapack_funcs", _lapack_replaced(name, routine))
     hopping, potential, disorder = preset_model("anderson")
     with pytest.raises(ConvergenceError, match=message):
         box_min_eig(hopping, potential, disorder, 0.05, 64)
+
+
+def test_box_banded_certificate_rejects_the_second_eigenpair(monkeypatch):
+    # the exact second eigenpair of a 64-site ring passes the residual
+    # certificate; only the Cholesky factorization at its eigenvalue minus
+    # 1e-10*scale shows that it is not the lowest
+    lowest = verification._banded_lowest_vector
+    residuals = []
+
+    def second(matrix, scale):
+        _, band = lowest(matrix, scale)
+        values, vectors = np.linalg.eigh(matrix.toarray())
+        residuals.append(np.linalg.norm(matrix @ vectors[:, 1] - values[1] * vectors[:, 1]) / scale)
+        return vectors[:, 1], band
+
+    monkeypatch.setattr("bandedge.verification._banded_lowest_vector", second)
+    hopping, potential, disorder = preset_model("anderson")
+    with pytest.raises(ConvergenceError, match="is not the lowest eigenvalue"):
+        box_min_eig(hopping, potential, disorder, 0.05, 64)
+    assert residuals[0] <= 1e-10
 
 
 # random endpoint disorder past a lowered dense cutoff: the filtered Lanczos
