@@ -22,6 +22,15 @@ def _parse_floats(text: str) -> list[float]:
     return [float(x) for x in text.replace(",", " ").split()]
 
 
+def _count_at_least(minimum: int):
+    def count(text: str) -> int:  # an argparse type: an integer of at least ``minimum``
+        if int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {text}")
+        return int(text)
+
+    return count
+
+
 def _add_model_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--model",
@@ -267,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_model_argument(p)
     p.add_argument("--eps", type=_parse_floats, required=True)
-    p.add_argument("--L", type=int, default=64)
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--L", type=_count_at_least(1), default=64)
+    p.add_argument("--samples", type=_count_at_least(1), default=50)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument(
         "--sampler",
@@ -298,8 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="full pipeline: validate, scan, coefficients, verification")
     _add_model_argument(p)
     p.add_argument("--eps", type=_parse_floats, default=[])
-    p.add_argument("--L", type=int, default=64)
-    p.add_argument("--samples", type=int, default=0)
+    p.add_argument("--L", type=_count_at_least(1), default=64)
+    p.add_argument("--samples", type=_count_at_least(0), default=0)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument(
         "--sampler",

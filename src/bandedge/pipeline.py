@@ -48,6 +48,9 @@ class VerifyConfig:
     sampler: str = verification.SAMPLER_ENDPOINT
 
     def __post_init__(self) -> None:
+        for name, least in (("L", 1), ("samples", 0)):
+            if not isinstance(value := getattr(self, name), (int, np.integer)) or value < least:
+                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
         if self.samples > 0 and self.seed is None:
             raise ValueError("a seed is required whenever samples > 0")
 
@@ -161,10 +164,15 @@ def montecarlo_minima(
     seed: int,
     sampler: str = verification.SAMPLER_ENDPOINT,
 ) -> list[verification.BoxSpectrumSample]:
-    """Independent disorder realizations, one per seed seed + i, in seed order."""
+    """Independent disorder realizations, one per seed seed + i, in seed order,
+    all filled from one torus structure."""
+    for name, value in (("samples", samples), ("L", L)):
+        if not isinstance(value, (int, np.integer)) or value < 1:
+            raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+    structure = verification.torus_structure(hopping, potential, L)
     return [
         verification.box_min_eig(
-            hopping, potential, disorder, epsilon, L, sampler=sampler, seed=seed + i
+            hopping, potential, disorder, epsilon, L, sampler, seed + i, structure=structure
         )
         for i in range(samples)
     ]

@@ -7,6 +7,7 @@ checked against brute force rather than against themselves.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -281,49 +282,92 @@ def _draw_couplings(
     raise ValueError(f"unknown sampler {sampler!r}")
 
 
-def assemble_torus(
-    hopping: HoppingOperator,
-    potential: SingleCellPotential,
-    epsilon: float,
-    L: int,
-    omega: np.ndarray,
-) -> sp.csr_matrix:
-    """The random operator on a torus of L^d cells with periodic boundary.
+@dataclass(frozen=True, eq=False)
+class TorusStructure:
+    """What every disorder sample on one torus shares (see ``torus_structure``):
+    the CSR pattern of hopping plus potential, holding the hopping values, and
+    the value and CSR slot of each nonzero potential entry in every cell."""
 
-    The matrix is float64 when every hopping amplitude and every potential
-    entry is real, and complex otherwise.
+    hopping: HoppingOperator
+    potential: SingleCellPotential
+    L: int
+    pattern: sp.csr_matrix
+    values: np.ndarray  # the nonzero V[a, b], in the pattern's dtype
+    slots: np.ndarray  # (len(values), L^d), all distinct: one site pair per entry and cell
+
+    def fill(self, epsilon: float, omega) -> sp.csr_matrix:
+        """The torus with couplings ``epsilon * omega``. It shares the index
+        arrays of ``pattern``, so neither may change them in place."""
+        import scipy.sparse as sp
+
+        pattern = self.pattern
+        data = pattern.data.copy()
+        data[self.slots] += self.values[:, None] * (epsilon * np.asarray(omega))
+        return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
+
+    @functools.cached_property
+    def band(self) -> tuple[np.ndarray, ...]:
+        """The reverse Cuthill-McKee ``order`` of the pattern, its half-bandwidth
+        ``b``, each slot's row in that order and whether it is off the diagonal,
+        and the lower slots with their flat index into ``band[i - j, j]``."""
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+        n = self.pattern.shape[0]
+        order = reverse_cuthill_mckee(self.pattern, symmetric_mode=True)
+        rank = np.argsort(order)  # the inverse permutation
+        rows = rank[np.repeat(np.arange(n), np.diff(self.pattern.indptr))]
+        cols = rank[self.pattern.indices]
+        lower = np.flatnonzero(rows >= cols)
+        b = int((rows - cols)[lower].max(initial=0))
+        return order, b, rows, rows != cols, lower, (rows - cols)[lower] * n + cols[lower]
+
+
+def torus_structure(
+    hopping: HoppingOperator, potential: SingleCellPotential, L: int
+) -> TorusStructure:
+    """The coupling-independent part of the operator on a torus of L^d cells
+    with periodic boundary. Its matrices are float64 when every hopping
+    amplitude and every potential entry is real, and complex otherwise.
     """
     import scipy.sparse as sp  # here, not at module top: only torus work needs scipy
     geom = hopping.geometry
     d, N = geom.d, geom.N
-    side = L * N
-    n_sites = side**d
-    strides = side ** np.arange(d - 1, -1, -1)
+    n_sites = (L * N) ** d
     # cell corners in the order of omega: lexicographic over the L^d cells
-    corners = N * np.indices((L,) * d).reshape(d, -1).T
+    corners = N * np.indices((L,) * d).reshape(d, 1, -1)
 
     def site_ids(offsets) -> np.ndarray:
         """Torus site ids of corner + offset, shape (len(offsets), L^d)."""
-        return ((corners + np.asarray(offsets, dtype=int).reshape(-1, 1, d)) % side) @ strides
+        shifted = corners + np.asarray(offsets, dtype=int).reshape(-1, d).T[:, :, None]
+        return np.ravel_multi_index(tuple(shifted), (L * N,) * d, mode="wrap")
 
     table = hopping.coefficients
     amplitudes = np.array(list(table.values()), dtype=complex)
-    rows = [site_ids([k for k, _, _ in table])]
-    cols = [site_ids([np.add(kp, m) for _, kp, m in table])]
-    vals = [np.repeat(amplitudes[:, None], len(corners), axis=1)]
-    if epsilon != 0.0:
-        a, b = np.nonzero(potential.matrix)
-        cell = np.array(geom.cell_sites())
-        rows.append(site_ids(cell[a]))
-        cols.append(site_ids(cell[b]))
-        vals.append(potential.matrix[a, b][:, None] * (epsilon * np.asarray(omega)))
-    data = np.concatenate(vals).ravel()
-    if not (amplitudes.imag.any() or potential.matrix.imag.any()):
-        data = data.real
+    a, b = np.nonzero(potential.matrix)
+    cell = np.array(geom.cell_sites())
+    # one row of sites per hop, then one per nonzero potential entry
+    rows = site_ids([k for k, _, _ in table] + cell[a].tolist())
+    cols = site_ids([np.add(kp, m) for _, kp, m in table] + cell[b].tolist())
+    data = np.zeros(rows.shape, dtype=complex)
+    data[: len(table)] = amplitudes[:, None]
+    values = potential.matrix[a, b]
+    if not (amplitudes.imag.any() or values.imag.any()):
+        data, values = data.real, values.real
     # wraparound at L = 1, 2 folds distinct hops onto the same entry; the COO
     # to CSR conversion sums the duplicates
-    ij = (np.concatenate(rows).ravel(), np.concatenate(cols).ravel())
-    return sp.coo_matrix((data, ij), shape=(n_sites, n_sites)).tocsr()
+    pattern = sp.coo_matrix((data.ravel(), (rows.ravel(), cols.ravel())), (n_sites,) * 2).tocsr()
+    # the CSR slots run row by row with sorted columns: row * n + column increases
+    keys = np.repeat(np.arange(n_sites), np.diff(pattern.indptr)) * n_sites + pattern.indices
+    slots = np.searchsorted(keys, rows[len(table) :] * n_sites + cols[len(table) :])
+    return TorusStructure(hopping, potential, L, pattern, values, slots)
+
+
+def assemble_torus(
+    hopping: HoppingOperator, potential: SingleCellPotential, epsilon: float, L: int, omega
+) -> sp.csr_matrix:
+    """The random operator on a torus of L^d cells with periodic boundary and
+    couplings ``epsilon * omega``: ``torus_structure`` then its ``fill``."""
+    return torus_structure(hopping, potential, L).fill(epsilon, omega)
 
 
 def _shifted_cholesky(band: np.ndarray, shift: float) -> np.ndarray | None:
@@ -338,34 +382,27 @@ def _shifted_cholesky(band: np.ndarray, shift: float) -> np.ndarray | None:
 
 
 def _banded_lowest_vector(
-    matrix: sp.csr_matrix, scale: float
+    structure: TorusStructure, matrix: sp.csr_matrix, scale: float
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Lowest eigenvector of a Hermitian torus in the original site order,
-    and the torus's lower band, ``band[i - j, j] = a[i, j]`` in reverse
-    Cuthill-McKee order; None when the band is too wide to beat a dense
-    solve. See ``box_min_eig``.
+    """Lowest eigenvector of a Hermitian torus filled from ``structure``, in
+    the original site order, and the torus's lower band in the structure's
+    reverse Cuthill-McKee order; None when the band is too wide to beat a
+    dense solve. See ``box_min_eig``.
     """
     import scipy.linalg as sla
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-    n = matrix.shape[0]
-    order = reverse_cuthill_mckee(matrix, symmetric_mode=True)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(n)
-    entries = matrix.tocoo()
-    rows, cols = rank[entries.row], rank[entries.col]
-    lower = (entries.data != 0) & (rows >= cols)
-    b = int((rows - cols)[lower].max(initial=0))
+    order, b, rows, off_diagonal, lower, flat = structure.band
+    n = len(order)
     if BAND_RATIO * b > n:
         return None
     band = np.zeros((b + 1, n), dtype=matrix.dtype)
-    band[(rows - cols)[lower], cols[lower]] = entries.data[lower]
+    band.flat[flat] = matrix.data[lower]
     x = np.zeros(n, dtype=matrix.dtype)
     if b == 0:  # a diagonal torus, such as one site: its lowest unit vector is exact
         x[np.argmin(band[0].real)] = 1.0
     else:
         pbtrs = sla.get_lapack_funcs("pbtrs", (band,))
-        radii = np.bincount(rows, np.abs(entries.data) * (rows != cols), n)
+        radii = np.bincount(rows, np.abs(matrix.data) * off_diagonal, n)
         lo = float((band[0].real - radii).min()) - 1e-10 * scale  # below Gershgorin's bound
         hi = float(band[0].real.min())  # a Rayleigh quotient
         factor, failed = _shifted_cholesky(band, lo), False
@@ -456,15 +493,22 @@ def box_min_eig(
     seed=0,
     q: float | None = None,
     dense_cutoff: int = DENSE_SITE_CUTOFF,
+    *,
+    structure: TorusStructure | None = None,
 ) -> BoxSpectrumSample:
     """Certified smallest eigenvalue of one disorder realization on a torus:
     only the lowest eigenpair is computed, and its residual is the certificate.
 
-    Up to ``dense_cutoff`` sites the torus is ordered by reverse
-    Cuthill-McKee and its half-bandwidth ``b`` is read off. When
-    ``BAND_RATIO * b <= n`` (a 1-D ring has ``b = 2``), inverse iteration
-    from a fixed seeded start takes two solves per banded Cholesky factor
-    (LAPACK ?pbtrf / ?pbtrs). ``H - s*I`` factors if and only if ``s <
+    The torus is ``structure.fill(epsilon, omega)``. ``structure`` defaults to
+    ``torus_structure(hopping, potential, L)``; samples on one torus may share
+    it, which changes no bit. One built for other ``hopping`` or ``potential``
+    objects or another ``L`` raises ``ValueError``.
+
+    Up to ``dense_cutoff`` sites the structure's reverse Cuthill-McKee order
+    of its pattern, and the half-bandwidth ``b`` it gives, are built on first
+    use. When ``BAND_RATIO * b <= n`` (a 1-D ring has ``b = 2``), inverse
+    iteration from a fixed seeded start takes two solves per banded Cholesky
+    factor (LAPACK ?pbtrf / ?pbtrs). ``H - s*I`` factors if and only if ``s <
     lambda_min`` (Sylvester's law of inertia), and only shifts that factored
     are used: Gershgorin's bound less ``1e-10*scale``, then ``rho - r`` of
     the latest iterate (below ``lambda_min`` once half its weight is on the
@@ -498,7 +542,7 @@ def box_min_eig(
     eigenvalue too, and past the cutoff the residual certifies *an*
     eigenpair, not that it is the lowest. Bad input (``L < 1``, a
     negative or non-finite ``epsilon``, a non-finite coupling, hopping or
-    potential) raises ``ValueError`` before any assembly.
+    potential) raises ``ValueError`` before any structure is built.
     """
     if not isinstance(L, (int, np.integer)) or L < 1:
         raise ValueError(f"L must be a positive integer, got {L!r}")
@@ -511,17 +555,18 @@ def box_min_eig(
     # here, not at module top: only torus work needs scipy
     import scipy.linalg as sla
 
-    geom = hopping.geometry
-    n_cells = L**geom.d
-    omega = _draw_couplings(disorder, n_cells, sampler, seed, q)
-    matrix = assemble_torus(hopping, potential, epsilon, L, omega)
+    structure = structure or torus_structure(hopping, potential, L)
+    if not (structure.hopping is hopping and structure.potential is potential) or structure.L != L:
+        raise ValueError("structure was built for another hopping, potential or L")
+    omega = _draw_couplings(disorder, L**hopping.geometry.d, sampler, seed, q)
+    matrix = structure.fill(epsilon, omega)
     n_sites = matrix.shape[0]
     # the inf-norm bounds the operator norm; a Hermitian torus's column sums are its row sums
     scale = float(np.bincount(matrix.indices, np.abs(matrix.data)).max(initial=0.0))
     bound = 1e-10 * max(scale, 1e-300)
 
     if n_sites <= max(dense_cutoff, 1):  # ARPACK needs k < n: one site is dense
-        banded = _banded_lowest_vector(matrix, scale)
+        banded = _banded_lowest_vector(structure, matrix, scale)
         vec, band = banded or (sla.eigh(matrix.toarray(), subset_by_index=[0, 0])[1][:, 0], None)
     else:
         vec, band = _filtered_lowest_vector(matrix, scale), None

@@ -51,3 +51,12 @@ def no_motion_model():
     potential = SingleCellPotential(np.diag([0.0, 1.0]))
     disorder = DisorderSupport(-1.0, 1.0, DisorderSupport.SIGN_CHANGING)
     return hopping, potential, disorder
+
+
+def refuse(name):
+    """A stand-in for ``name`` that fails the test when it is called."""
+
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+
+    return refused

@@ -11,6 +11,8 @@ from bandedge.cli import main
 from bandedge.model import preset_model, save_model
 from bandedge.pipeline import RunConfig, Tolerances, VerifyConfig, run_pipeline
 
+from conftest import refuse
+
 
 def run_cli(capsys, *argv):
     status = main(list(argv))
@@ -199,6 +201,80 @@ def test_run_computes_coefficients_once_per_minimizer(monkeypatch):
 def test_verify_config_requires_seed():
     with pytest.raises(ValueError):
         VerifyConfig(samples=3, seed=None)
+
+
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        (dict(L=0, samples=2), "L must be an integer of at least 1"),
+        (dict(L=2.0), "L must be an integer of at least 1"),
+        (dict(samples=-2, seed=1), "samples must be an integer of at least 0"),
+    ],
+    ids=["L0", "L-float", "samples-negative"],
+)
+def test_verify_config_rejects_bad_counts(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        VerifyConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "samples,L,message",
+    [
+        (0, 16, "samples must be an integer of at least 1"),
+        (-2, 16, "samples must be an integer of at least 1"),
+        (3, 0, "L must be an integer of at least 1"),
+        (3, 2.0, "L must be an integer of at least 1"),
+    ],
+    ids=["samples0", "samples-negative", "L0", "L-float"],
+)
+def test_montecarlo_rejects_bad_counts_before_any_structure(monkeypatch, samples, L, message):
+    monkeypatch.setattr(verification, "torus_structure", refuse("torus_structure"))
+    monkeypatch.setattr(verification, "box_min_eig", refuse("box_min_eig"))
+    hopping, potential, disorder = preset_model("anderson")
+    with pytest.raises(ValueError, match=message):
+        pipeline.montecarlo_minima(hopping, potential, disorder, 0.05, L, samples, 1)
+
+
+def test_montecarlo_builds_one_structure_for_all_samples(monkeypatch):
+    build, solve = verification.torus_structure, verification.box_min_eig
+    built, used = [], []
+
+    def counting_build(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    def counting_solve(*args, **kwargs):
+        used.append(kwargs.get("structure"))
+        return solve(*args, **kwargs)
+
+    # box_min_eig builds its own structure through the same module attribute
+    # when it is given none, so that would count as a second build
+    monkeypatch.setattr(verification, "torus_structure", counting_build)
+    monkeypatch.setattr(verification, "box_min_eig", counting_solve)
+    hopping, potential, disorder = preset_model("dipole")
+    samples = pipeline.montecarlo_minima(hopping, potential, disorder, 0.05, 16, 5, 3)
+    assert len(samples) == len(used) == 5
+    assert len(built) == 1 and all(structure is built[0] for structure in used)
+    alone = [solve(hopping, potential, disorder, 0.05, 16, seed=3 + i) for i in range(5)]
+    assert [s.lambda_min for s in samples] == [s.lambda_min for s in alone]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "montecarlo", "--eps", "0.1", "--seed", "1", "--samples", "0"],
+        ["verify", "montecarlo", "--eps", "0.1", "--seed", "1", "--L", "0"],
+        ["run", "--eps", "0.1", "--seed", "1", "--samples", "-2"],
+        ["run", "--eps", "0.1", "--L", "0"],
+    ],
+    ids=["montecarlo-samples0", "montecarlo-L0", "run-samples-negative", "run-L0"],
+)
+def test_cli_rejects_bad_counts(monkeypatch, capsys, argv):
+    monkeypatch.setattr(pipeline, "resolve_model", refuse("resolve_model"))
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--model", "anderson"])
+    assert exc.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
 
 
 def test_model_file_round_trip_through_cli(tmp_path, capsys):

@@ -40,9 +40,10 @@ from bandedge.verification import (
     quartic_trial_energy,
     quasiperiodic_rayleigh,
     torus_dual_minimum,
+    torus_structure,
 )
 
-from conftest import no_motion_model, random_hopping, random_potential, sign_changing
+from conftest import no_motion_model, random_hopping, random_potential, refuse, sign_changing
 
 
 def test_fiber_min_anderson_exact():
@@ -355,6 +356,7 @@ def test_quasiperiodic_rayleigh_matches_reference_loop(kind, d, N):
 @pytest.mark.parametrize("kind,d,N,L", TORUS_CASES)
 def test_box_min_eig_matches_full_eigvalsh(kind, d, N, L):
     hopping, potential, disorder = MODELS[kind](d, N)
+    structure = torus_structure(hopping, potential, L)
     for epsilon in (0.0, 0.3):
         sample = box_min_eig(
             hopping, potential, disorder, epsilon, L, sampler=SAMPLER_UNIFORM, seed=L
@@ -362,13 +364,12 @@ def test_box_min_eig_matches_full_eigvalsh(kind, d, N, L):
         reference = reference_torus(hopping, potential, epsilon, L, sample.omega).toarray()
         scale = np.abs(reference).sum(axis=1).max()
         assert abs(sample.lambda_min - np.linalg.eigvalsh(reference)[0]) <= 1e-12 * scale
-
-
-def _refuse(name):
-    def refused(*args, **kwargs):
-        raise AssertionError(f"{name} was called")
-
-    return refused
+        # one structure shared across couplings and samples changes no bit
+        shared = box_min_eig(
+            hopping, potential, disorder, epsilon, L, sampler=SAMPLER_UNIFORM, seed=L,
+            structure=structure,
+        )
+        assert shared.lambda_min == sample.lambda_min
 
 
 def _band_case(model, L, unused="eigh", epsilons=(0.0, 0.3), *, id):
@@ -409,8 +410,9 @@ BAND_CASES = [
 
 @pytest.mark.parametrize("model,L,epsilons,unused", BAND_CASES)
 def test_box_banded_branch_matches_eigvalsh(model, L, epsilons, unused, monkeypatch):
-    monkeypatch.setattr(f"scipy.linalg.{unused}", _refuse(unused))
+    monkeypatch.setattr(f"scipy.linalg.{unused}", refuse(unused))
     hopping, potential, disorder = model()
+    structure = torus_structure(hopping, potential, L)
     draws = [(SAMPLER_UNIFORM, None)] + [
         (SAMPLER_CONSTANT, q) for q in (disorder.s_minus, disorder.s_plus)
     ]
@@ -419,6 +421,11 @@ def test_box_banded_branch_matches_eigvalsh(model, L, epsilons, unused, monkeypa
         matrix = assemble_torus(hopping, potential, epsilon, L, sample.omega).toarray()
         scale = np.abs(matrix).sum(axis=1).max()
         assert abs(sample.lambda_min - np.linalg.eigvalsh(matrix)[0]) <= 1e-12 * scale
+        shared = box_min_eig(
+            hopping, potential, disorder, epsilon, L, sampler=sampler, seed=L, q=q,
+            structure=structure,
+        )
+        assert shared.lambda_min == sample.lambda_min
 
 
 def flat_band_model():
@@ -431,7 +438,7 @@ def flat_band_model():
 
 
 def test_box_banded_branch_degenerate_ground_space(monkeypatch):
-    monkeypatch.setattr("scipy.linalg.eigh", _refuse("eigh"))
+    monkeypatch.setattr("scipy.linalg.eigh", refuse("eigh"))
     hopping, potential, disorder = flat_band_model()
     for epsilon in (0.0, 0.3):
         # the lowest eigenvalue is 128-fold degenerate: any vector in that
@@ -487,8 +494,8 @@ def test_box_banded_certificate_rejects_the_second_eigenpair(monkeypatch):
     lowest = verification._banded_lowest_vector
     residuals = []
 
-    def second(matrix, scale):
-        _, band = lowest(matrix, scale)
+    def second(structure, matrix, scale):
+        _, band = lowest(structure, matrix, scale)
         values, vectors = np.linalg.eigh(matrix.toarray())
         residuals.append(np.linalg.norm(matrix @ vectors[:, 1] - values[1] * vectors[:, 1]) / scale)
         return vectors[:, 1], band
@@ -564,6 +571,19 @@ def test_box_sparse_path_independent_of_earlier_arpack_calls():
     assert first.lambda_min == second.lambda_min
 
 
+def test_box_sparse_path_builds_no_band_layout():
+    # the reverse Cuthill-McKee layout is built on first use, and past the
+    # dense cutoff nothing uses it
+    hopping, potential, disorder = preset_model("anderson")
+    structure = torus_structure(hopping, potential, 64)
+    shared = box_min_eig(hopping, potential, disorder, 0.05, 64, dense_cutoff=10, structure=structure)
+    assert "band" not in vars(structure)
+    alone = box_min_eig(hopping, potential, disorder, 0.05, 64, dense_cutoff=10)
+    assert shared.lambda_min == alone.lambda_min
+    box_min_eig(hopping, potential, disorder, 0.05, 64, structure=structure)
+    assert "band" in vars(structure)
+
+
 def test_box_sparse_path_arpack_failure_is_named(monkeypatch):
     def no_convergence(*args, **kwargs):
         raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
@@ -630,12 +650,28 @@ def _nan_table():
     ids=["L0", "L-float", "eps-negative", "eps-inf", "q-nan", "hopping-nan"],
 )
 def test_box_rejects_bad_input_before_assembly(monkeypatch, capfd, model, epsilon, L, q, message):
-    monkeypatch.setattr("bandedge.verification.assemble_torus", _refuse("assemble_torus"))
-    monkeypatch.setattr("scipy.sparse.linalg.eigsh", _refuse("eigsh"))
+    monkeypatch.setattr("bandedge.verification.assemble_torus", refuse("assemble_torus"))
+    monkeypatch.setattr("bandedge.verification.torus_structure", refuse("torus_structure"))
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh", refuse("eigsh"))
     hopping, potential, disorder = model()
     with pytest.raises(ValueError, match=message):
         box_min_eig(hopping, potential, disorder, epsilon, L, sampler=SAMPLER_CONSTANT, q=q)
     assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("other", ["hopping", "potential", "L"])
+def test_box_rejects_a_structure_built_for_another_torus(other):
+    hopping, potential, disorder = preset_model("dipole")
+    built = {"hopping": hopping, "potential": potential, "L": 16}
+    # an equal copy is another object: the check is by identity
+    built[other] = {
+        "hopping": HoppingOperator(hopping.geometry, hopping.coefficients),
+        "potential": SingleCellPotential(potential.matrix.copy()),
+        "L": 8,
+    }[other]
+    structure = torus_structure(built["hopping"], built["potential"], built["L"])
+    with pytest.raises(ValueError, match="structure was built for another hopping"):
+        box_min_eig(hopping, potential, disorder, 0.05, 16, seed=1, structure=structure)
 
 
 def test_box_one_site_torus_takes_dense_path():
