@@ -22,10 +22,12 @@ def _parse_floats(text: str) -> list[float]:
     return [float(x) for x in text.replace(",", " ").split()]
 
 
-def _count_at_least(minimum: int):
-    def count(text: str) -> int:  # an argparse type: an integer of at least ``minimum``
+def _count_at_least(minimum: int, maximum: int | None = None):
+    def count(text: str) -> int:  # an argparse type: an integer in [minimum, maximum]
         if int(text) < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {text}")
+        if maximum is not None and int(text) > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {text}")
         return int(text)
 
     return count
@@ -246,8 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("floquet-scan", help="scan the zone for band minimizers (CSV)")
     _add_model_argument(p)
-    p.add_argument("--grid", type=int, default=floquet.DEFAULT_GRID_PER_DIM)
-    p.add_argument("--refinements", type=int, default=floquet.DEFAULT_REFINEMENTS)
+    p.add_argument("--grid", type=_count_at_least(1), default=floquet.DEFAULT_GRID_PER_DIM)
+    refinements = _count_at_least(0, floquet.MAX_REFINEMENTS)
+    p.add_argument("--refinements", type=refinements, default=floquet.DEFAULT_REFINEMENTS)
     p.set_defaults(func=cmd_floquet_scan)
 
     p = sub.add_parser("fiber", help="full fiber spectrum at one theta (JSON)")
@@ -296,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = vsub.add_parser("kirsch-simon", help="two-sided band-motion sandwich (JSON)")
     _add_model_argument(p)
-    p.add_argument("--grid", type=int, default=256)
+    p.add_argument("--grid", type=_count_at_least(1), default=256)
     p.add_argument(
         "--variant",
         default=verification.KS_FOLDED,

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConvergenceError, HoppingOperator
+from .model import FIBER_CHUNK, ConvergenceError, HoppingOperator
 
 DEFAULT_TOL_THETA = 1e-9
 DEFAULT_GRID_PER_DIM = 64
@@ -15,6 +15,8 @@ DEFAULT_REFINEMENTS = 6
 MAX_REFINEMENTS = 60
 # cap on the points a scan refines per round (a flat band keeps the whole zone)
 MAX_CANDIDATES = 4096
+# stride per axis of the grid points solved first for an upper bound on its minimum
+COARSE_STRIDE = 8
 
 
 @dataclass(frozen=True)
@@ -102,25 +104,76 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return fixed
 
 
+def _require_count(name: str, value, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
+def _proven_above(stack: np.ndarray, shift: float) -> np.ndarray:
+    """Whether LDL^H of each matrix of ``stack`` minus shift*I has only positive
+    pivots.  It reads the lower triangle alone, as eigvalsh does."""
+    a = stack - shift * np.eye(stack.shape[-1])
+    above = np.ones(len(stack), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(stack.shape[-1]):
+            pivot = a[:, k, k].real
+            above &= pivot > 0  # a NaN after a failed pivot compares False
+            column = a[:, k + 1 :, k]
+            a[:, k + 1 :, k + 1 :] -= (column / pivot[:, None])[:, :, None] * column[:, None].conj()
+    return above
+
+
 def grid_band_bottom(
-    hopping: HoppingOperator, n: int, perturbation=None
+    hopping: HoppingOperator, n: int, window: float, perturbation=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """The n^d zone grid theta_j = j * 2pi / (n N), in meshgrid "ij" order, and
-    the band bottom of M (plus ``perturbation``) at each point.
+    the band bottom of M (plus ``perturbation``) at every point that can lie
+    within ``window`` of the grid minimum, with the bits of ``band_bottom``.
+
+    The bottoms at every COARSE_STRIDE-th point per axis bound the minimum by
+    ``upper``.  A point where LDL^H of M - s*I, s = upper + window + delta, has
+    only positive pivots has lambda_min > upper + window; it is not eigensolved
+    and gets +inf.  delta covers the backward error of that factorization.
 
     A real table and perturbation give M(-theta) = conj M(theta), and M has
     period 2pi/N per axis, so points j and (-j) mod n share a bottom: only the
     first of each pair is solved.  Otherwise every point is solved.
     """
+    _require_count("n", n, 1)
+    if not 0 <= window < np.inf:
+        raise ValueError(f"window must be finite and at least 0, got {window!r}")
     geom = hopping.geometry
     axis = np.arange(n) * (2.0 * np.pi / geom.N / n)
     points = np.stack([g.ravel() for g in np.meshgrid(*([axis] * geom.d), indexing="ij")], -1)
-    if not hopping.real or (perturbation is not None and np.imag(perturbation).any()):
-        return points, hopping.band_bottom(points, perturbation)
     shape = (n,) * geom.d
-    partner = np.ravel_multi_index(tuple(-np.indices(shape).reshape(geom.d, -1) % n), shape)
-    solved, pair = np.unique(np.minimum(np.arange(len(points)), partner), return_inverse=True)
-    return points, hopping.band_bottom(points[solved], perturbation)[pair]
+    index = np.indices(shape).reshape(geom.d, -1)
+    solved = pair = np.arange(len(points))
+    if hopping.real and (perturbation is None or not np.imag(perturbation).any()):
+        partner = np.ravel_multi_index(tuple(-index % n), shape)
+        solved, pair = np.unique(np.minimum(solved, partner), return_inverse=True)
+    coarse = solved[(index[:, solved] % COARSE_STRIDE == 0).all(0)]
+    upper = float(hopping.band_bottom(points[coarse], perturbation).min())
+    # Higham, Accuracy and Stability of Numerical Algorithms (2nd ed.), Thm 10.3
+    # for LDL^H: positive pivots from A - sI give L D L^H = A - sI + E with
+    # |E| <= g |L| D |L^H|, g = gamma_(n+1) <= 3 (n+1) u for complex data.  As
+    # D > 0, ||E|| <= g trace(L D L^H) <= g n ||A - sI + E||, so lambda_min(A)
+    # > s - ||E|| >= s - 6 n (n+1) u (||A|| + |s|), with ||A|| <= scale (the
+    # fiber's hopping_scale() plus the perturbation's entry sum).  delta =
+    # 8 n (n+1) u (scale + |s|) leaves 2 n (n+1) u (scale + |s|) for rounding
+    # in the fiber sums and in eigvalsh, so the point giving upper is kept.
+    size = geom.cell_size
+    scale = hopping.hopping_scale() + (0.0 if perturbation is None else np.abs(perturbation).sum())
+    level = upper + window
+    shift = level + 8 * size * (size + 1) * (np.finfo(float).eps / 2) * (scale + abs(level))
+    thetas = points[solved]
+    values = np.full(len(thetas), np.inf)
+    for start in range(0, len(thetas), FIBER_CHUNK):
+        stack = hopping.fibers(thetas[start : start + FIBER_CHUNK])
+        if perturbation is not None:
+            stack += perturbation
+        rest = ~_proven_above(stack, shift)
+        values[start : start + FIBER_CHUNK][rest] = np.linalg.eigvalsh(stack[rest])[:, 0]
+    return points, values[pair]
 
 
 def scan_theta_set(
@@ -132,7 +185,9 @@ def scan_theta_set(
 ) -> ThetaSet:
     """Locate the minimizer set of the lowest band over [0, 2pi/N)^d.
 
-    A coarse grid scan, then local torus bisection around every point within
+    A coarse grid scan (``grid_band_bottom`` with window tol_theta: a point
+    its LDL^H inertia test proves more than tol_theta above the grid minimum is
+    +inf and never kept), then local torus bisection around every point within
     tol_theta of the running minimum (at most MAX_CANDIDATES of the lowest
     ones); each round's deduplicated points are evaluated as one batch.  Runs
     the requested number of rounds and keeps refining until the per-round
@@ -144,8 +199,8 @@ def scan_theta_set(
     carries the operator shifted by E0 and E0 re-evaluated on it at the
     minimizers.  Without it tol = tol_theta.
     """
-    if grid_per_dim < 1:
-        raise ValueError(f"grid_per_dim must be >= 1, got {grid_per_dim}")
+    _require_count("grid_per_dim", grid_per_dim, 1)
+    _require_count("refinements", refinements, 0)
     if refinements > MAX_REFINEMENTS:
         raise ValueError(f"refinements must be <= {MAX_REFINEMENTS}, got {refinements}")
     for name, value in (("tol_theta", tol_theta), ("tol_shift", tol_shift)):
@@ -155,7 +210,7 @@ def scan_theta_set(
     geom = hopping.geometry
     width = 2.0 * np.pi / geom.N
     spacing = width / grid_per_dim
-    candidates, values = grid_band_bottom(hopping, grid_per_dim)
+    candidates, values = grid_band_bottom(hopping, grid_per_dim, tol_theta)
     minimum = float(values.min())
     offsets = np.array(list(itertools.product((-1, 0, 1), repeat=geom.d)), dtype=float)
     rounds, improvement = 0, np.inf

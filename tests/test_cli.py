@@ -260,21 +260,37 @@ def test_montecarlo_builds_one_structure_for_all_samples(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["verify", "montecarlo", "--eps", "0.1", "--seed", "1", "--samples", "0"],
-        ["verify", "montecarlo", "--eps", "0.1", "--seed", "1", "--L", "0"],
-        ["run", "--eps", "0.1", "--seed", "1", "--samples", "-2"],
-        ["run", "--eps", "0.1", "--L", "0"],
+        (["verify", "montecarlo", "--eps", "0.1", "--seed", "1", "--samples", "0"], "at least 1"),
+        (["verify", "montecarlo", "--eps", "0.1", "--seed", "1", "--L", "0"], "at least 1"),
+        (["run", "--eps", "0.1", "--seed", "1", "--samples", "-2"], "at least 0"),
+        (["run", "--eps", "0.1", "--L", "0"], "at least 1"),
+        (["floquet-scan", "--grid", "0"], "at least 1"),
+        (["floquet-scan", "--refinements", "-1"], "at least 0"),
+        (
+            ["floquet-scan", "--refinements", str(floquet.MAX_REFINEMENTS + 1)],
+            f"at most {floquet.MAX_REFINEMENTS}",
+        ),
+        (["verify", "kirsch-simon", "--grid", "0"], "at least 1"),
     ],
-    ids=["montecarlo-samples0", "montecarlo-L0", "run-samples-negative", "run-L0"],
+    ids=[
+        "montecarlo-samples0",
+        "montecarlo-L0",
+        "run-samples-negative",
+        "run-L0",
+        "scan-grid0",
+        "scan-refinements-negative",
+        "scan-refinements-past-max",
+        "kirsch-simon-grid0",
+    ],
 )
-def test_cli_rejects_bad_counts(monkeypatch, capsys, argv):
+def test_cli_rejects_bad_counts(monkeypatch, capsys, argv, message):
     monkeypatch.setattr(pipeline, "resolve_model", refuse("resolve_model"))
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--model", "anderson"])
     assert exc.value.code == 2
-    assert "must be at least" in capsys.readouterr().err
+    assert f"must be {message}" in capsys.readouterr().err
 
 
 def test_model_file_round_trip_through_cli(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bandedge import floquet
 from bandedge.floquet import (
     MAX_REFINEMENTS,
     build_floquet,
@@ -19,7 +20,9 @@ from bandedge.model import (
 )
 from bandedge.pipeline import RunConfig, run_pipeline
 
-from conftest import random_hopping, random_potential, sign_changing
+from conftest import random_hopping, random_potential, refuse, sign_changing
+
+NAN = float("nan")
 
 
 def test_anderson_fiber_is_dispersion():
@@ -106,14 +109,26 @@ def test_scan_deep_refinement_keys_do_not_overflow():
     assert theta_set.E0 == 0.0
 
 
-@pytest.mark.parametrize("grid, refinements", [(0, 6), (-1, 6), (64, MAX_REFINEMENTS + 1)])
+@pytest.mark.parametrize(
+    "grid, refinements",
+    [(0, 6), (-1, 6), (64.5, 6), (True, 6), (64, -1), (64, MAX_REFINEMENTS + 1)],
+)
 def test_scan_rejects_bad_arguments(grid, refinements):
     hopping, _, _ = preset_model("anderson")
     with pytest.raises(ValueError, match="grid_per_dim|refinements"):
         scan_theta_set(hopping, grid, refinements)
 
 
-NAN = float("nan")
+@pytest.mark.parametrize(
+    "n, window",
+    [(0, 0.0), (-3, 0.0), (8.0, 0.0), (True, 0.0), (8, -1e-9), (8, NAN), (8, np.inf)],
+)
+def test_grid_band_bottom_rejects_bad_arguments(monkeypatch, n, window):
+    monkeypatch.setattr(HoppingOperator, "band_bottom", refuse("band_bottom"))
+    monkeypatch.setattr(HoppingOperator, "fibers", refuse("fibers"))
+    hopping, _, _ = preset_model("dipole", d=2)
+    with pytest.raises(ValueError, match="^(n|window) must be"):
+        grid_band_bottom(hopping, n, window)
 
 
 @pytest.mark.parametrize(
@@ -274,17 +289,36 @@ def test_single_scan_matches_shift_then_scan_random(tmp_path):
         assert np.abs(np.array(minimizers) - np.array(theta_set.minimizers)).max() <= 1e-12
 
 
-def _count_solved(monkeypatch) -> list[int]:
-    """Record the number of thetas of every band_bottom call."""
-    solve = HoppingOperator.band_bottom
-    counts: list[int] = []
+def _count_solved(monkeypatch) -> dict[str, list[int]]:
+    """Record the thetas of every band_bottom call, the fibers of every
+    inertia test and the matrices of every eigvalsh call."""
+    counts: dict[str, list[int]] = {"band_bottom": [], "tested": [], "eigvalsh": []}
 
-    def counting(self, thetas, perturbation=None):
-        counts.append(len(thetas))
-        return solve(self, thetas, perturbation)
+    def counting(name, solve, size):
+        def counted(*args, **kwargs):
+            counts[name].append(size(*args))
+            return solve(*args, **kwargs)
 
-    monkeypatch.setattr(HoppingOperator, "band_bottom", counting)
+        return counted
+
+    monkeypatch.setattr(
+        HoppingOperator,
+        "band_bottom",
+        counting("band_bottom", HoppingOperator.band_bottom, lambda _, thetas, *rest: len(thetas)),
+    )
+    monkeypatch.setattr(
+        floquet, "_proven_above", counting("tested", floquet._proven_above, lambda s, _: len(s))
+    )
+    monkeypatch.setattr(
+        np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh, lambda s, *_: len(s))
+    )
     return counts
+
+
+def _orbits(n: int, d: int) -> np.ndarray:
+    """The first grid index of each point's orbit under j -> (-j) mod n."""
+    index = np.indices((n,) * d).reshape(d, -1)
+    return np.minimum(np.arange(n**d), np.ravel_multi_index(tuple(-index % n), (n,) * d))
 
 
 @pytest.mark.parametrize("name, params", PIPELINE_PRESETS)
@@ -294,15 +328,24 @@ def test_grid_band_bottom_folds_real_tables(monkeypatch, name, params):
     axis = np.arange(64) * (2.0 * np.pi / geom.N / 64)
     grid = np.stack([g.ravel() for g in np.meshgrid(*([axis] * geom.d), indexing="ij")], -1)
     scale = hopping.hopping_scale() + np.abs(potential.matrix).sum()
+    orbits = _orbits(64, geom.d)
     for added in (None, 0.3 * potential.matrix):
         full = hopping.band_bottom(grid, added)
         counts = _count_solved(monkeypatch)
-        points, values = grid_band_bottom(hopping, 64, added)
+        points, values = grid_band_bottom(hopping, 64, 1e-9, added)
         monkeypatch.undo()
-        # one point per orbit of j -> (-j) mod 64: 2 + 62/2 per axis pair
-        assert sum(counts) == {1: 33, 2: 2050}[geom.d]
+        solved = np.isfinite(values)
+        # one point per orbit of j -> (-j) mod 64: 2 + 62/2 per axis pair;
+        # the upper bound takes the orbits of every 8th point: 2 + 6/2
+        coarse = {1: 5, 2: 34}[geom.d]
+        assert counts["band_bottom"] == [coarse]
+        assert sum(counts["tested"]) == {1: 33, 2: 2050}[geom.d]
+        assert sum(counts["eigvalsh"]) == coarse + len(np.unique(orbits[solved]))
+        assert np.array_equal(solved, solved[orbits])
         assert np.array_equal(points, grid)
-        assert np.abs(values - full).max() <= 1e-14 * scale
+        assert np.abs(values[solved] - full[solved]).max() <= 1e-14 * scale
+        assert (full[~solved] > values.min() + 1e-9).all()
+        assert abs(values.min() - full.min()) <= 1e-14 * scale
 
 
 @pytest.mark.parametrize("d, N", [(1, 3), (2, 2)])
@@ -312,12 +355,79 @@ def test_grid_band_bottom_solves_every_point_when_complex(monkeypatch, d, N):
     real_table = HoppingOperator(complex_table.geometry, {k: v.real for k, v in complex_table})
     potential = random_potential(rng, complex_table.geometry.cell_size).matrix
     for hopping, added in ((complex_table, None), (real_table, potential)):
-        full = hopping.band_bottom(grid_band_bottom(hopping, 16)[0], added)
+        full = hopping.band_bottom(grid_band_bottom(hopping, 16, 0.0)[0], added)
         counts = _count_solved(monkeypatch)
-        _, values = grid_band_bottom(hopping, 16, added)
+        _, values = grid_band_bottom(hopping, 16, 1e-3, added)
         monkeypatch.undo()
-        assert counts == [16**d]
-        assert np.array_equal(values, full)
+        solved = np.isfinite(values)
+        # the upper bound takes every 8th point per axis: 2^d of them
+        assert counts["band_bottom"] == [2**d]
+        assert counts["tested"] == [16**d]
+        assert sum(counts["eigvalsh"]) == 2**d + solved.sum()
+        assert np.array_equal(values[solved], full[solved])
+        assert (full[~solved] > full.min() + 1e-3).all()
+        assert values.min() == full.min()
+
+
+def _flat_bottom(d: int, decoupled: bool) -> HoppingOperator:
+    """A bottom band flat at -5 from a decoupled site beside a hopping chain,
+    or flat at -2 from the interference of an inter-cell bond, where
+    M = -1 - [[0, e^(-2i theta)], [e^(2i theta), 0]] holds -2 only to rounding."""
+    geom = LatticeGeometry(d, 2)
+    zero, a, b = (0,) * d, (0,) * d, (1,) + (0,) * (d - 1)
+    if not decoupled:
+        bond = (2,) + (0,) * (d - 1)
+        back = tuple(-x for x in bond)
+        return HoppingOperator(
+            geom, {(a, a, zero): -1.0, (b, b, zero): -1.0, (a, b, bond): -1.0, (b, a, back): -1.0}
+        )
+    coeffs = {(a, a, zero): 2.0 * d, (b, b, zero): -5.0}
+    for axis in range(d):
+        step = tuple(2 * (i == axis) for i in range(d))
+        coeffs[(a, a, step)] = coeffs[(a, a, tuple(-x for x in step))] = -1.0
+    return HoppingOperator(geom, coeffs)
+
+
+@pytest.mark.parametrize("decoupled", [True, False], ids=["decoupled", "interference"])
+def test_flat_bottom_band_prunes_nothing(monkeypatch, decoupled):
+    for d in (1, 2):
+        hopping = _flat_bottom(d, decoupled)
+        for window in (0.0, 1e-9):
+            points, values = grid_band_bottom(hopping, 64, window)
+            full = hopping.band_bottom(points)
+            assert np.isfinite(values).all()
+            assert np.abs(values - full).max() <= 4e-16 * hopping.hopping_scale()
+    # the scan of a pruned grid is the scan of the full grid
+    hopping = _flat_bottom(1, decoupled)
+    pruned = scan_theta_set(hopping)
+    grid = floquet.grid_band_bottom
+    monkeypatch.setattr(floquet, "grid_band_bottom", lambda h, n, window: grid(h, n, 1e300))
+    full = scan_theta_set(hopping)
+    assert np.array_equal(pruned.minimizers, full.minimizers)
+    assert (pruned.E0, pruned.resolution) == (full.E0, full.resolution)
+
+
+def test_scan_keeps_a_near_tie_within_tol_theta():
+    # two decoupled chains, bands -2 cos(2 theta) and 1e-10 + 2 cos(2 theta):
+    # grid minima at theta = 0 and pi/2, 1e-10 apart
+    a, b = (0,), (1,)
+    coeffs = {(a, a, (2,)): -1.0, (a, a, (-2,)): -1.0, (b, b, (2,)): 1.0, (b, b, (-2,)): 1.0}
+    hopping = HoppingOperator(LatticeGeometry(1, 2), {**coeffs, (b, b, (0,)): 1e-10})
+    _, values = grid_band_bottom(hopping, 64, 1e-9)
+    assert np.isfinite(values[[0, 32]]).all() and 0 < values[32] - values[0] <= 1e-9
+    theta_set = scan_theta_set(hopping)
+    assert [float(t[0]) for t in theta_set.minimizers] == pytest.approx([0.0, np.pi / 2], abs=1e-6)
+
+
+def test_grid_band_bottom_reads_only_the_lower_triangle(monkeypatch):
+    # eigvalsh reads the lower triangle alone, so the inertia test must too
+    name, params = PIPELINE_PRESETS[-1]  # alloy d=2 N=3: 9 x 9 fibers
+    hopping = preset_model(name, **params)[0]
+    expected = grid_band_bottom(hopping, 64, 0.1)[1]
+    assert 1 < np.isfinite(expected).sum() < len(expected)
+    fibers = HoppingOperator.fibers
+    monkeypatch.setattr(HoppingOperator, "fibers", lambda self, t: np.tril(fibers(self, t)))
+    assert np.array_equal(grid_band_bottom(hopping, 64, 0.1)[1], expected)
 
 
 def test_scan_complex_table_finds_the_unmirrored_minimizer():

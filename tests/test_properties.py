@@ -1,8 +1,14 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from bandedge.floquet import build_floquet, ground_space
-from bandedge.model import DisorderSupport, SingleCellPotential, model_from_dict, model_to_dict
+from bandedge.floquet import build_floquet, grid_band_bottom, ground_space
+from bandedge.model import (
+    DisorderSupport,
+    HoppingOperator,
+    SingleCellPotential,
+    model_from_dict,
+    model_to_dict,
+)
 from bandedge.perturbation import (
     coeff_A1,
     coeff_A2,
@@ -133,3 +139,31 @@ def test_degenerate_biconditional(seed, N, theta):
     a2 = 0.0 if ground.gap is None else coeff_A2(ground, pert, potential, disorder)
     tol = 1e-8 * (1.0 + potential.norm * disorder.coupling_scale)
     assert nondegeneracy_check(ground, potential) == (abs(a1) + abs(a2) > tol)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=seeds,
+    d=st.integers(min_value=1, max_value=2),
+    N=periods,
+    n=st.integers(min_value=1, max_value=20),
+    real=st.booleans(),
+    perturbed=st.booleans(),
+    window=st.sampled_from([0.0, 1e-9, 1e-3]),
+)
+def test_pruned_grid_keeps_every_point_near_its_minimum(seed, d, N, n, real, perturbed, window):
+    rng = np.random.default_rng(seed)
+    hopping = random_hopping(rng, d=d, N=N)
+    added = random_potential(rng, hopping.geometry.cell_size).matrix if perturbed else None
+    solved = np.arange(n**d)  # the point whose fiber gives each point's value
+    if real:
+        hopping = HoppingOperator(hopping.geometry, {k: v.real for k, v in hopping})
+        added = None if added is None else added.real
+        index = np.indices((n,) * d).reshape(d, -1)
+        solved = np.minimum(solved, np.ravel_multi_index(tuple(-index % n), (n,) * d))
+    points, values = grid_band_bottom(hopping, n, window, added)
+    full = hopping.band_bottom(points, added)[solved]
+    kept = np.isfinite(values)
+    assert np.array_equal(values[kept], full[kept])
+    assert (full[~kept] > values.min() + window).all()
+    assert values.min() == full.min()
