@@ -130,10 +130,11 @@ def grid_band_bottom(
     the band bottom of M (plus ``perturbation``) at every point that can lie
     within ``window`` of the grid minimum, with the bits of ``band_bottom``.
 
-    The bottoms at every COARSE_STRIDE-th point per axis bound the minimum by
-    ``upper``.  A point where LDL^H of M - s*I, s = upper + window + delta, has
-    only positive pivots has lambda_min > upper + window; it is not eigensolved
-    and gets +inf.  delta covers the backward error of that factorization.
+    The bottoms at every COARSE_STRIDE-th point per axis, kept there, bound the
+    minimum by ``upper``.  Another point where LDL^H of M - s*I, s = upper +
+    window + delta, has only positive pivots has lambda_min > upper + window;
+    it is not eigensolved and gets +inf.  delta covers that factorization's
+    backward error.
 
     A real table and perturbation give M(-theta) = conj M(theta), and M has
     period 2pi/N per axis, so points j and (-j) mod n share a bottom: only the
@@ -151,8 +152,9 @@ def grid_band_bottom(
     if hopping.real and (perturbation is None or not np.imag(perturbation).any()):
         partner = np.ravel_multi_index(tuple(-index % n), shape)
         solved, pair = np.unique(np.minimum(solved, partner), return_inverse=True)
-    coarse = solved[(index[:, solved] % COARSE_STRIDE == 0).all(0)]
-    upper = float(hopping.band_bottom(points[coarse], perturbation).min())
+    tested = (index[:, solved] % COARSE_STRIDE).any(0)  # every point but the coarse ones
+    values = np.full(len(solved), np.inf)
+    values[~tested] = hopping.band_bottom(points[solved[~tested]], perturbation)
     # Higham, Accuracy and Stability of Numerical Algorithms (2nd ed.), Thm 10.3
     # for LDL^H: positive pivots from A - sI give L D L^H = A - sI + E with
     # |E| <= g |L| D |L^H|, g = gamma_(n+1) <= 3 (n+1) u for complex data.  As
@@ -160,19 +162,17 @@ def grid_band_bottom(
     # > s - ||E|| >= s - 6 n (n+1) u (||A|| + |s|), with ||A|| <= scale (the
     # fiber's hopping_scale() plus the perturbation's entry sum).  delta =
     # 8 n (n+1) u (scale + |s|) leaves 2 n (n+1) u (scale + |s|) for rounding
-    # in the fiber sums and in eigvalsh, so the point giving upper is kept.
+    # in the fiber sums and in eigvalsh, so no point at upper is proven above it.
     size = geom.cell_size
     scale = hopping.hopping_scale() + (0.0 if perturbation is None else np.abs(perturbation).sum())
-    level = upper + window
+    level = float(values.min()) + window  # upper + window
     shift = level + 8 * size * (size + 1) * (np.finfo(float).eps / 2) * (scale + abs(level))
-    thetas = points[solved]
-    values = np.full(len(thetas), np.inf)
-    for start in range(0, len(thetas), FIBER_CHUNK):
-        stack = hopping.fibers(thetas[start : start + FIBER_CHUNK])
+    for chunk in np.split(np.flatnonzero(tested), range(FIBER_CHUNK, tested.sum(), FIBER_CHUNK)):
+        stack = hopping.fibers(points[solved[chunk]])
         if perturbation is not None:
             stack += perturbation
         rest = ~_proven_above(stack, shift)
-        values[start : start + FIBER_CHUNK][rest] = np.linalg.eigvalsh(stack[rest])[:, 0]
+        values[chunk[rest]] = np.linalg.eigvalsh(stack[rest])[:, 0]
     return points, values[pair]
 
 

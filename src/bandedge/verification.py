@@ -36,16 +36,10 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 DENSE_SITE_CUTOFF = 4096
-# a dense torus is solved through its band when BAND_RATIO * b <= n: the
-# banded solve takes 1.1-1.2 ms on the 256-site d = 2 tori (b = 31), where a
-# dense subset eigh takes 3.4-4.5 ms, and wins from n/b = 6.3 up; at
-# n/b = 4.3 (d = 2, 64 sites, b = 15) the dense eigh is faster
-BAND_RATIO = 6
-# past the dense cutoff, Lanczos runs on the degree-FILTER_DEGREE Chebyshev
-# polynomial of the torus, with its lower edge a share FILTER_GAP of the way
-# from the coarse Ritz value up to the norm bound
-FILTER_DEGREE = 16  # must be even: see _filtered_lowest_vector
-FILTER_GAP = 0.01
+# past the cutoff sigma sits this share of ||H - H_avg|| below lambda_min(H_avg): of 0, 0.1,
+# 0.3 and 1 it takes the fewest LOBPCG steps on random couplings, and 0 can exhaust the budget
+PRECONDITIONER_SHIFT = 0.1
+MAX_ITERATIONS = 1000  # LOBPCG steps before the solve is given up
 GUARD_POINTS = 9  # interior couplings that guard the endpoint minimum
 SLACK_FACTOR = 1.25  # sweep residuals may exceed the fitted remainder by this factor
 
@@ -390,18 +384,15 @@ def _norm(x: np.ndarray):
 
 def _banded_lowest_vector(
     structure: TorusStructure, matrix: sp.csr_matrix, scale: float
-) -> tuple[np.ndarray, np.ndarray] | None:
+) -> tuple[np.ndarray, np.ndarray]:
     """Lowest eigenvector of a Hermitian torus filled from ``structure``, in
     the original site order, and the torus's lower band in the structure's
-    reverse Cuthill-McKee order; None when the band is too wide to beat a
-    dense solve. See ``box_min_eig``.
+    reverse Cuthill-McKee order. See README, ``bandedge.verification``.
     """
     import scipy.linalg as sla
 
     order, b, rows, off_diagonal, lower, flat = structure.band
     n = len(order)
-    if BAND_RATIO * b > n:
-        return None
     band = np.zeros((b + 1, n), dtype=matrix.dtype)
     band.flat[flat] = matrix.data[lower]
     x = np.zeros(n, dtype=matrix.dtype)
@@ -427,7 +418,7 @@ def _banded_lowest_vector(
             if not residual > 1e-13 * scale:  # converged, or NaN: the certificate decides
                 break
             hi = min(hi, lo + mu)
-            shift = lo + mu - residual  # rho - r, else bisect: see box_min_eig
+            shift = lo + mu - residual  # rho - r, else bisect: see README
             if failed or shift >= hi:
                 shift = 0.5 * (lo + hi)
             if shift > lo:
@@ -443,51 +434,104 @@ def _banded_lowest_vector(
     return vec, band
 
 
-def _filtered_lowest_vector(matrix: sp.csr_matrix, scale: float) -> np.ndarray:
-    """Lowest eigenvector of a large Hermitian torus by Chebyshev-filtered
-    Lanczos (Zhou & Saad, SIAM J. Matrix Anal. Appl. 29, 2007); see
-    ``box_min_eig``. ``scale`` must bound the spectrum.
-    """
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
+def _shifted_inverses(symbol: np.ndarray, shift: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(S - shift*I)^-1`` of each Hermitian block ``S = symbol[:, :, j]`` by
+    Gauss-Jordan without pivoting, and whether its pivots, the D of LDL^H, were
+    all positive: by Sylvester's law of inertia, whether ``shift < lambda_min(S)``."""
+    a = symbol - shift * np.eye(len(symbol)).reshape(symbol.shape[:2] + (1,) * (symbol.ndim - 2))
+    above = np.ones(symbol.shape[2:], dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(len(a)):
+            pivot = a[k, k].copy()
+            above &= pivot.real > 0  # a NaN after a failed pivot compares False
+            a[k] /= pivot
+            column = a[:, k].copy()
+            column[k], a[:, k], a[k, k] = 0.0, 0.0, 1.0 / pivot
+            a -= column[:, None] * a[k][None]
+    return a, above
 
+
+def _translation_average(
+    structure: TorusStructure, matrix: sp.csr_matrix, epsilon: float, omega, scale: float
+):
+    """The preconditioner ``x -> (H_avg - sigma)^-1 x`` of the torus ``matrix`` = H, its
+    shift sigma and the Weyl bound ``lambda_min(H_avg) + ||H - H_avg||_inf >= lambda_min(H)``.
+    H_avg, every coupling at the mean of ``omega``, is block-diagonalised by the FFT over
+    the cells; its Bloch symbol is read off its CSR."""
+    import numpy.fft as fft  # here, not at module top: ``import numpy`` does not load it
+
+    geom = structure.hopping.geometry
+    d, N, L, n = geom.d, geom.N, structure.L, matrix.shape[0]
+    average = structure.fill(epsilon, float(np.mean(omega)))
+    distance = float(np.bincount(matrix.indices, np.abs(matrix.data - average.data), n).max())
+    # site vectors have axes (c_1, k_1, ..., c_d, k_d); blocks put all k first
+    split, blocks, axes = (L, N) * d, (N**d,) + (L,) * d, tuple(range(1, d + 1))
+    to_blocks = [*range(1, 2 * d, 2), *range(0, 2 * d, 2)]
+    # h[k', k, c] = H_avg[(c, k'), (0, k)] from the columns of cell 0's sites,
+    # the conjugates of their rows; its FFT over c is the symbol S[:, :, j]
+    ids = np.ravel_multi_index(np.indices((N,) * d).reshape(d, -1), (L * N,) * d)
+    columns = average[ids].toarray().conj().reshape((-1,) + split)
+    h = columns.transpose([0] + [1 + a for a in to_blocks]).reshape((-1,) + blocks).swapaxes(0, 1)
+    # a real torus has S[:, :, -j] = conj S[:, :, j]: its FFTs keep half the last axis
+    forward, backward = (fft.rfftn, fft.irfftn) if h.dtype.kind == "f" else (fft.fftn, fft.ifftn)
+    symbol = forward(h, axes=tuple(a + 1 for a in axes))
+
+    def bottom(stack: np.ndarray) -> float:
+        return float(np.linalg.eigvalsh(np.moveaxis(stack, (0, 1), (-2, -1)))[..., 0].min())
+
+    # an upper bound from every 8th block per axis; a block below the shift it
+    # gives fails a pivot, and the lowest of those blocks is the lowest of all
+    below = PRECONDITIONER_SHIFT * distance + 1e-9 * scale  # how far sigma sits below
+    lowest = bottom(symbol[(slice(None),) * 2 + (slice(None, None, 8),) * d])
+    inverse, above = _shifted_inverses(symbol, lowest - below)
+    if not above.all():
+        lowest = min(lowest, bottom(symbol[:, :, ~above]))
+        inverse = _shifted_inverses(symbol, lowest - below)[0]
+
+    def precondition(x: np.ndarray) -> np.ndarray:
+        spectral = forward(x.reshape(split).transpose(to_blocks).reshape(blocks), axes=axes)
+        y = backward(np.einsum("ij...,j...->i...", inverse, spectral), (L,) * d, axes=axes)
+        return y.reshape((N,) * d + (L,) * d).transpose(np.argsort(to_blocks)).reshape(n)
+
+    return precondition, lowest - below, lowest + distance
+
+
+def _lobpcg_lowest_vector(matrix: sp.csr_matrix, precondition, scale: float) -> np.ndarray:
+    """Lowest eigenvector of a Hermitian torus by single-vector LOBPCG (Knyazev, SIAM J.
+    Sci. Comput. 23, 2001) on an orthonormal basis [x, w, p] (Hetmaniuk & Lehoucq, J.
+    Comput. Phys. 218, 2006)."""
     n = matrix.shape[0]
-    identity = sp.identity(n, dtype=matrix.dtype, format="csr")
-    v0 = np.random.default_rng(0).standard_normal(n).astype(matrix.dtype)
-    if scale == 0.0:  # the zero torus: ARPACK rejects it, and any vector will do
-        return v0
-    try:
-        ritz, vecs = spla.eigsh(
-            matrix + scale * identity, k=1, which="SA", tol=1e-2, maxiter=20000, v0=v0
-        )
-        rho = float(ritz[0]) - scale
-        width = scale - rho
-        if width <= 1e-12 * scale:
-            return vecs[:, 0]
-        # T_m with m even maps the spectrum below lo above 1, and lo > rho >=
-        # lambda_min keeps the bottom there. An odd m (the bottom maps below
-        # -1) or a lo below lambda_min would make a non-lowest eigenpair the
-        # dominant one, and it would still pass the residual certificate.
-        lo = rho + FILTER_GAP * width
-        # the affine map of [lo, scale] onto [-1, 1], in one CSR copy
-        mapped = ((2.0 / (scale - lo)) * matrix - ((scale + lo) / (scale - lo)) * identity).tocsr()
+    basis = np.empty((3, n), dtype=matrix.dtype)  # orthonormal rows: x, then p and w if kept
+    images = np.empty_like(basis)  # the torus times each row
+    basis[0] = np.random.default_rng(0).standard_normal(n)
+    basis[0] /= _norm(basis[0])
 
-        def filtered(x: np.ndarray) -> np.ndarray:
-            previous, current = x, mapped @ x
-            for _ in range(FILTER_DEGREE - 1):
-                previous, current = current, 2.0 * (mapped @ current) - previous
-            return current
+    def extend(rows: int, v: np.ndarray, image: np.ndarray | None) -> int:
+        size = _norm(v)  # orthonormalise v against the first rows: Gram-Schmidt, twice
+        for _ in range(2):
+            c = basis[:rows].conj() @ v
+            v, image = v - c @ basis[:rows], None if image is None else image - c @ images[:rows]
+        rest = _norm(v)
+        kept = rest > 1e-12 * size  # else v was (nearly) in their span, or NaN
+        if kept:
+            basis[rows] = v / rest
+            images[rows] = matrix @ basis[rows] if image is None else image / rest
+        return rows + kept
 
-        operator = spla.LinearOperator((n, n), matvec=filtered, dtype=matrix.dtype)
-        # a restart here costs FILTER_DEGREE times the products of an
-        # unfiltered one: divide the cap of 20,000 restarts to keep the
-        # product budget, and so the time to fail, of an unfiltered solve
-        _, vecs = spla.eigsh(
-            operator, k=1, which="LA", tol=1e-12, maxiter=20000 // FILTER_DEGREE, v0=v0
-        )
-    except spla.ArpackNoConvergence as exc:
-        raise ConvergenceError(f"iterative eigensolver failed on {n} sites") from exc
-    return vecs[:, 0]
+    rows = 1
+    for _ in range(MAX_ITERATIONS):
+        x = basis[0]
+        images[0] = matrix @ x  # afresh: the stopping test sees the true residual
+        r = images[0] - np.vdot(x, images[0]).real * x
+        if not _norm(r) > 1e-12 * scale:  # converged (the zero torus at once), or NaN
+            return x.copy()
+        rows = extend(rows, precondition(r), None)
+        # Rayleigh-Ritz: x is the lowest Ritz vector, p its part off the old x
+        c = np.linalg.eigh(basis[:rows].conj() @ images[:rows].T)[1][:, 0]
+        x, p, hp = c @ basis[:rows], c[1:] @ basis[1:rows], c[1:] @ images[1:rows]
+        basis[0], images[0] = x / _norm(x), (c @ images[:rows]) / _norm(x)
+        rows = extend(1, p, hp)
+    raise ConvergenceError(f"iterative eigensolver failed on {n} sites")
 
 
 def box_min_eig(
@@ -503,54 +547,12 @@ def box_min_eig(
     *,
     structure: TorusStructure | None = None,
 ) -> BoxSpectrumSample:
-    """Certified smallest eigenvalue of one disorder realization on a torus:
-    only the lowest eigenpair is computed, and its residual is the certificate.
-
-    The torus is ``structure.fill(epsilon, omega)``. ``structure`` defaults to
-    ``torus_structure(hopping, potential, L)``; samples on one torus may share
-    it, which changes no bit. One built for other ``hopping`` or ``potential``
-    objects or another ``L`` raises ``ValueError``.
-
-    Up to ``dense_cutoff`` sites the structure's reverse Cuthill-McKee order
-    of its pattern, and the half-bandwidth ``b`` it gives, are built on first
-    use. When ``BAND_RATIO * b <= n`` (a 1-D ring has ``b = 2``), inverse
-    iteration from a fixed seeded start takes two solves per banded Cholesky
-    factor (LAPACK ?pbtrf / ?pbtrs). ``H - s*I`` factors if and only if ``s <
-    lambda_min`` (Sylvester's law of inertia), and only shifts that factored
-    are used: Gershgorin's bound less ``1e-10*scale``, then ``rho - r`` of
-    the latest iterate (below ``lambda_min`` once half its weight is on the
-    lowest eigenvector), and after a failed shift the midpoint between the
-    last shift and the least upper bound. Wider bands take a dense subset
-    ``eigh``.
-
-    Past ``dense_cutoff`` sites the solve is Chebyshev-filtered Lanczos, in
-    real space. A coarse ARPACK solve (``tol=1e-2``) on ``matrix + scale*I``
-    gives a Ritz value ``rho``; as a Rayleigh quotient it is at least
-    ``lambda_min``. Then ARPACK (``which="LA"``, ``tol=1e-12``) runs on
-    ``T_m`` of the torus with ``[lo, scale]`` mapped onto [-1, 1], where
-    ``lo = rho + FILTER_GAP*(scale - rho)`` and ``T_m`` is the Chebyshev
-    polynomial of even degree ``m = FILTER_DEGREE``. ``scale`` bounds the
-    spectrum, so every eigenvalue above ``lo`` maps into [-1, 1], and every
-    eigenvalue below it maps above 1, the lower the larger; as
-    ``lo > rho >= lambda_min``, the eigenvector of ``lambda_min`` is the
-    dominant one of the filtered operator. Each Krylov step costs ``m``
-    matrix-vector products, so far fewer steps re-orthogonalise against
-    the stored Lanczos vectors. Both solves start from a fixed seeded
-    Gaussian, so the result does not depend on earlier ARPACK calls in the
-    process. When ``scale - rho`` is within rounding (a multiple of the
-    identity) the coarse Ritz pair goes straight to the certificate.
-
-    On every path the eigenvalue is the Rayleigh quotient of the returned
-    vector on the unshifted matrix, and the pair must pass the same
-    certificate: residual at most ``1e-10*scale``. A pair that misses it (or
-    is not finite) raises ``ConvergenceError``. The banded path must also
-    factor the band at ``lambda - 1e-10*scale``, which proves ``lambda``
-    within the bound of ``lambda_min``; the dense path returns the lowest
-    eigenvalue too, and past the cutoff the residual certifies *an*
-    eigenpair, not that it is the lowest. Bad input (``L < 1``, a
-    negative or non-finite ``epsilon``, a non-finite coupling, hopping or
-    potential) raises ``ValueError`` before any structure is built.
-    """
+    """Certified smallest eigenvalue of the torus ``structure.fill(epsilon, omega)``
+    (``structure`` defaults to ``torus_structure(hopping, potential, L)``): a Rayleigh
+    quotient with residual at most ``1e-10*scale``, shown lowest by a banded Cholesky
+    factor up to ``dense_cutoff`` sites and by the Weyl bound past it, else
+    ``ConvergenceError``. Bad input raises ``ValueError`` before any structure is
+    built. See README, ``bandedge.verification``."""
     if not isinstance(L, (int, np.integer)) or L < 1:
         raise ValueError(f"L must be a positive integer, got {L!r}")
     if not 0 <= epsilon < np.inf:
@@ -559,8 +561,6 @@ def box_min_eig(
         raise ValueError(f"coupling q must be finite, got {q!r}")
     if not (np.isfinite(hopping.blocks).all() and np.isfinite(potential.matrix).all()):
         raise ValueError("hopping amplitudes and potential entries must be finite")
-    # here, not at module top: only torus work needs scipy
-    import scipy.linalg as sla
 
     structure = structure or torus_structure(hopping, potential, L)
     if not (structure.hopping is hopping and structure.potential is potential) or structure.L != L:
@@ -572,16 +572,16 @@ def box_min_eig(
     scale = float(np.bincount(matrix.indices, np.abs(matrix.data)).max(initial=0.0))
     bound = 1e-10 * max(scale, 1e-300)
 
-    if n_sites <= max(dense_cutoff, 1):  # ARPACK needs k < n: one site is dense
-        banded = _banded_lowest_vector(structure, matrix, scale)
-        vec, band = banded or (sla.eigh(matrix.toarray(), subset_by_index=[0, 0])[1][:, 0], None)
+    if n_sites <= max(dense_cutoff, 1):  # one site is banded: LOBPCG needs two
+        (vec, band), weyl = _banded_lowest_vector(structure, matrix, scale), np.inf
     else:
-        vec, band = _filtered_lowest_vector(matrix, scale), None
+        precondition, _, weyl = _translation_average(structure, matrix, epsilon, omega, scale)
+        vec, band = _lobpcg_lowest_vector(matrix, precondition, scale), None
     lam = float(np.vdot(vec, matrix @ vec).real / np.vdot(vec, vec).real)
     residual = float(np.linalg.norm(matrix @ vec - lam * vec))
     if not residual <= bound:  # a NaN residual fails too
         raise ConvergenceError(f"eigenpair residual {residual:.3e} exceeds certificate bound")
-    if band is not None and _shifted_cholesky(band, lam - bound) is None:
+    if lam > weyl + bound or (band is not None and _shifted_cholesky(band, lam - bound) is None):
         raise ConvergenceError(f"Rayleigh quotient {lam!r} is not the lowest eigenvalue")
     return BoxSpectrumSample(L=L, omega=omega, epsilon=epsilon, lambda_min=lam)
 

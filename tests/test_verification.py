@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 import bandedge
 from bandedge import verification
@@ -44,6 +43,8 @@ from bandedge.verification import (
 )
 
 from conftest import no_motion_model, random_hopping, random_potential, refuse, sign_changing
+
+EPS = np.finfo(float).eps
 
 
 def test_fiber_min_anderson_exact():
@@ -372,16 +373,15 @@ def test_box_min_eig_matches_full_eigvalsh(kind, d, N, L):
         assert shared.lambda_min == sample.lambda_min
 
 
-def _band_case(model, L, unused="eigh", epsilons=(0.0, 0.3), *, id):
-    return pytest.param(model, L, epsilons, unused, id=id)
+def _band_case(model, L, epsilons=(0.0, 0.3), *, id):
+    return pytest.param(model, L, epsilons, id=id)
 
 
-# 1-D rings long enough for the banded solve (reverse Cuthill-McKee gives
-# half-bandwidth b = 2 to 8, and BAND_RATIO * b <= n), two d = 2 tori of 256
-# sites (b = 31) that take it too, and a d = 2 torus of 64 sites (b = 15)
-# that stays on the dense eigh. Under constant couplings the quartic ring of
-# 85 cells has near-degenerate bottoms (gaps of 3.7e-7 at eps = 1e-2 and
-# 1.6e-15 at 1e-1); the d = 1 alloy has N = 3.
+# 1-D rings (reverse Cuthill-McKee gives half-bandwidth b = 2 to 8), two
+# d = 2 tori of 256 sites (b = 31) and a d = 2 torus of 64 sites (b = 15),
+# where n/b = 4.3. Under constant couplings the quartic ring of 85 cells has
+# near-degenerate bottoms (gaps of 3.7e-7 at eps = 1e-2 and 1.6e-15 at
+# 1e-1); the d = 1 alloy has N = 3.
 BAND_CASES = [
     _band_case(functools.partial(MODELS[kind], 1, N), L, id=f"{kind}-d1-N{N}-L{L}")
     for kind in MODELS
@@ -390,9 +390,7 @@ BAND_CASES = [
 ] + [
     _band_case(functools.partial(MODELS["real"], 2, 1), 16, id="real-d2-N1-L16"),
     _band_case(functools.partial(MODELS["real"], 2, 2), 8, id="real-d2-N2-L8"),
-    _band_case(
-        functools.partial(MODELS["real"], 2, 1), 8, "get_lapack_funcs", id="real-d2-N1-L8-dense"
-    ),
+    _band_case(functools.partial(MODELS["real"], 2, 1), 8, id="real-d2-N1-L8"),
     _band_case(
         functools.partial(preset_model, "quartic"),
         85,
@@ -408,9 +406,9 @@ BAND_CASES = [
 ]
 
 
-@pytest.mark.parametrize("model,L,epsilons,unused", BAND_CASES)
-def test_box_banded_branch_matches_eigvalsh(model, L, epsilons, unused, monkeypatch):
-    monkeypatch.setattr(f"scipy.linalg.{unused}", refuse(unused))
+@pytest.mark.parametrize("model,L,epsilons", BAND_CASES)
+def test_box_banded_branch_matches_eigvalsh(model, L, epsilons, monkeypatch):
+    monkeypatch.setattr("scipy.linalg.eigh", refuse("eigh"))
     hopping, potential, disorder = model()
     structure = torus_structure(hopping, potential, L)
     draws = [(SAMPLER_UNIFORM, None)] + [
@@ -507,11 +505,13 @@ def test_box_banded_certificate_rejects_the_second_eigenpair(monkeypatch):
     assert residuals[0] <= 1e-10
 
 
-# random endpoint disorder past a lowered dense cutoff: the filtered Lanczos
-# solve and its Rayleigh quotient against a full dense spectrum
+# random endpoint disorder, weak and strong, past a lowered dense cutoff: the
+# LOBPCG solve and its Rayleigh quotient against a full dense spectrum
 SPARSE_CASES = [
     pytest.param(model, d, N, L, epsilon, id=f"{model}-d{d}-N{N}-L{L}-eps{epsilon:g}")
     for model, d, N, L in (
+        ("real", 2, 1, 24),
+        ("complex", 1, 3, 40),
         ("real", 2, 2, 20),
         ("real", 2, 3, 10),
         ("complex", 2, 2, 8),
@@ -563,10 +563,12 @@ def test_box_sparse_path_degenerate_bottom(L):
         assert abs(sample.lambda_min - spectrum[0]) <= 1e-12 * scale
 
 
-def test_box_sparse_path_independent_of_earlier_arpack_calls():
+def test_box_sparse_path_independent_of_earlier_solves():
     hopping, potential, disorder = preset_model("dipole", d=2)
     first = box_min_eig(hopping, potential, disorder, 0.01, 12, seed=5, dense_cutoff=10)
-    spla.eigsh(sp.diags(np.arange(1.0, 301.0)), k=2)  # advances ARPACK's own start-vector state
+    # another torus past the cutoff, and numpy's global generator advanced
+    box_min_eig(*preset_model("anderson", d=2), 0.3, 24, seed=1, dense_cutoff=10)
+    np.random.standard_normal(300)
     second = box_min_eig(hopping, potential, disorder, 0.01, 12, seed=5, dense_cutoff=10)
     assert first.lambda_min == second.lambda_min
 
@@ -584,31 +586,138 @@ def test_box_sparse_path_builds_no_band_layout():
     assert "band" in vars(structure)
 
 
-def test_box_sparse_path_arpack_failure_is_named(monkeypatch):
-    def no_convergence(*args, **kwargs):
-        raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
-
-    monkeypatch.setattr("scipy.sparse.linalg.eigsh", no_convergence)
+def test_box_sparse_path_budget_failure_is_named(monkeypatch):
+    monkeypatch.setattr("bandedge.verification.MAX_ITERATIONS", 1)
     hopping, potential, disorder = preset_model("anderson")
-    with pytest.raises(ConvergenceError, match="on 64 sites"):
+    with pytest.raises(ConvergenceError, match="iterative eigensolver failed on 64 sites"):
         box_min_eig(hopping, potential, disorder, 0.05, 64, dense_cutoff=10)
 
 
-def test_box_sparse_path_filtered_failure_is_named(monkeypatch):
-    eigsh = spla.eigsh
+def test_box_sparse_path_preconditioner_failure_is_named(monkeypatch):
+    # a preconditioner that returns NaN adds nothing to the basis, so the
+    # iteration makes no progress until its budget runs out
+    average = verification._translation_average
     calls = []
 
-    def filtered_fails(operator, *args, **kwargs):
-        calls.append(kwargs["which"])
-        if kwargs["which"] == "LA":
-            raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
-        return eigsh(operator, *args, **kwargs)
+    def nan_preconditioner(*args):
+        _, sigma, weyl = average(*args)
 
-    monkeypatch.setattr("scipy.sparse.linalg.eigsh", filtered_fails)
+        def precondition(x):
+            calls.append(len(x))
+            return np.full_like(x, np.nan)
+
+        return precondition, sigma, weyl
+
+    monkeypatch.setattr("bandedge.verification._translation_average", nan_preconditioner)
     hopping, potential, disorder = preset_model("anderson")
-    with pytest.raises(ConvergenceError, match="on 64 sites"):
+    with pytest.raises(ConvergenceError, match="iterative eigensolver failed on 64 sites"):
         box_min_eig(hopping, potential, disorder, 0.05, 64, dense_cutoff=10)
-    assert calls == ["SA", "LA"]
+    assert calls == [64] * verification.MAX_ITERATIONS
+
+
+def _preconditioner_model(kind, d, N):
+    rng = np.random.default_rng(10 * d + N)
+    hopping = random_hopping(rng, d=d, N=N)
+    potential = random_potential(rng, hopping.geometry.cell_size)
+    if kind == "real":
+        hopping = HoppingOperator(hopping.geometry, {k: v.real for k, v in hopping})
+        potential = SingleCellPotential(potential.matrix.real)
+    return hopping, potential
+
+
+# the grid of TORUS_CASES on random tables, real and complex; L = 1 has one
+# coupling, so H = H_avg and sigma sits only 1e-9*scale below its bottom
+PRECONDITIONER_CASES = [
+    pytest.param(kind, d, N, L, id=f"{kind}-d{d}-N{N}-L{L}")
+    for kind in ("real", "complex")
+    for d, N, L in itertools.product((1, 2, 3), (1, 2, 3), (1, 2, 3, 5))
+    if (L * N) ** d <= 1000 and (3 * N * N * L) ** d <= 100_000
+]
+
+
+@pytest.mark.parametrize("kind,d,N,L", PRECONDITIONER_CASES)
+def test_translation_average_inverts_the_shifted_average(kind, d, N, L):
+    hopping, potential = _preconditioner_model(kind, d, N)
+    structure = torus_structure(hopping, potential, L)
+    rng = np.random.default_rng(L)
+    omega = rng.uniform(-1.0, 1.0, L**d)
+    matrix = structure.fill(0.3, omega)
+    scale = np.abs(matrix).sum(axis=1).max()
+    precondition, sigma, weyl = verification._translation_average(
+        structure, matrix, 0.3, omega, scale
+    )
+    average = structure.fill(0.3, omega.mean())
+    x = rng.standard_normal(matrix.shape[0]).astype(matrix.dtype)
+    if kind == "complex":
+        x += 1j * rng.standard_normal(len(x))
+    z = precondition(average @ x - sigma * x)
+    assert z.dtype == matrix.dtype
+    # sigma lies below the average's spectrum; the error may reach rounding
+    # at the scale of H_avg and sigma over the smallest eigenvalue of
+    # H_avg - sigma, which is large at L = 1
+    shifted = np.linalg.eigvalsh(average.toarray())[0] - sigma
+    assert shifted > 0
+    condition = (scale + abs(sigma)) / shifted
+    assert np.linalg.norm(z - x) <= max(1e-8, 100 * condition * EPS) * np.linalg.norm(x)
+    # the Weyl bound lies above the torus's bottom
+    assert np.linalg.eigvalsh(matrix.toarray())[0] <= weyl + 1e-12 * scale
+
+
+def test_box_sparse_path_uses_no_fiber_data_and_any_preconditioner(monkeypatch):
+    # dipole d = 2 at L = 12 and anderson d = 2 at L = 24 share one grid of
+    # 24 x 24 sites, so either torus's preconditioner applies to the other
+    hopping, potential, disorder = preset_model("dipole", d=2)
+    other = torus_structure(*preset_model("anderson", d=2)[:2], 24)
+    other_omega = np.full(24**2, -1.0)
+    other_matrix = other.fill(0.1, other_omega)
+    average = verification._translation_average
+
+    def identity(*args):
+        _, sigma, weyl = average(*args)
+        return (lambda x: x), sigma, weyl
+
+    def other_symbol(*args):
+        _, sigma, weyl = average(*args)
+        return average(other, other_matrix, 0.1, other_omega, 4.1)[0], sigma, weyl
+
+    for sampler, q in ((SAMPLER_CONSTANT, 1.0), (SAMPLER_UNIFORM, None)):
+        monkeypatch.setattr(HoppingOperator, "fibers", refuse("fibers"))
+        monkeypatch.setattr("bandedge.floquet.grid_band_bottom", refuse("grid_band_bottom"))
+        monkeypatch.setattr("bandedge.verification.grid_band_bottom", refuse("grid_band_bottom"))
+        args = (hopping, potential, disorder, 0.1, 12, sampler, 3, q, 10)
+        reference = box_min_eig(*args)
+        matrix = assemble_torus(hopping, potential, 0.1, 12, reference.omega).toarray()
+        scale = np.abs(matrix).sum(axis=1).max()
+        assert abs(reference.lambda_min - np.linalg.eigvalsh(matrix)[0]) <= 1e-12 * scale
+        for wrong in (identity, other_symbol):
+            monkeypatch.setattr("bandedge.verification._translation_average", wrong)
+            try:
+                value = box_min_eig(*args).lambda_min
+            except ConvergenceError:
+                continue
+            assert abs(value - reference.lambda_min) <= 1e-12 * scale
+        monkeypatch.undo()
+
+
+def test_box_sparse_certificate_rejects_the_second_eigenpair(monkeypatch):
+    # the exact second eigenpair of a constant-coupling torus passes the
+    # residual certificate; only the Weyl bound shows that it is not the lowest
+    lowest = verification._lobpcg_lowest_vector
+    residuals = []
+
+    def second(matrix, precondition, scale):
+        lowest(matrix, precondition, scale)
+        values, vectors = np.linalg.eigh(matrix.toarray())
+        residuals.append(np.linalg.norm(matrix @ vectors[:, 1] - values[1] * vectors[:, 1]) / scale)
+        return vectors[:, 1]
+
+    monkeypatch.setattr("bandedge.verification._lobpcg_lowest_vector", second)
+    hopping, potential, disorder = preset_model("anderson", d=2)
+    with pytest.raises(ConvergenceError, match="is not the lowest eigenvalue"):
+        box_min_eig(
+            hopping, potential, disorder, 0.05, 8, sampler=SAMPLER_CONSTANT, q=-1.0, dense_cutoff=10
+        )
+    assert residuals[0] <= 1e-10
 
 
 def on_site_torus(value):
@@ -623,8 +732,8 @@ def on_site_torus(value):
     "value,epsilon,expected", [(1.0, 0.0, 1.0), (1.0, 0.1, 1.1), (0.0, 0.0, 0.0)]
 )
 def test_box_sparse_path_multiple_of_identity(value, epsilon, expected):
-    # 6,400 sites, past the cutoff: the filter interval [lo, scale] has zero
-    # width, so the coarse Ritz pair goes to the certificate as it is
+    # 6,400 sites, past the cutoff: the seeded start vector is already an
+    # eigenvector, and the zero torus returns it before any preconditioner
     hopping, potential, disorder = on_site_torus(value)
     sample = box_min_eig(hopping, potential, disorder, epsilon, 80, sampler=SAMPLER_CONSTANT, q=1.0)
     assert sample.lambda_min == expected
@@ -652,7 +761,7 @@ def _nan_table():
 def test_box_rejects_bad_input_before_assembly(monkeypatch, capfd, model, epsilon, L, q, message):
     monkeypatch.setattr("bandedge.verification.assemble_torus", refuse("assemble_torus"))
     monkeypatch.setattr("bandedge.verification.torus_structure", refuse("torus_structure"))
-    monkeypatch.setattr("scipy.sparse.linalg.eigsh", refuse("eigsh"))
+    monkeypatch.setattr("bandedge.verification._lobpcg_lowest_vector", refuse("LOBPCG"))
     hopping, potential, disorder = model()
     with pytest.raises(ValueError, match=message):
         box_min_eig(hopping, potential, disorder, epsilon, L, sampler=SAMPLER_CONSTANT, q=q)
@@ -682,12 +791,15 @@ def test_box_one_site_torus_takes_dense_path():
     assert sample.lambda_min == matrix[0, 0]
 
 
-# a fresh interpreter: which scipy modules are loaded after each step
+# a fresh interpreter: which of numpy.fft and scipy's modules are loaded
+# after each step; the past-cutoff solve runs before any banded one, whose
+# reverse Cuthill-McKee order (scipy.sparse.csgraph) loads scipy.sparse.linalg
 SCIPY_PROBE = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 def loaded():
-    return [m for m in ("scipy.linalg", "scipy.sparse") if m in sys.modules]
+    modules = ("numpy.fft", "scipy.linalg", "scipy.sparse", "scipy.sparse.linalg")
+    return [m for m in modules if m in sys.modules]
 steps = []
 import bandedge
 steps.append(loaded())
@@ -696,6 +808,8 @@ steps.append(loaded())
 from bandedge import pipeline
 config = pipeline.RunConfig(model="dipole", epsilon_list=(1e-3, 1e-2), model_params={"d": 2})
 assert pipeline.run_pipeline(config)[0] == 0
+steps.append(loaded())
+bandedge.box_min_eig(*bandedge.preset_model("anderson"), 0.05, 5000)
 steps.append(loaded())
 bandedge.box_min_eig(*bandedge.preset_model("anderson"), 0.05, 4)
 steps.append(loaded())
@@ -708,7 +822,13 @@ def test_scipy_loaded_only_by_torus_work():
     out = subprocess.run(
         [sys.executable, "-c", SCIPY_PROBE, src], capture_output=True, text=True, check=True
     ).stdout
-    assert json.loads(out) == [[], [], [], ["scipy.linalg", "scipy.sparse"]]
+    assert json.loads(out) == [
+        [],
+        [],
+        [],
+        ["numpy.fft", "scipy.sparse"],
+        ["numpy.fft", "scipy.linalg", "scipy.sparse", "scipy.sparse.linalg"],
+    ]
 
 
 def test_fit_exponent_exact_lines():
