@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import itertools
 import json
 import sys
 
@@ -203,7 +202,8 @@ def cmd_verify_quartic(args) -> int:
 def cmd_verify_kirsch_simon(args) -> int:
     hopping, _, _ = _load(args)
     axis = np.linspace(0.0, 2.0 * np.pi / hopping.geometry.N, args.grid, endpoint=False)
-    grid = [list(c) for c in itertools.product(axis, repeat=hopping.geometry.d)]
+    mesh = np.meshgrid(*[axis] * hopping.geometry.d, indexing="ij")
+    grid = np.stack([g.ravel() for g in mesh], -1)
     report = verification.kirsch_simon_sandwich(hopping, grid, variant=args.variant)
     _print_json(
         {

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FIBER_CHUNK, ConvergenceError, HoppingOperator
+from .model import ConvergenceError, HoppingOperator
 
 DEFAULT_TOL_THETA = 1e-9
 DEFAULT_GRID_PER_DIM = 64
@@ -109,10 +109,10 @@ def _require_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
-def _proven_above(stack: np.ndarray, shift: float) -> np.ndarray:
-    """Whether LDL^H of each matrix of ``stack`` minus shift*I has only positive
-    pivots.  It reads the lower triangle alone, as eigvalsh does."""
-    a = stack - shift * np.eye(stack.shape[-1])
+def _proven_above(stack: np.ndarray, shift) -> np.ndarray:
+    """Whether LDL^H of each matrix of ``stack`` minus shift*I (one shift, or one
+    per matrix) has only positive pivots.  It reads the lower triangle alone, as eigvalsh does."""
+    a = stack - np.multiply.outer(shift, np.eye(stack.shape[-1]))
     above = np.ones(len(stack), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k in range(stack.shape[-1]):
@@ -121,6 +121,24 @@ def _proven_above(stack: np.ndarray, shift: float) -> np.ndarray:
             column = a[:, k + 1 :, k]
             a[:, k + 1 :, k + 1 :] -= (column / pivot[:, None])[:, :, None] * column[:, None].conj()
     return above
+
+
+def _certificate_margin(hopping: HoppingOperator, level, perturbation=None):
+    """delta = 8 n (n+1) u (scale + |level|) for the n x n fibers of ``hopping``
+    plus ``perturbation``, the margin of the certificates on eigvalsh's bottom.
+
+    Higham, Accuracy and Stability of Numerical Algorithms (2nd ed.), Thm 10.3
+    for LDL^H: positive pivots from A - sI give L D L^H = A - sI + E with
+    |E| <= g |L| D |L^H|, g = gamma_(n+1) <= 3 (n+1) u for complex data.  As
+    D > 0, ||E|| <= g trace(L D L^H) <= g n ||A - sI + E||, so lambda_min(A)
+    > s - ||E|| >= s - 6 n (n+1) u (||A|| + |s|), with ||A|| <= scale (the
+    fiber's hopping_scale() plus the perturbation's entry sum).  delta leaves
+    2 n (n+1) u (scale + |s|) for the rounding of the level and of eigvalsh;
+    the certificate and eigvalsh read the same rounded fiber sums.
+    """
+    size = hopping.geometry.cell_size
+    scale = hopping.hopping_scale() + (0.0 if perturbation is None else np.abs(perturbation).sum())
+    return 8 * size * (size + 1) * (np.finfo(float).eps / 2) * (scale + np.abs(level))
 
 
 def grid_band_bottom(
@@ -155,24 +173,11 @@ def grid_band_bottom(
     tested = (index[:, solved] % COARSE_STRIDE).any(0)  # every point but the coarse ones
     values = np.full(len(solved), np.inf)
     values[~tested] = hopping.band_bottom(points[solved[~tested]], perturbation)
-    # Higham, Accuracy and Stability of Numerical Algorithms (2nd ed.), Thm 10.3
-    # for LDL^H: positive pivots from A - sI give L D L^H = A - sI + E with
-    # |E| <= g |L| D |L^H|, g = gamma_(n+1) <= 3 (n+1) u for complex data.  As
-    # D > 0, ||E|| <= g trace(L D L^H) <= g n ||A - sI + E||, so lambda_min(A)
-    # > s - ||E|| >= s - 6 n (n+1) u (||A|| + |s|), with ||A|| <= scale (the
-    # fiber's hopping_scale() plus the perturbation's entry sum).  delta =
-    # 8 n (n+1) u (scale + |s|) leaves 2 n (n+1) u (scale + |s|) for rounding
-    # in the fiber sums and in eigvalsh, so no point at upper is proven above it.
-    size = geom.cell_size
-    scale = hopping.hopping_scale() + (0.0 if perturbation is None else np.abs(perturbation).sum())
     level = float(values.min()) + window  # upper + window
-    shift = level + 8 * size * (size + 1) * (np.finfo(float).eps / 2) * (scale + abs(level))
-    for chunk in np.split(np.flatnonzero(tested), range(FIBER_CHUNK, tested.sum(), FIBER_CHUNK)):
-        stack = hopping.fibers(points[solved[chunk]])
-        if perturbation is not None:
-            stack += perturbation
-        rest = ~_proven_above(stack, shift)
-        values[chunk[rest]] = np.linalg.eigvalsh(stack[rest])[:, 0]
+    shift = level + _certificate_margin(hopping, level, perturbation)
+    values[tested] = hopping.band_bottom(
+        points[solved[tested]], perturbation, lambda stack, _: _proven_above(stack, shift)
+    )
     return points, values[pair]
 
 

@@ -151,19 +151,22 @@ class HoppingOperator:
         matrices.imag = imag
         return matrices
 
-    def band_bottom(self, thetas, perturbation=None) -> np.ndarray:
+    def band_bottom(self, thetas, perturbation=None, proven=None) -> np.ndarray:
         """Lowest eigenvalue of M(theta) (plus ``perturbation``) at each theta.
 
         Eigensolves run in chunks of FIBER_CHUNK thetas, which bounds the
-        memory of the stacked fibers.
+        memory of the stacked fibers.  A point where ``proven(stack, rows)`` on
+        its chunk's matrices at thetas[rows] is True is not solved and gets +inf.
         """
         thetas = np.asarray(thetas, dtype=float)
-        bottoms = np.empty(len(thetas))
+        bottoms = np.full(len(thetas), np.inf)
         for start in range(0, len(thetas), FIBER_CHUNK):
-            stack = self.fibers(thetas[start : start + FIBER_CHUNK])
+            rows = slice(start, start + FIBER_CHUNK)
+            stack = self.fibers(thetas[rows])
             if perturbation is not None:
                 stack += perturbation
-            bottoms[start : start + FIBER_CHUNK] = np.linalg.eigvalsh(stack)[:, 0]
+            keep = slice(None) if proven is None else ~proven(stack, start + np.arange(len(stack)))
+            bottoms[rows][keep] = np.linalg.eigvalsh(stack[keep])[:, 0]
         return bottoms
 
     def shifted(self, delta: float) -> "HoppingOperator":

@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .floquet import GroundSpaceData, build_floquet, grid_band_bottom, ground_space
+from .floquet import _certificate_margin, _proven_above
 from .model import (
     ConvergenceError,
     DisorderSupport,
@@ -695,19 +696,32 @@ KS_LITERAL = "literal"
 KS_SLACK = 1e-9  # band motion may leave the Kirsch-Simon sandwich by this much
 
 
-def _ks_dispersion(thetas: np.ndarray, N: int, variant: str) -> np.ndarray:
-    """Free dispersion factor at each row of ``thetas`` (shape (b, d))."""
+def _ks_dispersion(thetas: np.ndarray, N: int, variant: str) -> tuple[np.ndarray, np.ndarray]:
+    """Free dispersion factor at each row of ``thetas`` (shape (b, d)), and
+    kappa = theta + 2 pi b* / N on the branch b* that attains the fold."""
     d = thetas.shape[1]
+    # the fold over the N^d branches theta + 2 pi b / N
+    branches = 2.0 * np.pi * np.array(list(itertools.product(range(N), repeat=d))) / N
+    shifted = thetas[:, None, :] + branches
+    folded = np.sum(2.0 * (1.0 - np.cos(shifted)), axis=2)
+    kappa = shifted[np.arange(len(thetas)), folded.argmin(axis=1)]
     if variant == KS_ONE_MINUS_COS:
-        return np.sum(1.0 - np.cos(thetas), axis=1)
+        return np.sum(1.0 - np.cos(thetas), axis=1), kappa
     if variant == KS_LITERAL:
-        return 2 * d - np.sum(np.cos(thetas), axis=1)
+        return 2 * d - np.sum(np.cos(thetas), axis=1), kappa
     if variant == KS_FOLDED:
-        # the fold over the N^d branches theta + 2 pi b / N
-        branches = 2.0 * np.pi * np.array(list(itertools.product(range(N), repeat=d))) / N
-        shifted = thetas[:, None, :] + branches
-        return np.sum(2.0 * (1.0 - np.cos(shifted)), axis=2).min(axis=1)
+        return folded.min(axis=1), kappa
     raise ValueError(f"unknown dispersion variant {variant!r}")
+
+
+def _ks_trial_quotients(stack: np.ndarray, psi: np.ndarray, kappa: np.ndarray, geom) -> np.ndarray:
+    """v^H A v / |v|^2 for the trial states v_x = psi_x e^{-i kappa.x} (x the cell
+    sites), A the Hermitian matrix eigvalsh reads from the lower triangle of M."""
+    trial = psi * np.exp(-1j * (kappa @ np.array(geom.cell_sites()).T))
+    weights = np.abs(trial) ** 2
+    strict = (np.tril(stack, -1) @ trial[:, :, None])[:, :, 0]
+    diagonal = np.sum(np.diagonal(stack, axis1=1, axis2=2).real * weights, axis=1)
+    return (2 * np.sum(trial.conj() * strict, axis=1).real + diagonal) / np.sum(weights, axis=1)
 
 
 @dataclass(frozen=True)
@@ -728,19 +742,22 @@ def kirsch_simon_sandwich(
     theta_grid,
     variant: str = KS_FOLDED,
 ) -> KirschSimonReport:
-    """Two-sided comparison of the lowest band with the free dispersion.
-
-    The band motion E0(theta) - E0(0) of -Delta + W is sandwiched between
-    (a_minus/a_plus)^2 and (a_plus/a_minus)^2 times a free-Laplacian
-    dispersion factor, where a_minus/a_plus are the extreme entries of the
-    positive ground state at theta = 0.
-    """
+    """Flag each row of ``theta_grid`` (shape (b, d), or (b,) when d = 1) where
+    eigvalsh's E0(theta) - E0(0) leaves [lower - KS_SLACK, upper + KS_SLACK]:
+    (a_minus/a_plus)^2 and (a_plus/a_minus)^2 times the ``variant`` dispersion,
+    a_minus and a_plus the extreme entries of the positive ground state at
+    theta = 0 (Kirsch & Simon, J. Funct. Anal. 75, 1987)."""
     if alloy_periodic_background(hopping) is None:
         raise ValueError("sandwich check applies only to operators of the form -Delta + W")
     geom = hopping.geometry
-    thetas = np.asarray(theta_grid, dtype=float).reshape(-1, geom.d)
+    thetas = np.asarray(theta_grid, dtype=float)
+    thetas = thetas[:, None] if thetas.ndim == 1 and geom.d == 1 else thetas
+    if thetas.ndim != 2 or thetas.shape[1] != geom.d:
+        raise ValueError(f"theta_grid must have shape (b, {geom.d}), got {thetas.shape}")
     if not len(thetas):
         raise ValueError("theta_grid is empty: the sandwich would hold vacuously")
+    if not np.isfinite(thetas).all():
+        raise ValueError("theta_grid has a non-finite entry")
     ground = ground_space(hopping, np.zeros(geom.d))
     psi = ground.basis[:, 0]
     if np.abs(psi.imag).max() > 1e-10 or psi.real.min() <= 0:
@@ -748,13 +765,27 @@ def kirsch_simon_sandwich(
     a_minus = float(psi.real.min())
     a_plus = float(psi.real.max())
     e0 = ground.e0
-    lo_factor = (a_minus / a_plus) ** 2
-    hi_factor = (a_plus / a_minus) ** 2
 
-    disp = _ks_dispersion(thetas, geom.N, variant)
-    motion = hopping.band_bottom(thetas) - e0
-    lower = lo_factor * disp
-    upper = hi_factor * disp
+    disp, kappa = _ks_dispersion(thetas, geom.N, variant)
+    lower = (a_minus / a_plus) ** 2 * disp
+    upper = (a_plus / a_minus) ** 2 * disp
+    # Rounding is monotone, so a bottom in [s_lo, s_hi] is never flagged.  Below:
+    # _certificate_margin's LDL^H test at s_lo + delta.  Above: lambda_min(A) <=
+    # the exact quotient q of the computed trial state v, A as eigvalsh reads it;
+    # its two products are off by (n+2) u |v|^T |A| |v| <= (n+2) u scale |v|^2 each,
+    # the norm and division by (n+3) u |q| <= (n+3) u (scale + |s_hi|); so quotient
+    # + delta < s_hi leaves 8n(n+1) - (3n+7) >= 2n(n+1) u (scale + |s_hi|), as below.
+    s_lo = e0 + (lower - KS_SLACK)
+    s_hi = e0 + (upper + KS_SLACK)
+    above = s_lo + _certificate_margin(hopping, s_lo)
+    below = s_hi - _certificate_margin(hopping, s_hi)
+
+    def inside(stack: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        quotients = _ks_trial_quotients(stack, psi, kappa[rows], geom)
+        return (quotients < below[rows]) & _proven_above(stack, above[rows])
+
+    motion = hopping.band_bottom(thetas, proven=inside) - e0  # +inf where proven inside
+    flagged = np.isfinite(motion) & ((motion < lower - KS_SLACK) | (motion > upper + KS_SLACK))
     violations = tuple(
         {
             "theta": thetas[i].tolist(),
@@ -762,7 +793,7 @@ def kirsch_simon_sandwich(
             "lower": float(lower[i]),
             "upper": float(upper[i]),
         }
-        for i in np.flatnonzero((motion < lower - KS_SLACK) | (motion > upper + KS_SLACK))
+        for i in np.flatnonzero(flagged)
     )
     return KirschSimonReport(
         a_minus=a_minus,

@@ -339,8 +339,9 @@ def test_grid_band_bottom_folds_real_tables(monkeypatch, name, params):
         # the upper bound takes the orbits of every 8th point: 2 + 6/2, and
         # they keep their bottoms, so the inertia test skips them
         coarse = {1: 5, 2: 34}[geom.d]
-        assert counts["band_bottom"] == [coarse]
-        assert sum(counts["tested"]) == {1: 33, 2: 2050}[geom.d] - coarse
+        tested = {1: 33, 2: 2050}[geom.d] - coarse
+        assert counts["band_bottom"] == [coarse, tested]
+        assert sum(counts["tested"]) == tested
         assert sum(counts["eigvalsh"]) == len(np.unique(orbits[solved]))
         assert np.array_equal(solved, solved[orbits])
         assert np.array_equal(points, grid)
@@ -362,8 +363,8 @@ def test_grid_band_bottom_solves_every_point_when_complex(monkeypatch, d, N):
         monkeypatch.undo()
         solved = np.isfinite(values)
         # the upper bound takes every 8th point per axis: 2^d of them, each
-        # solved once
-        assert counts["band_bottom"] == [2**d]
+        # solved once; the rest go through the inertia test
+        assert counts["band_bottom"] == [2**d, 16**d - 2**d]
         assert counts["tested"] == [16**d - 2**d]
         assert sum(counts["eigvalsh"]) == solved.sum()
         assert np.array_equal(values[solved], full[solved])
@@ -419,6 +420,18 @@ def test_scan_keeps_a_near_tie_within_tol_theta():
     assert np.isfinite(values[[0, 32]]).all() and 0 < values[32] - values[0] <= 1e-9
     theta_set = scan_theta_set(hopping)
     assert [float(t[0]) for t in theta_set.minimizers] == pytest.approx([0.0, np.pi / 2], abs=1e-6)
+
+
+def test_proven_above_takes_one_shift_per_matrix():
+    rng = np.random.default_rng(5)
+    stack = random_hopping(rng, d=2, N=2).fibers(rng.uniform(0.0, np.pi, size=(64, 2)))
+    shifts = np.linalg.eigvalsh(stack)[:, 0] + rng.uniform(-1e-3, 1e-3, 64)
+    proven = floquet._proven_above(stack, shifts)
+    rowwise = [floquet._proven_above(m[None], s)[0] for m, s in zip(stack, shifts)]
+    assert np.array_equal(proven, rowwise)
+    assert proven.any() and not proven.all()
+    scalar = floquet._proven_above(stack, 0.1)
+    assert np.array_equal(floquet._proven_above(stack, np.full(64, 0.1)), scalar)
 
 
 def test_grid_band_bottom_reads_only_the_lower_triangle(monkeypatch):

@@ -8,6 +8,7 @@ from bandedge.model import (
     SingleCellPotential,
     model_from_dict,
     model_to_dict,
+    preset_model,
 )
 from bandedge.perturbation import (
     coeff_A1,
@@ -16,7 +17,16 @@ from bandedge.perturbation import (
     nondegeneracy_check,
     perturbation_matrix,
 )
-from bandedge.verification import fiber_min_over_q
+from bandedge.verification import (
+    KS_FOLDED,
+    KS_LITERAL,
+    KS_ONE_MINUS_COS,
+    KS_SLACK,
+    KirschSimonReport,
+    _ks_dispersion,
+    fiber_min_over_q,
+    kirsch_simon_sandwich,
+)
 
 from conftest import random_hopping, random_potential, sign_changing
 
@@ -167,3 +177,31 @@ def test_pruned_grid_keeps_every_point_near_its_minimum(seed, d, N, n, real, per
     assert np.array_equal(values[kept], full[kept])
     assert (full[~kept] > values.min() + window).all()
     assert values.min() == full.min()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=seeds,
+    d=st.integers(min_value=1, max_value=2),
+    N=periods,
+    contrast=st.floats(min_value=0.0, max_value=8.0),
+    variant=st.sampled_from([KS_FOLDED, KS_ONE_MINUS_COS, KS_LITERAL]),
+)
+def test_certified_sandwich_matches_every_point_eigensolved(seed, d, N, contrast, variant):
+    rng = np.random.default_rng(seed)
+    hopping, _, _ = preset_model("alloy", d=d, N=N, W=list(rng.uniform(0.0, contrast, N**d)))
+    thetas = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, size=(64, d))
+    thetas[0] = 0.0
+    # the report with hopping.band_bottom at every point
+    ground = ground_space(hopping, np.zeros(d))
+    a_minus, a_plus = float(ground.basis[:, 0].real.min()), float(ground.basis[:, 0].real.max())
+    disp = _ks_dispersion(thetas, N, variant)[0]
+    lower = (a_minus / a_plus) ** 2 * disp
+    upper = (a_plus / a_minus) ** 2 * disp
+    motion = hopping.band_bottom(thetas) - ground.e0
+    violations = tuple(
+        {"theta": thetas[i].tolist(), "motion": motion[i], "lower": lower[i], "upper": upper[i]}
+        for i in np.flatnonzero((motion < lower - KS_SLACK) | (motion > upper + KS_SLACK))
+    )
+    expected = KirschSimonReport(a_minus, a_plus, variant, violations, len(thetas))
+    assert kirsch_simon_sandwich(hopping, thetas, variant) == expected

@@ -890,6 +890,8 @@ def test_kirsch_simon_diag_w():
     report = kirsch_simon_sandwich(hopping, grid, variant=KS_FOLDED)
     assert report.passed
     assert 0 < report.a_minus < report.a_plus
+    # a d = 1 grid may also be given as a flat array of thetas
+    assert kirsch_simon_sandwich(hopping, np.linspace(0.0, np.pi, 256)) == report
 
 
 def test_kirsch_simon_variants_differ():
@@ -906,6 +908,67 @@ def test_kirsch_simon_rejects_empty_grid(grid):
     hopping, _, _ = preset_model("alloy", N=2, W=[0.0, 1.0])
     with pytest.raises(ValueError, match="theta_grid is empty"):
         kirsch_simon_sandwich(hopping, grid)
+
+
+@pytest.mark.parametrize(
+    "d, grid, match",
+    [
+        (2, [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]], "shape"),  # was read as three points
+        (2, [0.1, 0.2], "shape"),
+        (1, [[0.1, 0.2]], "shape"),
+        (1, np.zeros((2, 1, 1)), "shape"),
+        (1, [0.1, np.nan], "non-finite"),  # was numpy's LinAlgError
+        (2, [[0.1, np.inf]], "non-finite"),
+    ],
+)
+def test_kirsch_simon_rejects_a_bad_grid_before_any_fiber(monkeypatch, d, grid, match):
+    hopping, _, _ = preset_model("alloy", d=d, N=2, W=[0.0, 1.0] * 2 ** (d - 1))
+    monkeypatch.setattr(HoppingOperator, "fibers", refuse("HoppingOperator.fibers"))
+    with pytest.raises(ValueError, match=match):
+        kirsch_simon_sandwich(hopping, grid)
+
+
+@pytest.mark.parametrize("d, N", [(1, 1), (1, 3), (2, 2), (2, 3)])
+def test_kirsch_simon_trial_quotient_lies_between_bottom_and_upper_side(d, N):
+    # lambda_min <= v^H M v / |v|^2 <= E0(0) + upper for the plane-wave trial
+    # state on the branch that attains the fold: a wrong sign of the phase or a
+    # wrong branch puts the quotient above the upper side
+    rng = np.random.default_rng(10 * d + N)
+    for contrast in (0.5, 2.0, 8.0):
+        hopping, _, _ = preset_model("alloy", d=d, N=N, W=list(rng.uniform(0.0, contrast, N**d)))
+        ground = ground_space(hopping, np.zeros(d))
+        psi = ground.basis[:, 0]
+        thetas = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, size=(64, d))
+        disp, kappa = verification._ks_dispersion(thetas, N, KS_FOLDED)
+        stack = hopping.fibers(thetas)
+        geom = hopping.geometry
+        quotients = verification._ks_trial_quotients(stack, psi, kappa, geom)
+        upper = (psi.real.max() / psi.real.min()) ** 2 * disp
+        tiny = 1e-12 * hopping.hopping_scale()
+        assert (np.linalg.eigvalsh(stack)[:, 0] - tiny <= quotients).all()
+        assert (quotients <= ground.e0 + upper + tiny).all()
+        # it reads the lower triangle alone, as eigvalsh does
+        lower = verification._ks_trial_quotients(np.tril(stack), psi, kappa, geom)
+        assert np.array_equal(lower, quotients)
+        # at theta = 0 the trial state is the ground state itself
+        zero = np.zeros((1, d))
+        at_zero = verification._ks_trial_quotients(hopping.fibers(zero), psi, zero, geom)
+        assert abs(at_zero[0] - ground.e0) <= tiny
+
+
+def test_kirsch_simon_solves_no_point_of_a_weak_alloy(monkeypatch):
+    # d = 2, N = 3, W in [0, 2]: the inertia test and the trial state prove
+    # every point of a 64^2 grid inside the folded sandwich
+    axis = np.linspace(0.0, 2.0 * np.pi / 3, 64, endpoint=False)
+    grid = np.stack([g.ravel() for g in np.meshgrid(axis, axis, indexing="ij")], -1)
+    rows = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: rows.append(len(a)) or eigvalsh(a))
+    backgrounds = [np.zeros(9), 2.0 * np.eye(9)[4], np.random.default_rng(1).uniform(0.0, 2.0, 9)]
+    for W in backgrounds:
+        hopping, _, _ = preset_model("alloy", d=2, N=3, W=list(W))
+        assert kirsch_simon_sandwich(hopping, grid, KS_FOLDED).passed
+    assert sum(rows) == 0
 
 
 def test_kirsch_simon_rejects_non_alloy():
