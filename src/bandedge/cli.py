@@ -40,7 +40,6 @@ def _add_model_argument(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--s-minus", type=float, default=None)
     parser.add_argument("--s-plus", type=float, default=None)
-    parser.add_argument("--regime", choices=["sign_changing", "positive"], default=None)
     parser.add_argument("--d", type=int, default=None, help="dimension for presets that take one")
     parser.add_argument("--N", type=int, default=None, help="period, alloy preset only")
     parser.add_argument("--W", default=None, help="comma-separated cell background, alloy preset")
@@ -48,7 +47,7 @@ def _add_model_argument(parser: argparse.ArgumentParser) -> None:
 
 def _model_params(args) -> dict:
     params = {}
-    for key in ("s_minus", "s_plus", "regime", "d", "N"):
+    for key in ("s_minus", "s_plus", "d", "N"):
         value = getattr(args, key)
         if value is not None:
             params[key] = value
@@ -303,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--variant",
         default=verification.KS_FOLDED,
-        choices=[verification.KS_FOLDED, verification.KS_ONE_MINUS_COS, verification.KS_LITERAL],
+        choices=verification.KS_VARIANTS,
     )
     p.set_defaults(func=cmd_verify_kirsch_simon)
 

@@ -200,22 +200,22 @@ class SingleCellPotential:
 
 @dataclass(frozen=True)
 class DisorderSupport:
-    """Endpoints (s_minus, s_plus) of the coupling support and the sign regime."""
+    """Endpoints s_minus < s_plus, with s_plus > 0, of the coupling support."""
 
     s_minus: float
     s_plus: float
-    regime: str  # "sign_changing" | "positive"
 
     SIGN_CHANGING = "sign_changing"
     POSITIVE = "positive"
 
     def __post_init__(self) -> None:
-        if self.regime not in (self.SIGN_CHANGING, self.POSITIVE):
-            raise ValueError(f"unknown regime {self.regime!r}")
-        if self.regime == self.SIGN_CHANGING and not self.s_minus < 0 < self.s_plus:
-            raise ValueError("sign-changing regime needs s_minus < 0 < s_plus")
-        if self.regime == self.POSITIVE and not 0 <= self.s_minus < self.s_plus:
-            raise ValueError("positive regime needs 0 <= s_minus < s_plus")
+        if not (self.s_minus < self.s_plus and self.s_plus > 0):
+            raise ValueError(f"support needs s_minus < s_plus and s_plus > 0, got {self}")
+
+    @property
+    def regime(self) -> str:
+        """Sign-changing couplings when s_minus < 0, nonnegative ones otherwise."""
+        return self.SIGN_CHANGING if self.s_minus < 0 else self.POSITIVE
 
     @property
     def coupling_scale(self) -> float:
@@ -248,8 +248,8 @@ def validate_hypotheses(
     """Check the standing model hypotheses and report each with a witness.
 
     Always returns a report; callers decide whether failures abort a run.
-    The disorder support needs no check here: ``DisorderSupport`` rejects a
-    support that does not fit its regime when it is built.
+    The disorder support needs no check here: ``DisorderSupport`` rejects an
+    invalid support when it is built.
     """
     geom = hopping.geometry
     checks: list[HypothesisCheck] = []
@@ -358,15 +358,10 @@ def preset_model(
     (V = delta_0 - delta_e1, N=2), ``quartic`` (H0 = squared 1-d Laplacian,
     N=3), ``alloy`` (-Delta + periodic W; requires ``W``).
     Disorder defaults to sign-changing couplings on [-1, 1]; override with
-    ``s_minus`` / ``s_plus`` / ``regime``.
+    ``s_minus`` / ``s_plus``.
     """
     name = name.lower()
-    s_minus = float(params.pop("s_minus", -1.0))
-    s_plus = float(params.pop("s_plus", 1.0))
-    regime = params.pop("regime", None)
-    if regime is None:
-        regime = DisorderSupport.SIGN_CHANGING if s_minus < 0 else DisorderSupport.POSITIVE
-    disorder = DisorderSupport(s_minus, s_plus, regime)
+    disorder = DisorderSupport(float(params.pop("s_minus", -1.0)), float(params.pop("s_plus", 1.0)))
 
     if name == "anderson":
         d = int(params.pop("d", 1))
@@ -421,28 +416,16 @@ def _reject_extra(name: str, params: dict) -> None:
         raise ValueError(f"unexpected parameters for preset {name!r}: {sorted(params)}")
 
 
-def alloy_periodic_background(hopping: HoppingOperator) -> np.ndarray | None:
-    """Recover W if the operator is -Delta + W (plus a constant); else None."""
-    geom = hopping.geometry
-    zero = (0,) * geom.d
-    laplacian = _laplacian_coefficients(geom)
-    diag = np.zeros(geom.cell_size)
-    for (k, kp, m), value in hopping:
-        if (k, kp, m) == (k, k, zero) and kp == k:
-            if abs(value.imag) > 1e-12:
-                return None
-            diag[geom.site_index(k)] = value.real - 2.0 * geom.d
-            continue
-        expected = laplacian.get((k, kp, m), 0.0)
-        if abs(value - expected) > 1e-12:
-            return None
-    for key, expected in laplacian.items():
-        k, kp, m = key
-        if k == kp and m == zero:
-            continue
-        if abs(hopping.coefficients.get(key, 0.0) - expected) > 1e-12:
-            return None
-    return diag
+def is_alloy(hopping: HoppingOperator) -> bool:
+    """Whether the operator is -Delta + W (plus a constant): a real diagonal and
+    the Laplacian's amplitudes off it."""
+    table, laplacian = hopping.coefficients, _laplacian_coefficients(hopping.geometry)
+    return all(
+        abs(table.get(key, 0.0).imag) <= 1e-12
+        if key[0] == key[1] and not any(key[2])
+        else abs(table.get(key, 0.0) - laplacian.get(key, 0.0)) <= 1e-12
+        for key in table.keys() | laplacian.keys()
+    )
 
 
 # --- JSON model files ----------------------------------------------------
@@ -482,12 +465,10 @@ def model_from_dict(data: dict) -> tuple[HoppingOperator, SingleCellPotential, D
         np.array([[complex(re, im) for re, im in row] for row in data["potential"]])
     )
     dis = data["disorder"]
-    regime = (
-        DisorderSupport.SIGN_CHANGING
-        if str(dis["regime"]).lower() in ("signchanging", "sign_changing")
-        else DisorderSupport.POSITIVE
-    )
-    disorder = DisorderSupport(float(dis["s_minus"]), float(dis["s_plus"]), regime)
+    disorder = DisorderSupport(float(dis["s_minus"]), float(dis["s_plus"]))
+    stated = str(dis.get("regime", disorder.regime)).lower() in ("signchanging", "sign_changing")
+    if stated != (disorder.regime == DisorderSupport.SIGN_CHANGING):
+        raise ValueError(f"regime {dis['regime']!r} contradicts the support {disorder}")
     return hopping, potential, disorder
 
 

@@ -17,7 +17,7 @@ from .model import (
     DisorderSupport,
     HoppingOperator,
     SingleCellPotential,
-    alloy_periodic_background,
+    is_alloy,
 )
 
 CASE_LINEAR = "Linear"
@@ -40,8 +40,12 @@ class PerturbationMatrix:
 
 @dataclass(frozen=True)
 class EdgeCoefficients:
+    """The coefficients at one minimizer, the report's per-theta row. A
+    sign-changing support sets A1 and A2, a nonnegative one A1' and A2'."""
+
     theta: np.ndarray
-    regime: str
+    p: int
+    gap: float | None
     P: np.ndarray
     A1: float | None
     A2: float | None
@@ -52,10 +56,10 @@ class EdgeCoefficients:
     V01_dim: int | None = None
 
     def first_order(self) -> float:
-        return self.A1 if self.regime == DisorderSupport.SIGN_CHANGING else self.A1_prime
+        return self.A1_prime if self.A1 is None else self.A1
 
     def second_order(self) -> float:
-        return self.A2 if self.regime == DisorderSupport.SIGN_CHANGING else self.A2_prime
+        return self.A2_prime if self.A2 is None else self.A2
 
 
 def perturbation_matrix(
@@ -228,7 +232,8 @@ def edge_coefficients(
         case = CASE_NO_MOTION
     return EdgeCoefficients(
         theta=ground.theta,
-        regime=disorder.regime,
+        p=ground.p,
+        gap=ground.gap,
         P=pert.P,
         case=case,
         nondegenerate=nondegeneracy_check(ground, potential),
@@ -269,7 +274,7 @@ class PFReport:
 
 def perron_frobenius_check(hopping: HoppingOperator) -> PFReport:
     """At theta = 0 the lowest fiber state of -Delta + W is simple and positive."""
-    if alloy_periodic_background(hopping) is None:
+    if not is_alloy(hopping):
         return PFReport(applicable=False)
     ground = ground_space(hopping, np.zeros(hopping.geometry.d))
     eigenvalues = ground.eigenvalues

@@ -48,9 +48,8 @@ class VerifyConfig:
     sampler: str = verification.SAMPLER_ENDPOINT
 
     def __post_init__(self) -> None:
-        for name, least in (("L", 1), ("samples", 0)):
-            if not isinstance(value := getattr(self, name), (int, np.integer)) or value < least:
-                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+        floquet._require_count("L", self.L, 1)
+        floquet._require_count("samples", self.samples, 0)
         if self.samples > 0 and self.seed is None:
             raise ValueError("a seed is required whenever samples > 0")
 
@@ -125,24 +124,10 @@ def coefficients_report(
         coeffs = perturbation.edge_coefficients(
             ground, potential, disorder, tol_case=config.tolerances.tol_case
         )
-        entry = {
-            "theta": list(map(float, theta)),
-            "p": ground.p,
-            "gap": ground.gap,
-            "P": [float(x) for x in coeffs.P],
-            "A1": coeffs.A1,
-            "A2": coeffs.A2,
-            "A1_prime": coeffs.A1_prime,
-            "A2_prime": coeffs.A2_prime,
-            "case": coeffs.case,
-            "nondegenerate": coeffs.nondegenerate,
-            "V01_dim": coeffs.V01_dim,
-            "bound": {repr(e): perturbation.edge_bound(coeffs, e) for e in config.epsilon_list},
-        }
-        rows.append((entry, ground, coeffs))
+        bound = {repr(e): perturbation.edge_bound(coeffs, e) for e in config.epsilon_list}
+        rows.append(({**dataclasses.asdict(coeffs), "bound": bound}, ground, coeffs))
     best, ground, coeffs = min(
-        rows,
-        key=lambda row: (min(row[0]["bound"].values(), default=0.0), tuple(row[0]["theta"])),
+        rows, key=lambda row: (min(row[0]["bound"].values(), default=0.0), tuple(row[2].theta))
     )
     report = {
         "E0": theta_set.E0,
@@ -166,9 +151,8 @@ def montecarlo_minima(
 ) -> list[verification.BoxSpectrumSample]:
     """Independent disorder realizations, one per seed seed + i, in seed order,
     all filled from one torus structure."""
-    for name, value in (("samples", samples), ("L", L)):
-        if not isinstance(value, (int, np.integer)) or value < 1:
-            raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+    floquet._require_count("samples", samples, 1)
+    floquet._require_count("L", L, 1)
     structure = verification.torus_structure(hopping, potential, L)
     return [
         verification.box_min_eig(

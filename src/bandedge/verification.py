@@ -16,13 +16,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .floquet import GroundSpaceData, build_floquet, grid_band_bottom, ground_space
-from .floquet import _certificate_margin, _proven_above
+from .floquet import _certificate_margin, _proven_above, _require_count
 from .model import (
     ConvergenceError,
     DisorderSupport,
     HoppingOperator,
     SingleCellPotential,
-    alloy_periodic_background,
+    is_alloy,
     preset_model,
 )
 from .perturbation import (
@@ -183,24 +183,18 @@ def _apply_lattice_operator(
 ) -> np.ndarray:
     """Apply H0 + coupling * (potential in every cell) to a truncated vector.
 
-    One space dimension; ``u`` covers n_cells consecutive cells, zero outside.
+    One space dimension; ``u`` covers n_cells consecutive cells, zero outside,
+    so over the offset stack y[c] += H_m u[c + m/N] wherever c + m/N is a cell.
     """
-    geom = hopping.geometry
-    if geom.d != 1:
+    if hopping.geometry.d != 1:
         raise NotImplementedError("direct lattice application implemented for d = 1")
-    N = geom.N
-    size = n_cells * N
-    y = np.zeros(size, dtype=complex)
-    for (k, kp, m), value in hopping:
-        shift = kp[0] + m[0] - k[0]
-        xs = np.arange(k[0], size, N)
-        targets = xs + shift
-        valid = (targets >= 0) & (targets < size)
-        y[xs[valid]] += value * u[targets[valid]]
-    if coupling != 0.0:
-        blocks = u.reshape(n_cells, N)
-        y += coupling * (blocks @ potential.matrix.T).reshape(size)
-    return y
+    cells = u.reshape(n_cells, hopping.geometry.N)
+    y = coupling * cells @ potential.matrix.T
+    for (m,), block in zip(hopping.offsets, hopping.blocks):
+        t = round(m / hopping.geometry.N)
+        lo, hi = max(0, -t), n_cells - max(0, t)
+        y[lo:hi] += cells[lo + t : hi + t] @ block.T
+    return y.reshape(-1)
 
 
 def quasiperiodic_rayleigh(
@@ -554,8 +548,7 @@ def box_min_eig(
     factor up to ``dense_cutoff`` sites and by the Weyl bound past it, else
     ``ConvergenceError``. Bad input raises ``ValueError`` before any structure is
     built. See README, ``bandedge.verification``."""
-    if not isinstance(L, (int, np.integer)) or L < 1:
-        raise ValueError(f"L must be a positive integer, got {L!r}")
+    _require_count("L", L, 1)
     if not 0 <= epsilon < np.inf:
         raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
     if q is not None and not np.isfinite(q):
@@ -601,8 +594,7 @@ def torus_dual_minimum(
     window 0: a point its LDL^H inertia test (margin delta) proves above the
     minimum is +inf and not eigensolved, so the minimum keeps its bits.
     """
-    if not isinstance(L, (int, np.integer)) or L < 1:
-        raise ValueError(f"L must be a positive integer, got {L!r}")
+    _require_count("L", L, 1)
     return float(grid_band_bottom(hopping, L, 0.0, epsilon * q * potential.matrix)[1].min())
 
 
@@ -638,23 +630,18 @@ def fit_exponent(epsilons, values) -> ExponentFit:
 QUARTIC_TRIAL_K = 4.0
 
 
-def quartic_required_n(epsilon: float, xi: float, K: float = QUARTIC_TRIAL_K) -> int:
+def quartic_required_n(epsilon: float, xi: float) -> int:
     """Default window, in cells, for the quartic trial state: ceil(K eps^-(1+2xi)).
 
     The sharp cut at the window ends adds about 4/(3K) eps^(1+2xi) to the
-    quotient, a third of eps^(1+2xi) at the default K = 4. That is twice the
-    (1/6) eps^(1+2xi) target, so this window does not make truncation
+    quotient, a third of eps^(1+2xi) at K = QUARTIC_TRIAL_K = 4. That is twice
+    the (1/6) eps^(1+2xi) target, so this window does not make truncation
     negligible; the cost falls only as 1/K.
     """
-    return int(np.ceil(K * epsilon ** -(1.0 + 2.0 * xi)))
+    return int(np.ceil(QUARTIC_TRIAL_K * epsilon ** -(1.0 + 2.0 * xi)))
 
 
-def quartic_trial_energy(
-    epsilon: float,
-    xi: float,
-    n: int | None = None,
-    K: float = QUARTIC_TRIAL_K,
-) -> float:
+def quartic_trial_energy(epsilon: float, xi: float, n: int | None = None) -> float:
     """Rayleigh quotient of the two-momentum trial state for the quartic model.
 
     The trial state superposes the theta = 0 ground state and an
@@ -665,13 +652,13 @@ def quartic_trial_energy(
         raise ValueError("xi must exceed 1/4")
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
-    required = quartic_required_n(max(epsilon, 1e-6), xi, K)
+    required = quartic_required_n(max(epsilon, 1e-6), xi)
     if n is None:
         n = required
     elif epsilon > 0 and n < required:
         raise ValueError(
             f"n={n} too small for epsilon={epsilon}, xi={xi}: the window cut adds "
-            f"more than {4.0 / (3.0 * K):.3g} eps^(1+2xi) to the quotient; "
+            f"more than {4.0 / (3.0 * QUARTIC_TRIAL_K):.3g} eps^(1+2xi) to the quotient; "
             f"need n >= {required}"
         )
 
@@ -693,6 +680,7 @@ def quartic_trial_energy(
 KS_FOLDED = "folded"
 KS_ONE_MINUS_COS = "one_minus_cos"
 KS_LITERAL = "literal"
+KS_VARIANTS = (KS_FOLDED, KS_ONE_MINUS_COS, KS_LITERAL)
 KS_SLACK = 1e-9  # band motion may leave the Kirsch-Simon sandwich by this much
 
 
@@ -709,9 +697,7 @@ def _ks_dispersion(thetas: np.ndarray, N: int, variant: str) -> tuple[np.ndarray
         return np.sum(1.0 - np.cos(thetas), axis=1), kappa
     if variant == KS_LITERAL:
         return 2 * d - np.sum(np.cos(thetas), axis=1), kappa
-    if variant == KS_FOLDED:
-        return folded.min(axis=1), kappa
-    raise ValueError(f"unknown dispersion variant {variant!r}")
+    return folded.min(axis=1), kappa
 
 
 def _ks_trial_quotients(stack: np.ndarray, psi: np.ndarray, kappa: np.ndarray, geom) -> np.ndarray:
@@ -747,7 +733,9 @@ def kirsch_simon_sandwich(
     (a_minus/a_plus)^2 and (a_plus/a_minus)^2 times the ``variant`` dispersion,
     a_minus and a_plus the extreme entries of the positive ground state at
     theta = 0 (Kirsch & Simon, J. Funct. Anal. 75, 1987)."""
-    if alloy_periodic_background(hopping) is None:
+    if variant not in KS_VARIANTS:
+        raise ValueError(f"unknown dispersion variant {variant!r}")
+    if not is_alloy(hopping):
         raise ValueError("sandwich check applies only to operators of the form -Delta + W")
     geom = hopping.geometry
     thetas = np.asarray(theta_grid, dtype=float)

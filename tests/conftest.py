@@ -33,9 +33,7 @@ def random_potential(rng: np.random.Generator, size: int) -> SingleCellPotential
 
 
 def sign_changing(rng: np.random.Generator) -> DisorderSupport:
-    return DisorderSupport(
-        -float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.2, 2.0)), DisorderSupport.SIGN_CHANGING
-    )
+    return DisorderSupport(-float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.2, 2.0)))
 
 
 def no_motion_model():
@@ -49,7 +47,7 @@ def no_motion_model():
     }
     hopping = HoppingOperator(geom, coeffs)
     potential = SingleCellPotential(np.diag([0.0, 1.0]))
-    disorder = DisorderSupport(-1.0, 1.0, DisorderSupport.SIGN_CHANGING)
+    disorder = DisorderSupport(-1.0, 1.0)
     return hopping, potential, disorder
 
 

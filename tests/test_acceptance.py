@@ -225,7 +225,7 @@ def test_criterion_5_lower_bound_remainders():
 def test_criterion_6_positive_regime_trichotomy():
     clauses = {}
     hopping, potential, _ = preset_model("dipole")
-    disorder = DisorderSupport(0.0, 1.0, DisorderSupport.POSITIVE)
+    disorder = DisorderSupport(0.0, 1.0)
     coeffs = edge_coefficients(ground_space(hopping, [0.0]), potential, disorder)
     clauses["dipole (0,1) case Quadratic"] = coeffs.case == CASE_QUADRATIC
     clauses["dipole (0,1) A2' = -1/4"] = abs(coeffs.A2_prime + 0.25) <= 1e-10

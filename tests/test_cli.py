@@ -208,9 +208,10 @@ def test_verify_config_requires_seed():
     [
         (dict(L=0, samples=2), "L must be an integer of at least 1"),
         (dict(L=2.0), "L must be an integer of at least 1"),
+        (dict(L=True), "L must be an integer of at least 1"),
         (dict(samples=-2, seed=1), "samples must be an integer of at least 0"),
     ],
-    ids=["L0", "L-float", "samples-negative"],
+    ids=["L0", "L-float", "L-bool", "samples-negative"],
 )
 def test_verify_config_rejects_bad_counts(kwargs, message):
     with pytest.raises(ValueError, match=message):
@@ -224,8 +225,9 @@ def test_verify_config_rejects_bad_counts(kwargs, message):
         (-2, 16, "samples must be an integer of at least 1"),
         (3, 0, "L must be an integer of at least 1"),
         (3, 2.0, "L must be an integer of at least 1"),
+        (True, 16, "samples must be an integer of at least 1"),
     ],
-    ids=["samples0", "samples-negative", "L0", "L-float"],
+    ids=["samples0", "samples-negative", "L0", "L-float", "samples-bool"],
 )
 def test_montecarlo_rejects_bad_counts_before_any_structure(monkeypatch, samples, L, message):
     monkeypatch.setattr(verification, "torus_structure", refuse("torus_structure"))
@@ -300,6 +302,17 @@ def test_model_file_round_trip_through_cli(tmp_path, capsys):
     status, out = run_cli(capsys, "coefficients", "--model", str(path))
     assert status == 0
     assert json.loads(out)["A2"] == pytest.approx(-0.25, abs=1e-10)
+
+
+def test_regime_follows_s_minus_without_an_option(capsys):
+    status, out = run_cli(capsys, "coefficients", "--model", "anderson", "--s-minus", "0")
+    assert status == 0
+    best = json.loads(out)
+    assert best["A1"] is None and best["A1_prime"] == pytest.approx(0.0)
+    with pytest.raises(SystemExit) as exc:
+        main(["coefficients", "--model", "anderson", "--regime", "positive"])
+    assert exc.value.code != 0
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_run_rejects_format_option(capsys):

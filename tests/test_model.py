@@ -8,6 +8,7 @@ from bandedge.model import (
     HoppingOperator,
     LatticeGeometry,
     SingleCellPotential,
+    is_alloy,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -79,11 +80,46 @@ def test_validate_flags_trivial_hopping():
 
 
 def test_disorder_regime_constraints():
-    with pytest.raises(ValueError):
-        DisorderSupport(0.5, 1.0, DisorderSupport.SIGN_CHANGING)
-    with pytest.raises(ValueError):
-        DisorderSupport(-0.5, 1.0, DisorderSupport.POSITIVE)
-    DisorderSupport(0.0, 1.0, DisorderSupport.POSITIVE)
+    # a support needs s_minus < s_plus and s_plus > 0; s_minus's sign sets the regime
+    for s_minus, s_plus in ((0.5, 0.5), (1.0, 0.5), (-1.0, 0.0), (-2.0, -1.0), (np.nan, 1.0)):
+        with pytest.raises(ValueError, match="support needs"):
+            DisorderSupport(s_minus, s_plus)
+    assert DisorderSupport(-0.5, 1.0).regime == DisorderSupport.SIGN_CHANGING
+    assert DisorderSupport(0.0, 1.0).regime == DisorderSupport.POSITIVE
+    assert DisorderSupport(0.5, 1.0).regime == DisorderSupport.POSITIVE
+    with pytest.raises(TypeError):
+        DisorderSupport(-1.0, 1.0, DisorderSupport.POSITIVE)
+    with pytest.raises(ValueError, match="unexpected parameters"):
+        preset_model("anderson", regime=DisorderSupport.POSITIVE)
+
+
+def alloy_table(geom: LatticeGeometry) -> dict:
+    hopping, _, _ = preset_model("alloy", d=geom.d, N=geom.N, W=[0.0] * geom.cell_size)
+    return dict(hopping.coefficients)
+
+
+def test_is_alloy_accepts_laplacian_plus_real_diagonal():
+    anderson, _, _ = preset_model("anderson", d=2)
+    alloy, _, _ = preset_model("alloy", d=2, N=3, W=list(np.linspace(0.0, 2.0, 9)))
+    for hopping in (anderson, alloy, alloy.shifted(0.7)):
+        assert is_alloy(hopping)
+    # no explicit diagonal entries: -Delta + W with W = -2d
+    geom = LatticeGeometry(1, 2)
+    table = alloy_table(geom)
+    bonds = {key: value for key, value in table.items() if key[0] != key[1] or any(key[2])}
+    assert is_alloy(HoppingOperator(geom, bonds))
+
+
+def test_is_alloy_rejects_other_tables():
+    geom = LatticeGeometry(1, 2)
+    complex_diagonal = alloy_table(geom) | {((1,), (1,), (0,)): 2.0 + 1e-6j}
+    next_nearest = alloy_table(geom) | {((0,), (0,), (2,)): -0.5, ((0,), (0,), (-2,)): -0.5}
+    missing_bond = alloy_table(geom)
+    del missing_bond[((0,), (1,), (0,))], missing_bond[((1,), (0,), (0,))]
+    for table in (complex_diagonal, next_nearest, missing_bond):
+        assert not is_alloy(HoppingOperator(geom, table))
+    quartic, _, _ = preset_model("quartic")
+    assert not is_alloy(quartic)
 
 
 def test_shift_laplacian_is_noop():
@@ -155,13 +191,31 @@ def test_serialization_round_trip_exact(tmp_path):
     rng = np.random.default_rng(11)
     hopping = random_hopping(rng, N=3)
     potential = random_potential(rng, hopping.geometry.cell_size)
-    disorder = DisorderSupport(-0.7, 1.3, DisorderSupport.SIGN_CHANGING)
+    disorder = DisorderSupport(-0.7, 1.3)
     path = tmp_path / "model.json"
     save_model(path, hopping, potential, disorder)
     h2, p2, d2 = load_model(path)
     assert h2.coefficients == hopping.coefficients
     assert np.array_equal(p2.matrix, potential.matrix)
     assert (d2.s_minus, d2.s_plus, d2.regime) == (-0.7, 1.3, disorder.regime)
+
+
+@pytest.mark.parametrize(
+    "s_minus, regime", [(-1.0, "SignChanging"), (0.0, "Positive"), (0.5, "Positive")]
+)
+def test_model_file_regime_follows_the_support(tmp_path, s_minus, regime):
+    hopping, potential, _ = preset_model("dipole", s_minus=s_minus, s_plus=1.0)
+    path = tmp_path / "model.json"
+    save_model(path, hopping, potential, DisorderSupport(s_minus, 1.0))
+    data = json.loads(path.read_text())
+    assert data["disorder"] == {"s_minus": s_minus, "s_plus": 1.0, "regime": regime}
+    assert f'"regime": "{regime}"' in path.read_text()
+    # a file may leave the regime out, but may not contradict its support
+    del data["disorder"]["regime"]
+    assert model_from_dict(data)[2] == DisorderSupport(s_minus, 1.0)
+    data["disorder"]["regime"] = "Positive" if regime == "SignChanging" else "sign_changing"
+    with pytest.raises(ValueError, match="contradicts the support"):
+        model_from_dict(data)
 
 
 def test_model_dict_schema_fields():

@@ -70,14 +70,14 @@ def test_coeff_A1_arithmetic():
     class FakePert:
         P = np.array([-2.0, 3.0])
 
-    disorder = DisorderSupport(-1.0, 2.0, DisorderSupport.SIGN_CHANGING)
+    disorder = DisorderSupport(-1.0, 2.0)
     assert coeff_A1(FakePert, disorder) == -4.0
 
 
 def test_coeff_A1_wrong_regime():
     ground, potential, _ = _ground("anderson")
     pert = perturbation_matrix(ground, potential)
-    disorder = DisorderSupport(0.0, 1.0, DisorderSupport.POSITIVE)
+    disorder = DisorderSupport(0.0, 1.0)
     with pytest.raises(ValueError):
         coeff_A1(pert, disorder)
 
@@ -119,7 +119,7 @@ def test_coeff_A2_variational_quartic_negative():
 
 def test_positive_regime_dipole():
     ground, potential, _ = _ground("dipole")
-    disorder = DisorderSupport(0.0, 1.0, DisorderSupport.POSITIVE)
+    disorder = DisorderSupport(0.0, 1.0)
     coeffs = edge_coefficients(ground, potential, disorder)
     assert coeffs.A1_prime == pytest.approx(0.0, abs=1e-12)
     assert coeffs.A2_prime == pytest.approx(-0.25, abs=1e-12)
@@ -133,20 +133,20 @@ def test_positive_regime_second_order_over_v01():
     ground = ground_space(hopping, [np.pi / 2, 0.0])
     potential = random_potential(np.random.default_rng(5), 4)
     pert = perturbation_matrix(ground, potential)
-    positive = DisorderSupport(0.0, 1.0, DisorderSupport.POSITIVE)
+    positive = DisorderSupport(0.0, 1.0)
     coeffs = edge_coefficients(ground, potential, positive)
     assert ground.p == 2 and coeffs.V01_dim == 1
     variational = coeff_A2_variational(ground, pert, potential, positive, seed=1)
     assert abs(coeffs.A2_prime - variational) <= 1e-8 * (1.0 + abs(coeffs.A2_prime))
     # the same c^2 = 1 over the whole ground space reaches further
-    sign_changing = DisorderSupport(-1.0, 1.0, DisorderSupport.SIGN_CHANGING)
+    sign_changing = DisorderSupport(-1.0, 1.0)
     assert edge_coefficients(ground, potential, sign_changing).A2 < coeffs.A2_prime - 0.1
 
 
 def test_positive_regime_arithmetic():
     # A1' = min(s_plus * P1, s_minus * P1) with support (1, 3) and P1 = +-1
     ground, _, _ = _ground("anderson")
-    disorder = DisorderSupport(1.0, 3.0, DisorderSupport.POSITIVE)
+    disorder = DisorderSupport(1.0, 3.0)
     for sign, expected in ((1.0, 1.0), (-1.0, -3.0)):
         potential = SingleCellPotential(np.array([[sign]]))
         assert edge_coefficients(ground, potential, disorder).A1_prime == expected
@@ -194,7 +194,7 @@ def test_edge_bound_values():
 
 def test_positive_linear_with_zero_s_minus():
     ground, potential, _ = _ground("anderson")
-    disorder = DisorderSupport(0.0, 1.0, DisorderSupport.POSITIVE)
+    disorder = DisorderSupport(0.0, 1.0)
     coeffs = edge_coefficients(ground, potential, disorder)
     assert coeffs.case == CASE_LINEAR
     assert coeffs.A1_prime == 0.0

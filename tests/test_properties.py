@@ -61,7 +61,7 @@ def test_closed_form_matches_variational(seed, N, positive):
     # positive couplings take the second order over V01 instead of the ground space
     hopping, potential, disorder = _model(seed, N)
     if positive:
-        disorder = DisorderSupport(0.5, 1.5, DisorderSupport.POSITIVE)
+        disorder = DisorderSupport(0.5, 1.5)
     ground = ground_space(hopping, [0.4])
     if ground.gap is None or ground.gap < 0.1:
         return
@@ -78,7 +78,7 @@ def test_flip_symmetry(seed, N, theta):
     hopping, potential, disorder = _model(seed, N)
     ground = ground_space(hopping, [theta % (2 * np.pi / N)])
     flipped_v = SingleCellPotential(-potential.matrix)
-    flipped_s = DisorderSupport(-disorder.s_plus, -disorder.s_minus, disorder.regime)
+    flipped_s = DisorderSupport(-disorder.s_plus, -disorder.s_minus)
     pert = perturbation_matrix(ground, potential)
     pert_f = perturbation_matrix(ground, flipped_v)
     assert abs(coeff_A1(pert, disorder) - coeff_A1(pert_f, flipped_s)) < 1e-10
@@ -95,7 +95,7 @@ def test_scaling_covariance(seed, N, c):
     hopping, potential, disorder = _model(seed, N)
     ground = ground_space(hopping, [0.3])
     scaled_v = SingleCellPotential(c * potential.matrix)
-    scaled_s = DisorderSupport(disorder.s_minus / c, disorder.s_plus / c, disorder.regime)
+    scaled_s = DisorderSupport(disorder.s_minus / c, disorder.s_plus / c)
     pert = perturbation_matrix(ground, potential)
     pert_s = perturbation_matrix(ground, scaled_v)
     a1 = coeff_A1(pert, disorder)

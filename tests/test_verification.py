@@ -188,10 +188,10 @@ def test_dual_grid_complex_potential_matches_torus(d):
         assert abs(sample.lambda_min - dual) < 1e-10
 
 
-@pytest.mark.parametrize("L", [0, -1, 2.0])
+@pytest.mark.parametrize("L", [0, -1, 2.0, True])
 def test_torus_dual_minimum_rejects_bad_L(L):
     hopping, potential, _ = preset_model("anderson")
-    with pytest.raises(ValueError, match="L must be a positive integer"):
+    with pytest.raises(ValueError, match="L must be an integer of at least 1"):
         torus_dual_minimum(hopping, potential, 0.05, -1.0, L)
 
 
@@ -546,7 +546,7 @@ def two_minimizer_chain():
     return (
         HoppingOperator(geom, coeffs),
         SingleCellPotential(np.diag([1.0, -1.0])),
-        DisorderSupport(-1.0, 1.0, DisorderSupport.SIGN_CHANGING),
+        DisorderSupport(-1.0, 1.0),
     )
 
 
@@ -723,7 +723,7 @@ def test_box_sparse_certificate_rejects_the_second_eigenpair(monkeypatch):
 def on_site_torus(value):
     """An on-site-only table in d = 2: the torus is value * I."""
     hopping = HoppingOperator(LatticeGeometry(d=2, N=1), {((0, 0), (0, 0), (0, 0)): value})
-    disorder = DisorderSupport(-1.0, 1.0, DisorderSupport.SIGN_CHANGING)
+    disorder = DisorderSupport(-1.0, 1.0)
     return hopping, SingleCellPotential(np.eye(1)), disorder
 
 
@@ -749,14 +749,15 @@ def _nan_table():
 @pytest.mark.parametrize(
     "model,epsilon,L,q,message",
     [
-        (lambda: preset_model("anderson"), 0.05, 0, 1.0, "L must be a positive integer"),
-        (lambda: preset_model("anderson"), 0.05, 2.0, 1.0, "L must be a positive integer"),
+        (lambda: preset_model("anderson"), 0.05, 0, 1.0, "L must be an integer of at least 1"),
+        (lambda: preset_model("anderson"), 0.05, 2.0, 1.0, "L must be an integer of at least 1"),
+        (lambda: preset_model("anderson"), 0.05, True, 1.0, "L must be an integer of at least 1"),
         (lambda: preset_model("anderson"), -0.01, 64, 1.0, "epsilon must be finite"),
         (lambda: preset_model("anderson"), float("inf"), 64, 1.0, "epsilon must be finite"),
         (lambda: preset_model("anderson", d=2), 0.05, 72, float("nan"), "q must be finite"),
         (_nan_table, 0.05, 72, 1.0, "hopping amplitudes and potential entries"),
     ],
-    ids=["L0", "L-float", "eps-negative", "eps-inf", "q-nan", "hopping-nan"],
+    ids=["L0", "L-float", "L-bool", "eps-negative", "eps-inf", "q-nan", "hopping-nan"],
 )
 def test_box_rejects_bad_input_before_assembly(monkeypatch, capfd, model, epsilon, L, q, message):
     monkeypatch.setattr("bandedge.verification.assemble_torus", refuse("assemble_torus"))
@@ -876,6 +877,36 @@ def test_quartic_trial_scale():
     assert abs(value) < 10.0 * epsilon ** (1.0 + 2.0 * xi)
 
 
+def _dense_open_chain(hopping, potential, coupling, n_cells):
+    """H0 + coupling * (potential in every cell) on n_cells cells, entry by entry."""
+    N = hopping.geometry.N
+    matrix = np.zeros((n_cells * N, n_cells * N), dtype=complex)
+    for c in range(n_cells):
+        for ((k,), (kp,), (m,)), value in hopping:
+            if 0 <= c + m // N < n_cells:
+                matrix[c * N + k, (c + m // N) * N + kp] += value
+        matrix[c * N : (c + 1) * N, c * N : (c + 1) * N] += coupling * potential.matrix
+    return matrix
+
+
+@pytest.mark.parametrize("dtype", ["real", "complex"])
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("n_cells", [1, 2, 5])
+@pytest.mark.parametrize("coupling", [0.0, 0.3])
+def test_apply_lattice_operator_matches_dense_open_chain(dtype, N, n_cells, coupling):
+    # at n_cells = 1 the slices of the +-1-cell blocks are empty
+    rng = np.random.default_rng(100 * N + n_cells)
+    hopping = random_hopping(rng, N=N)
+    if dtype == "real":
+        table = {key: value.real for key, value in hopping.coefficients.items()}
+        hopping = HoppingOperator(hopping.geometry, table)
+    potential = random_potential(rng, N)
+    u = rng.standard_normal(n_cells * N) + 1j * rng.standard_normal(n_cells * N)
+    applied = verification._apply_lattice_operator(hopping, potential, coupling, u, n_cells)
+    expected = _dense_open_chain(hopping, potential, coupling, n_cells) @ u
+    assert np.allclose(applied, expected, rtol=0, atol=1e-13 * hopping.hopping_scale())
+
+
 def test_kirsch_simon_free_laplacian_equality():
     hopping, _, _ = preset_model("alloy", N=1, W=[0.0])
     grid = [[t] for t in np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)]
@@ -969,6 +1000,14 @@ def test_kirsch_simon_solves_no_point_of_a_weak_alloy(monkeypatch):
         hopping, _, _ = preset_model("alloy", d=2, N=3, W=list(W))
         assert kirsch_simon_sandwich(hopping, grid, KS_FOLDED).passed
     assert sum(rows) == 0
+
+
+def test_kirsch_simon_rejects_an_unknown_variant_before_any_fiber(monkeypatch):
+    monkeypatch.setattr(verification, "ground_space", refuse("ground_space"))
+    monkeypatch.setattr(HoppingOperator, "fibers", refuse("HoppingOperator.fibers"))
+    hopping, _, _ = preset_model("alloy", N=2, W=[0.0, 1.0])
+    with pytest.raises(ValueError, match="unknown dispersion variant 'bogus'"):
+        kirsch_simon_sandwich(hopping, [[0.0]], variant="bogus")
 
 
 def test_kirsch_simon_rejects_non_alloy():
