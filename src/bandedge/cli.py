@@ -324,7 +324,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    support = [getattr(args, key, None) for key in ("s_minus", "s_plus")]
+    if support != [None, None]:
+        try:  # an endpoint not given keeps the presets' default, -1 or 1
+            model.DisorderSupport(*(d if v is None else v for v, d in zip(support, (-1.0, 1.0))))
+        except ValueError:
+            parser.error("support needs s_minus < s_plus and s_plus > 0")
     return args.func(args)
 
 

@@ -6,6 +6,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .model import ConvergenceError, HoppingOperator
 
@@ -110,29 +111,27 @@ def _require_count(name: str, value, least: int) -> None:
 
 
 def _proven_above(stack: np.ndarray, shift) -> np.ndarray:
-    """Whether LDL^H of each matrix of ``stack`` minus shift*I (one shift, or one
-    per matrix) has only positive pivots.  It reads the lower triangle alone, as eigvalsh does."""
+    """Whether LAPACK Cholesky of each matrix of ``stack`` minus shift*I (one
+    shift, or one per matrix) has only finite positive pivots, from one batched
+    ?potrf call.  It reads the lower triangle alone, as eigvalsh does.  A failed
+    factor is NaN, and a NaN pivot passes potrf's ``<= 0`` test: every pivot is checked."""
     a = stack - np.multiply.outer(shift, np.eye(stack.shape[-1]))
-    above = np.ones(len(stack), dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for k in range(stack.shape[-1]):
-            pivot = a[:, k, k].real
-            above &= pivot > 0  # a NaN after a failed pivot compares False
-            column = a[:, k + 1 :, k]
-            a[:, k + 1 :, k + 1 :] -= (column / pivot[:, None])[:, :, None] * column[:, None].conj()
-    return above
+    with np.errstate(all="ignore"):
+        pivots = np.diagonal(_umath_linalg.cholesky_lo(a, signature="D->D", out=a), 0, -2, -1).real
+    return ((pivots > 0) & (pivots < np.inf)).all(-1)
 
 
 def _certificate_margin(hopping: HoppingOperator, level, perturbation=None):
     """delta = 8 n (n+1) u (scale + |level|) for the n x n fibers of ``hopping``
     plus ``perturbation``, the margin of the certificates on eigvalsh's bottom.
 
-    Higham, Accuracy and Stability of Numerical Algorithms (2nd ed.), Thm 10.3
-    for LDL^H: positive pivots from A - sI give L D L^H = A - sI + E with
-    |E| <= g |L| D |L^H|, g = gamma_(n+1) <= 3 (n+1) u for complex data.  As
-    D > 0, ||E|| <= g trace(L D L^H) <= g n ||A - sI + E||, so lambda_min(A)
-    > s - ||E|| >= s - 6 n (n+1) u (||A|| + |s|), with ||A|| <= scale (the
-    fiber's hopping_scale() plus the perturbation's entry sum).  delta leaves
+    Higham, Accuracy and Stability of Numerical Algorithms (2nd ed.), Thm 10.3,
+    which holds for any order of the inner products: Cholesky of A - sI that
+    runs to completion gives L L^H = A - sI + E with |E| <= g |L| |L^H|,
+    g = gamma_(n+1) <= 3 (n+1) u for complex data.  So ||E|| <= g ||L||_F^2 =
+    g trace(L L^H) <= g n ||A - sI + E||, and lambda_min(A) > s - ||E|| >=
+    s - 6 n (n+1) u (||A|| + |s|), with ||A|| <= scale (the fiber's
+    hopping_scale() plus the perturbation's entry sum).  delta leaves
     2 n (n+1) u (scale + |s|) for the rounding of the level and of eigvalsh;
     the certificate and eigvalsh read the same rounded fiber sums.
     """
@@ -149,10 +148,10 @@ def grid_band_bottom(
     within ``window`` of the grid minimum, with the bits of ``band_bottom``.
 
     The bottoms at every COARSE_STRIDE-th point per axis, kept there, bound the
-    minimum by ``upper``.  Another point where LDL^H of M - s*I, s = upper +
-    window + delta, has only positive pivots has lambda_min > upper + window;
-    it is not eigensolved and gets +inf.  delta covers that factorization's
-    backward error.
+    minimum by ``upper``.  Another point where Cholesky of M - s*I, s = upper +
+    window + delta, has only finite positive pivots has lambda_min > upper +
+    window; it is not eigensolved and gets +inf.  delta covers that
+    factorization's backward error.
 
     A real table and perturbation give M(-theta) = conj M(theta), and M has
     period 2pi/N per axis, so points j and (-j) mod n share a bottom: only the
@@ -191,7 +190,7 @@ def scan_theta_set(
     """Locate the minimizer set of the lowest band over [0, 2pi/N)^d.
 
     A coarse grid scan (``grid_band_bottom`` with window tol_theta: a point
-    its LDL^H inertia test proves more than tol_theta above the grid minimum is
+    its Cholesky test proves more than tol_theta above the grid minimum is
     +inf and never kept), then local torus bisection around every point within
     tol_theta of the running minimum (at most MAX_CANDIDATES of the lowest
     ones); each round's deduplicated points are evaluated as one batch.  Runs

@@ -466,8 +466,11 @@ def model_from_dict(data: dict) -> tuple[HoppingOperator, SingleCellPotential, D
     )
     dis = data["disorder"]
     disorder = DisorderSupport(float(dis["s_minus"]), float(dis["s_plus"]))
-    stated = str(dis.get("regime", disorder.regime)).lower() in ("signchanging", "sign_changing")
-    if stated != (disorder.regime == DisorderSupport.SIGN_CHANGING):
+    stated = str(dis.get("regime", disorder.regime)).lower()
+    sign_changing = {"signchanging": True, "sign_changing": True, "positive": False}
+    if stated not in sign_changing:
+        raise ValueError(f"unknown regime {dis['regime']!r}: expected SignChanging or Positive")
+    if sign_changing[stated] != (disorder.regime == DisorderSupport.SIGN_CHANGING):
         raise ValueError(f"regime {dis['regime']!r} contradicts the support {disorder}")
     return hopping, potential, disorder
 

@@ -591,7 +591,7 @@ def torus_dual_minimum(
 
     The torus of L^d cells is exactly the direct sum of fibers on the dual
     grid theta_j = 2 pi j / (L N), which ``grid_band_bottom`` solves with
-    window 0: a point its LDL^H inertia test (margin delta) proves above the
+    window 0: a point its Cholesky test (margin delta) proves above the
     minimum is +inf and not eigensolved, so the minimum keeps its bits.
     """
     _require_count("L", L, 1)
@@ -758,7 +758,7 @@ def kirsch_simon_sandwich(
     lower = (a_minus / a_plus) ** 2 * disp
     upper = (a_plus / a_minus) ** 2 * disp
     # Rounding is monotone, so a bottom in [s_lo, s_hi] is never flagged.  Below:
-    # _certificate_margin's LDL^H test at s_lo + delta.  Above: lambda_min(A) <=
+    # _certificate_margin's Cholesky test at s_lo + delta.  Above: lambda_min(A) <=
     # the exact quotient q of the computed trial state v, A as eigvalsh reads it;
     # its two products are off by (n+2) u |v|^T |A| |v| <= (n+2) u scale |v|^2 each,
     # the norm and division by (n+3) u |q| <= (n+3) u (scale + |s_hi|); so quotient

@@ -295,6 +295,25 @@ def test_cli_rejects_bad_counts(monkeypatch, capsys, argv, message):
     assert f"must be {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "support",
+    [
+        ["--s-minus", "2"],
+        ["--s-plus", "-0.5"],
+        ["--s-minus", "0.5", "--s-plus", "0.5"],
+        ["--s-minus", "nan"],
+    ],
+)
+def test_cli_rejects_an_invalid_support(monkeypatch, capsys, support):
+    monkeypatch.setattr(pipeline, "resolve_model", refuse("resolve_model"))
+    with pytest.raises(SystemExit) as exc:
+        main(["coefficients", "--model", "anderson", *support])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: support needs s_minus < s_plus and s_plus > 0" in err
+    assert "Traceback" not in err
+
+
 def test_model_file_round_trip_through_cli(tmp_path, capsys):
     hopping, potential, disorder = preset_model("dipole")
     path = tmp_path / "dipole.json"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -432,6 +434,52 @@ def test_proven_above_takes_one_shift_per_matrix():
     assert proven.any() and not proven.all()
     scalar = floquet._proven_above(stack, 0.1)
     assert np.array_equal(floquet._proven_above(stack, np.full(64, 0.1)), scalar)
+
+
+def test_proven_above_never_proves_a_nan_or_overflowing_factor():
+    # each matrix is 10 I with one entry spoiled; a NaN pivot or a column that
+    # overflows passes potrf's own test, and only the pivot check catches them
+    stack = np.tile(10.0 * np.eye(3, dtype=complex), (7, 1, 1))
+    stack[0, 2, 0] = NAN  # NaN below the diagonal
+    stack[1, 0, 0] = NAN  # NaN pivot, leading
+    stack[2, 2, 2] = NAN  # NaN pivot, trailing
+    stack[3, 1, 1], stack[3, 2, 1] = 1e-300, 1e200  # column that overflows
+    stack[4, 1, 0] = complex(0.0, NAN)  # NaN imaginary part below the diagonal
+    stack[5, 0, 0] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        proven = floquet._proven_above(stack, 0.0)
+    assert proven.tolist() == [False] * 6 + [True]
+
+
+def test_proven_above_ignores_the_strict_upper_triangle():
+    rng = np.random.default_rng(9)
+    for d, N in [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3)]:
+        stack = random_hopping(rng, d=d, N=N).fibers(rng.uniform(0.0, 7.0, size=(64, d)))
+        shifts = np.linalg.eigvalsh(stack)[:, 0] + rng.uniform(-1e-3, 1e-3, 64)
+        expected = floquet._proven_above(stack, shifts)
+        upper = np.triu(np.ones(stack.shape[1:], dtype=bool), 1)
+        for garbage in (NAN, np.inf, 1e300, complex(-5.0, 7.0)):
+            spoiled = np.where(upper, garbage, stack)
+            assert np.array_equal(floquet._proven_above(spoiled, shifts), expected)
+
+
+def test_cholesky_gufunc_keeps_the_contract_proven_above_needs():
+    # floquet._proven_above calls numpy's private batched ?potrf gufunc; a numpy
+    # that breaks any of these would weaken its certificate without an error
+    gufunc = getattr(np.linalg._umath_linalg, "cholesky_lo", None)
+    message = "numpy's cholesky_lo changed: floquet._proven_above is no longer sound"
+    assert gufunc is not None and "D->D" in gufunc.types, message
+    stack = np.array([[[4.0, 0.0], [2.0, 5.0]], [[1.0, 0.0], [2.0, 1.0]]], dtype=complex)
+    with np.errstate(all="ignore"):
+        factor = gufunc(stack, signature="D->D")
+        spoiled = gufunc(np.where([[False, True], [False, False]], NAN, stack), signature="D->D")
+    assert np.array_equal(factor[0], [[2.0, 0.0], [1.0, 2.0]]), message  # lower, read alone
+    assert np.isnan(factor[1]).all(), message  # a failed factor is NaN throughout
+    assert np.array_equal(spoiled, factor, equal_nan=True), message  # upper triangle unread
+    with np.errstate(all="ignore"):
+        in_place = gufunc(stack, signature="D->D", out=stack)  # as _proven_above calls it
+    assert np.array_equal(in_place, factor, equal_nan=True), message
 
 
 def test_grid_band_bottom_reads_only_the_lower_triangle(monkeypatch):

@@ -218,6 +218,22 @@ def test_model_file_regime_follows_the_support(tmp_path, s_minus, regime):
         model_from_dict(data)
 
 
+@pytest.mark.parametrize("s_minus", [-1.0, 0.0])
+def test_model_file_regime_names(s_minus):
+    hopping, potential, _ = preset_model("dipole", s_minus=s_minus, s_plus=1.0)
+    data = model_to_dict(hopping, potential, DisorderSupport(s_minus, 1.0))
+    names = ["SignChanging", "SIGNCHANGING", "signchanging", "sign_changing"]
+    if s_minus >= 0:
+        names = ["Positive", "POSITIVE", "positive"]
+    for name in names:
+        data["disorder"]["regime"] = name
+        assert model_from_dict(data)[2] == DisorderSupport(s_minus, 1.0)
+    for name in ("bogus", "", "sign-changing", "nonnegative", None):
+        data["disorder"]["regime"] = name
+        with pytest.raises(ValueError, match="unknown regime"):
+            model_from_dict(data)
+
+
 def test_model_dict_schema_fields():
     hopping, potential, disorder = preset_model("dipole")
     data = model_to_dict(hopping, potential, disorder)

@@ -1,7 +1,13 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from bandedge.floquet import build_floquet, grid_band_bottom, ground_space
+from bandedge.floquet import (
+    _certificate_margin,
+    _proven_above,
+    build_floquet,
+    grid_band_bottom,
+    ground_space,
+)
 from bandedge.model import (
     DisorderSupport,
     HoppingOperator,
@@ -205,3 +211,21 @@ def test_certified_sandwich_matches_every_point_eigensolved(seed, d, N, contrast
     )
     expected = KirschSimonReport(a_minus, a_plus, variant, violations, len(thetas))
     assert kirsch_simon_sandwich(hopping, thetas, variant) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, shape=st.sampled_from([(1, 1), (1, 2), (1, 3), (2, 2), (2, 3)]))
+def test_proven_above_is_sound_within_its_margin(seed, shape):
+    # cell sizes n = 1, 2, 3, 4 and 9; one shift per matrix, within a few delta
+    # of its lambda_min or far from it
+    rng = np.random.default_rng(seed)
+    hopping = random_hopping(rng, d=shape[0], N=shape[1])
+    added = random_potential(rng, hopping.geometry.cell_size).matrix
+    stack = hopping.fibers(rng.uniform(-7.0, 7.0, size=(128, shape[0]))) + added
+    bottoms = np.linalg.eigvalsh(stack)[:, 0]
+    level = bottoms + rng.choice([1e-300, 1.0], 128) * rng.uniform(-4.0, 4.0, 128)
+    shifts = level + rng.uniform(-4.0, 4.0, 128) * _certificate_margin(hopping, level, added)
+    delta = _certificate_margin(hopping, shifts, added)
+    proven = _proven_above(stack, shifts)
+    assert proven[bottoms > shifts + delta].all()
+    assert not proven[bottoms < shifts - delta].any()
