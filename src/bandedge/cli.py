@@ -200,9 +200,7 @@ def cmd_verify_quartic(args) -> int:
 
 def cmd_verify_kirsch_simon(args) -> int:
     hopping, _, _ = _load(args)
-    axis = np.linspace(0.0, 2.0 * np.pi / hopping.geometry.N, args.grid, endpoint=False)
-    mesh = np.meshgrid(*[axis] * hopping.geometry.d, indexing="ij")
-    grid = np.stack([g.ravel() for g in mesh], -1)
+    grid = floquet.zone_grid(hopping.geometry, args.grid)
     report = verification.kirsch_simon_sandwich(hopping, grid, variant=args.variant)
     _print_json(
         {
@@ -293,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--xi", type=float, default=0.3)
     p.add_argument("--eps", type=_parse_floats, required=True)
-    p.add_argument("--n", type=int, default=None, help="window size; adaptive when omitted")
+    p.add_argument("--n", type=_count_at_least(1), help="window size; adaptive when omitted")
     p.set_defaults(func=cmd_verify_quartic)
 
     p = vsub.add_parser("kirsch-simon", help="two-sided band-motion sandwich (JSON)")
@@ -332,7 +330,10 @@ def main(argv=None) -> int:
             model.DisorderSupport(*(d if v is None else v for v, d in zip(support, (-1.0, 1.0))))
         except ValueError:
             parser.error("support needs s_minus < s_plus and s_plus > 0")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # a model, theta or parameter the program cannot take
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

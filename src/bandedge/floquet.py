@@ -8,35 +8,23 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .model import ConvergenceError, HoppingOperator
+from .model import ConvergenceError, HoppingOperator, LatticeGeometry
 
 DEFAULT_TOL_THETA = 1e-9
 DEFAULT_GRID_PER_DIM = 64
 DEFAULT_REFINEMENTS = 6
 MAX_REFINEMENTS = 60
-# cap on the points a scan refines per round (a flat band keeps the whole zone)
-MAX_CANDIDATES = 4096
 # stride per axis of the grid points solved first for an upper bound on its minimum
 COARSE_STRIDE = 8
 
 
 @dataclass(frozen=True)
 class FloquetMatrix:
-    """The fiber of a periodic hopping operator at quasi-momentum theta."""
+    """The fiber of a periodic hopping operator at quasi-momentum theta;
+    ``build_floquet`` makes ``matrix`` exactly Hermitian."""
 
     theta: np.ndarray
     matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        theta = np.asarray(self.theta, dtype=float)
-        matrix = np.asarray(self.matrix, dtype=complex)
-        scale = np.abs(matrix).max() or 1.0
-        if np.abs(matrix - matrix.conj().T).max() > 1e-13 * scale:
-            raise ValueError("fiber matrix is not Hermitian to rounding precision")
-        theta.setflags(write=False)
-        matrix.setflags(write=False)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "matrix", matrix)
 
     @property
     def norm(self) -> float:
@@ -140,12 +128,19 @@ def _certificate_margin(hopping: HoppingOperator, level, perturbation=None):
     return 8 * size * (size + 1) * (np.finfo(float).eps / 2) * (scale + np.abs(level))
 
 
+def zone_grid(geometry: LatticeGeometry, n: int) -> np.ndarray:
+    """The n^d zone grid theta_j = j * 2pi / (n N), in meshgrid "ij" order."""
+    axis = np.arange(n) * (2.0 * np.pi / geometry.N / n)
+    mesh = np.meshgrid(*([axis] * geometry.d), indexing="ij")
+    return np.stack([g.ravel() for g in mesh], -1)
+
+
 def grid_band_bottom(
     hopping: HoppingOperator, n: int, window: float, perturbation=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The n^d zone grid theta_j = j * 2pi / (n N), in meshgrid "ij" order, and
-    the band bottom of M (plus ``perturbation``) at every point that can lie
-    within ``window`` of the grid minimum, with the bits of ``band_bottom``.
+    """The n^d ``zone_grid`` and the band bottom of M (plus ``perturbation``)
+    at every point that can lie within ``window`` of the grid minimum, with
+    the bits of ``band_bottom``.
 
     The bottoms at every COARSE_STRIDE-th point per axis, kept there, bound the
     minimum by ``upper``.  Another point where Cholesky of M - s*I, s = upper +
@@ -161,8 +156,7 @@ def grid_band_bottom(
     if not 0 <= window < np.inf:
         raise ValueError(f"window must be finite and at least 0, got {window!r}")
     geom = hopping.geometry
-    axis = np.arange(n) * (2.0 * np.pi / geom.N / n)
-    points = np.stack([g.ravel() for g in np.meshgrid(*([axis] * geom.d), indexing="ij")], -1)
+    points = zone_grid(geom, n)
     shape = (n,) * geom.d
     index = np.indices(shape).reshape(geom.d, -1)
     solved = pair = np.arange(len(points))
@@ -191,12 +185,16 @@ def scan_theta_set(
 
     A coarse grid scan (``grid_band_bottom`` with window tol_theta: a point
     its Cholesky test proves more than tol_theta above the grid minimum is
-    +inf and never kept), then local torus bisection around every point within
-    tol_theta of the running minimum (at most MAX_CANDIDATES of the lowest
-    ones); each round's deduplicated points are evaluated as one batch.  Runs
-    the requested number of rounds and keeps refining until the per-round
-    improvement of the minimum drops below tol/4; raises ConvergenceError if
-    that has not happened after MAX_REFINEMENTS rounds.
+    +inf) keeps the points within tol_theta of the grid minimum and clusters
+    them once: in (value, theta) order each joins the first cluster with a
+    grid neighbour among its members (sup-torus distance one spacing), else
+    heads a new one.  Each round then halves the spacing and moves every head
+    to the lowest of its 3^d neighbours, the centre first so a tie stays put:
+    a compass search, all heads in one batch.  Runs the requested number of
+    rounds and keeps refining until the per-round improvement of the minimum
+    drops below tol/4; raises ConvergenceError if that has not happened after
+    MAX_REFINEMENTS rounds.  The heads within tol_theta of the final minimum
+    are the minimizers.
 
     With ``tol_shift`` the same scan also zeroes the band bottom: it refines
     to tol = min(tol_shift, tol_theta), and if |E0| > tol_shift the result
@@ -214,17 +212,23 @@ def scan_theta_set(
     geom = hopping.geometry
     width = 2.0 * np.pi / geom.N
     spacing = width / grid_per_dim
-    candidates, values = grid_band_bottom(hopping, grid_per_dim, tol_theta)
+    points, values = grid_band_bottom(hopping, grid_per_dim, tol_theta)
     minimum = float(values.min())
-    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=geom.d)), dtype=float)
+    steps = np.array(list(itertools.product((0, -1, 1), repeat=geom.d)))  # centre first
+    near = np.flatnonzero(values <= minimum + tol_theta)
+    near = near[np.argsort(values[near], kind="stable")]  # (value, theta) order
+    shape = (grid_per_dim,) * geom.d
+    cells = zip(np.unravel_index(near, shape), steps.T)
+    neighbours = np.ravel_multi_index(tuple(c[:, None] + s for c, s in cells), shape, mode="wrap")
+    cluster: dict[int, int] = {}  # grid index -> cluster id, the index of its head
+    heads: list[int] = []
+    for j, around in zip(near.tolist(), neighbours.tolist()):
+        cluster[j] = min((cluster[k] for k in around if k in cluster), default=len(heads))
+        if cluster[j] == len(heads):
+            heads.append(j)
+    heads, lowest = points[heads], values[heads]
     rounds, improvement = 0, np.inf
-    while True:
-        # the MAX_CANDIDATES lowest values within tol_theta, in generation order
-        kept = np.sort(np.argsort(values, kind="stable")[:MAX_CANDIDATES])
-        kept = kept[values[kept] <= minimum + tol_theta]
-        candidates, values = candidates[kept], values[kept]
-        if rounds >= refinements and improvement <= tol / 4:
-            break
+    while rounds < refinements or improvement > tol / 4:
         if rounds == MAX_REFINEMENTS:
             raise ConvergenceError(
                 f"minimum still improving by {improvement:.3e} (> {tol / 4:.3e}) "
@@ -232,35 +236,13 @@ def scan_theta_set(
             )
         spacing /= 2.0
         rounds += 1
-        points = np.mod(candidates[:, None, :] + offsets * spacing, width).reshape(-1, geom.d)
-        keys = np.round(points / (spacing / 4))
-        # first point per key, in generation order
-        first = np.sort(np.unique(keys, axis=0, return_index=True)[1])
-        values = hopping.band_bottom(points[first])
-        candidates = keys[first] * (spacing / 4)
-        new_minimum = float(values.min())
-        improvement = minimum - new_minimum
-        minimum = min(minimum, new_minimum)
-
-    # cluster candidates at the coarse-grid scale (a flat minimum keeps a
-    # whole blob within tol_theta of E0); in (value, theta) order, so each
-    # cluster's first member is its representative
-    radius = width / grid_per_dim
-
-    def torus_dist(a: np.ndarray, b: np.ndarray) -> float:
-        delta = np.abs(a - b)
-        return float(np.minimum(delta, width - delta).max())
-
-    clusters: list[list[np.ndarray]] = []
-    for theta in candidates[np.lexsort((*candidates.T[::-1], values))]:
-        for cluster in clusters:
-            # newest members first: a candidate usually lies next to the last one added
-            if any(torus_dist(theta, other) <= radius for other in reversed(cluster)):
-                cluster.append(theta)
-                break
-        else:
-            clusters.append([theta])
-    kept = sorted((cluster[0] for cluster in clusters), key=tuple)
+        trial = np.mod(heads[:, None, :] + steps * spacing, width)
+        trial_values = hopping.band_bottom(trial.reshape(-1, geom.d)).reshape(len(heads), -1)
+        best = (np.arange(len(heads)), trial_values.argmin(1))
+        heads, lowest = trial[best], trial_values[best]
+        improvement = minimum - float(lowest.min())
+        minimum = min(minimum, float(lowest.min()))
+    kept = sorted(heads[lowest <= minimum + tol_theta], key=tuple)
     if tol_shift is not None and abs(minimum) > tol_shift:
         hopping = hopping.shifted(minimum)
         minimum = float(hopping.band_bottom(np.array(kept)).min())

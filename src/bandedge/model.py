@@ -314,39 +314,25 @@ def shift_to_zero(
     return scan_theta_set(hopping, bz_resolution, tol_theta=tol_shift, tol_shift=tol_shift).hopping
 
 
+def _stencil_coefficients(
+    geom: LatticeGeometry, stencil: Mapping[Site, float]
+) -> dict[tuple[Site, Site, Site], complex]:
+    """Hopping table of the hops x -> x + s with amplitude stencil[s] on Z^d,
+    reduced to the cell: (k, (k + s) mod N, k + s - (k + s) mod N), sites in
+    cell order and each site's hops in stencil order."""
+    coeffs: dict[tuple[Site, Site, Site], complex] = {}
+    for k in geom.cell_sites():
+        for step, amplitude in stencil.items():
+            target = tuple(ki + si for ki, si in zip(k, step))
+            site = tuple(t % geom.N for t in target)
+            coeffs[(k, site, tuple(t - c for t, c in zip(target, site)))] = amplitude
+    return coeffs
+
+
 def _laplacian_coefficients(geom: LatticeGeometry) -> dict[tuple[Site, Site, Site], complex]:
     """Hopping table of -Delta on Z^d reduced to the cell of period N."""
-    coeffs: dict[tuple[Site, Site, Site], complex] = {}
-    zero = (0,) * geom.d
-    for k in geom.cell_sites():
-        coeffs[(k, k, zero)] = 2.0 * geom.d
-        for axis in range(geom.d):
-            for step in (-1, 1):
-                target = list(k)
-                target[axis] += step
-                m = [0] * geom.d
-                if target[axis] < 0:
-                    target[axis] += geom.N
-                    m[axis] = -geom.N
-                elif target[axis] >= geom.N:
-                    target[axis] -= geom.N
-                    m[axis] = geom.N
-                key = (k, tuple(target), tuple(m))
-                coeffs[key] = coeffs.get(key, 0.0) - 1.0
-    return coeffs
-
-
-def _quartic_coefficients(geom: LatticeGeometry) -> dict[tuple[Site, Site, Site], complex]:
-    """Hopping table of (-Delta_Z)^2: amplitudes 6, -4, 1 at distances 0, 1, 2."""
-    amplitude = {0: 6.0, 1: -4.0, 2: 1.0, -1: -4.0, -2: 1.0}
-    coeffs: dict[tuple[Site, Site, Site], complex] = {}
-    for (k,) in geom.cell_sites():
-        for (kp,) in geom.cell_sites():
-            for m in (-geom.N, 0, geom.N):
-                dist = kp + m - k
-                if dist in amplitude:
-                    coeffs[((k,), (kp,), (m,))] = amplitude[dist]
-    return coeffs
+    units = [tuple(s * (i == a) for i in range(geom.d)) for a in range(geom.d) for s in (-1, 1)]
+    return _stencil_coefficients(geom, {(0,) * geom.d: 2.0 * geom.d, **dict.fromkeys(units, -1.0)})
 
 
 def preset_model(
@@ -382,12 +368,17 @@ def preset_model(
     elif name == "quartic":
         _reject_extra(name, params)
         geom = LatticeGeometry(1, 3)
-        hopping = HoppingOperator(geom, _quartic_coefficients(geom))
+        # (-Delta_Z)^2: amplitudes 6, -4, 1 at distances 0, 1, 2; the hop to -2
+        # comes first, so it is the witness of the hopping_nontrivial check
+        stencil = {(0,): 6.0, (-2,): 1.0, (1,): -4.0, (-1,): -4.0, (2,): 1.0}
+        hopping = HoppingOperator(geom, _stencil_coefficients(geom, stencil))
         # single-site values -1/2, 1, -1/2 on the symmetric cell (-1, 0, 1);
         # site -1 is canonical site 2
         potential = SingleCellPotential(np.diag([1.0, -0.5, -0.5]))
     elif name == "alloy":
         d = int(params.pop("d", 1))
+        if missing := sorted({"N", "W"} - params.keys()):
+            raise ValueError(f"preset 'alloy' requires {' and '.join(missing)}")
         N = int(params.pop("N"))
         W = np.asarray(params.pop("W"), dtype=float).reshape(-1)
         pot = params.pop("potential", None)

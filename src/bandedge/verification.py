@@ -653,9 +653,9 @@ def quartic_trial_energy(epsilon: float, xi: float, n: int | None = None) -> flo
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
     required = quartic_required_n(max(epsilon, 1e-6), xi)
-    if n is None:
-        n = required
-    elif epsilon > 0 and n < required:
+    n = required if n is None else n
+    _require_count("n", n, 1)
+    if epsilon > 0 and n < required:
         raise ValueError(
             f"n={n} too small for epsilon={epsilon}, xi={xi}: the window cut adds "
             f"more than {4.0 / (3.0 * QUARTIC_TRIAL_K):.3g} eps^(1+2xi) to the quotient; "

@@ -296,6 +296,26 @@ def test_cli_rejects_bad_counts(monkeypatch, capsys, argv, message):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["coefficients", "--model", "alloy", "--N", "2"], "preset 'alloy' requires W"),
+        (["fiber", "--model", "anderson", "--theta", "0.1,0.2"], "theta must have shape (1,)"),
+        (["coefficients", "--model", "anderson", "--d", "0"], "dimension must be >= 1"),
+        (["verify", "quartic", "--xi", "0.2", "--eps", "0.01"], "xi must exceed 1/4"),
+        (["verify", "quartic", "--n", "0", "--eps", "0.01"], "argument --n: must be at least 1"),
+    ],
+    ids=["alloy-without-W", "fiber-theta-too-long", "d0", "quartic-xi-too-small", "quartic-n0"],
+)
+def test_cli_reports_bad_input_as_a_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "support",
     [
         ["--s-minus", "2"],

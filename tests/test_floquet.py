@@ -58,6 +58,15 @@ def test_fiber_theta_zero_collapses_to_coefficient_sums():
     assert np.allclose(matrix, 0.5 * (expected + expected.conj().T), atol=1e-13)
 
 
+def test_build_floquet_is_exactly_hermitian():
+    rng = np.random.default_rng(6)
+    for d, N in [(1, 3), (2, 2), (3, 1)]:
+        hopping = random_hopping(rng, d=d, N=N)
+        for theta in rng.uniform(-7.0, 7.0, size=(5, d)):
+            matrix = build_floquet(hopping, theta).matrix
+            assert np.array_equal(matrix, matrix.conj().T)
+
+
 def test_fiber_eigh_certifies_pairs():
     hopping, _, _ = preset_model("dipole")
     eigenvalues, vectors = fiber_eigh(build_floquet(hopping, [0.0]))
@@ -94,8 +103,8 @@ def test_scan_finds_interior_minimizer():
 
 
 def test_scan_keeps_the_lowest_candidates():
-    # past MAX_CANDIDATES points within tol_theta the lowest are refined,
-    # not the first generated, so theta = 0 survives
+    # deep rounds tie many neighbours at exactly 0.0; the head at theta = 0
+    # lists itself first among them and so stays put
     hopping, _, _ = preset_model("anderson")
     theta_set = scan_theta_set(hopping, 64, 24)
     assert len(theta_set.minimizers) == 1
@@ -104,10 +113,11 @@ def test_scan_keeps_the_lowest_candidates():
     assert theta_set.E0 == 0.0
 
 
-def test_scan_deep_refinement_keys_do_not_overflow():
+@pytest.mark.parametrize("refinements", [40, 45, 50, 58])
+def test_scan_deep_refinement_keys_do_not_overflow(refinements):
     hopping, _, _ = preset_model("anderson")
-    theta_set = scan_theta_set(hopping, 64, 58)
-    assert len(theta_set.minimizers) == 1
+    theta_set = scan_theta_set(hopping, 64, refinements)
+    assert np.array(theta_set.minimizers).tolist() == [[0.0]]
     assert theta_set.E0 == 0.0
 
 
@@ -410,6 +420,26 @@ def test_flat_bottom_band_prunes_nothing(monkeypatch, decoupled):
     full = scan_theta_set(hopping)
     assert np.array_equal(pruned.minimizers, full.minimizers)
     assert (pruned.E0, pruned.resolution) == (full.E0, full.resolution)
+
+
+def test_scan_refines_one_point_per_cluster(monkeypatch):
+    # the flat band puts the whole 64^2 grid within tol_theta, one cluster;
+    # each round solves the 3^d neighbours of that cluster's head alone
+    hopping = _flat_bottom(2, decoupled=True)
+    assert np.isfinite(grid_band_bottom(hopping, 64, floquet.DEFAULT_TOL_THETA)[1]).all()
+    counts = _count_solved(monkeypatch)
+    theta_set = scan_theta_set(hopping)
+    monkeypatch.undo()
+    assert len(theta_set.minimizers) == 1
+    assert counts["band_bottom"][2:] == [3**2] * floquet.DEFAULT_REFINEMENTS
+
+
+def test_zone_grid_matches_linspace_bits():
+    for d, N, n in [(1, 1, 64), (1, 3, 7), (2, 2, 16), (3, 3, 5)]:
+        axis = np.linspace(0.0, 2.0 * np.pi / N, n, endpoint=False)
+        mesh = np.meshgrid(*[axis] * d, indexing="ij")
+        expected = np.stack([g.ravel() for g in mesh], -1)
+        assert np.array_equal(floquet.zone_grid(LatticeGeometry(d, N), n), expected)
 
 
 def test_scan_keeps_a_near_tie_within_tol_theta():

@@ -175,8 +175,10 @@ def test_preset_quartic_cell_mapping():
 
 
 def test_preset_alloy_requires_w():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="^preset 'alloy' requires W$"):
         preset_model("alloy", N=2)
+    with pytest.raises(ValueError, match="^preset 'alloy' requires N$"):
+        preset_model("alloy", W=[0.0])
     hopping, potential, _ = preset_model("alloy", N=2, W=[0.0, 1.0])
     assert hopping.coefficients[((1,), (1,), (0,))] == 3.0
     assert potential.matrix[0, 0] == 1.0

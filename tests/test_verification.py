@@ -3,6 +3,7 @@ import itertools
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -861,6 +862,14 @@ def test_quartic_trial_small_n_rejected():
         quartic_trial_energy(1e-2, 0.3, n=10)
     with pytest.raises(ValueError):
         quartic_trial_energy(1e-2, 0.2)  # xi <= 1/4
+
+
+@pytest.mark.parametrize("n", [0, -3, 2.5])
+def test_quartic_trial_rejects_a_window_below_one_cell(n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="n must be an integer of at least 1"):
+            quartic_trial_energy(0.0, 0.3, n=n)
 
 
 def test_quartic_trial_epsilon_zero_vanishes():
