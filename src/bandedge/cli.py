@@ -201,12 +201,11 @@ def cmd_verify_quartic(args) -> int:
 def cmd_verify_kirsch_simon(args) -> int:
     hopping, _, _ = _load(args)
     grid = floquet.zone_grid(hopping.geometry, args.grid)
-    report = verification.kirsch_simon_sandwich(hopping, grid, variant=args.variant)
+    report = verification.kirsch_simon_sandwich(hopping, grid)
     _print_json(
         {
             "a_minus": report.a_minus,
             "a_plus": report.a_plus,
-            "variant": report.variant,
             "n_points": report.n_points,
             "violations": list(report.violations),
             "passed": report.passed,
@@ -297,11 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = vsub.add_parser("kirsch-simon", help="two-sided band-motion sandwich (JSON)")
     _add_model_argument(p)
     p.add_argument("--grid", type=_count_at_least(1), default=256)
-    p.add_argument(
-        "--variant",
-        default=verification.KS_FOLDED,
-        choices=verification.KS_VARIANTS,
-    )
     p.set_defaults(func=cmd_verify_kirsch_simon)
 
     p = sub.add_parser("run", help="full pipeline: validate, scan, coefficients, verification")

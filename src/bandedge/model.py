@@ -381,7 +381,6 @@ def preset_model(
             raise ValueError(f"preset 'alloy' requires {' and '.join(missing)}")
         N = int(params.pop("N"))
         W = np.asarray(params.pop("W"), dtype=float).reshape(-1)
-        pot = params.pop("potential", None)
         _reject_extra(name, params)
         geom = LatticeGeometry(d, N)
         if W.size != geom.cell_size:
@@ -391,12 +390,9 @@ def preset_model(
         for i, site in enumerate(geom.cell_sites()):
             coeffs[(site, site, zero)] += W[i]
         hopping = HoppingOperator(geom, coeffs)
-        if pot is None:
-            diag = np.zeros(geom.cell_size)
-            diag[0] = 1.0
-            potential = SingleCellPotential(np.diag(diag))
-        else:
-            potential = SingleCellPotential(np.asarray(pot, dtype=complex))
+        diag = np.zeros(geom.cell_size)
+        diag[0] = 1.0
+        potential = SingleCellPotential(np.diag(diag))
     else:
         raise ValueError(f"unknown preset {name!r}")
     return hopping, potential, disorder

@@ -250,8 +250,8 @@ def edge_bound(coeffs: EdgeCoefficients, epsilon: float) -> float:
     edge further: on the dipole chain alternating +-1 couplings reach about
     twice epsilon^2 * A2.
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    if not 0 <= epsilon < np.inf:
+        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
     if coeffs.case == CASE_LINEAR:
         return epsilon * coeffs.first_order()
     if coeffs.case == CASE_QUADRATIC:

@@ -78,10 +78,12 @@ class RunConfig:
 def resolve_model(
     name: str, params: dict | None = None
 ) -> tuple[model.HoppingOperator, model.SingleCellPotential, model.DisorderSupport]:
-    """Load a model from a preset name or a JSON file path."""
+    """Load a model from a preset name, or from a JSON file path without params."""
     params = dict(params or {})
     path = Path(name)
     if path.suffix == ".json" or path.exists():
+        if params:
+            raise ValueError(f"a model file takes no preset parameters, got {sorted(params)}")
         return model.load_model(path)
     return model.preset_model(name, **params)
 
@@ -165,7 +167,7 @@ def montecarlo_minima(
 def run_pipeline(config: RunConfig) -> tuple[int, dict]:
     """validate -> scan and shift -> coefficients -> optional verification.
 
-    Returns (exit_status, report); status is nonzero iff a hard invariant
+    Returns (exit_status, report); status is nonzero iff a hard check
     failed.
     """
     hopping, potential, disorder = resolve_model(config.model, config.model_params)

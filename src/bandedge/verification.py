@@ -41,7 +41,6 @@ DENSE_SITE_CUTOFF = 4096
 # 0.3 and 1 it takes the fewest LOBPCG steps on random couplings, and 0 can exhaust the budget
 PRECONDITIONER_SHIFT = 0.1
 MAX_ITERATIONS = 1000  # LOBPCG steps before the solve is given up
-GUARD_POINTS = 9  # interior couplings that guard the endpoint minimum
 SLACK_FACTOR = 1.25  # sweep residuals may exceed the fitted remainder by this factor
 
 
@@ -80,30 +79,22 @@ def fiber_min_over_q(
 ) -> FiberMinResult:
     """Minimum over the coupling support of the perturbed fiber bottom.
 
-    The smallest eigenvalue of an affine Hermitian family is concave in the
-    coupling, so the minimum over [s_minus, s_plus] sits at an endpoint; an
-    interior grid guards that assumption.
+    lambda_min(M + eps q V) is the minimum over unit v of a function affine in
+    q, hence concave in q: its minimum over [s_minus, s_plus] sits at an
+    endpoint, and only the two endpoints are solved. eigvalsh reads the lower
+    triangle alone, so the family it solves is Hermitian and affine for any input.
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    if not 0 <= epsilon < np.inf:
+        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
     theta = np.asarray(theta, dtype=float)
     base = build_floquet(hopping, theta).matrix
-    interior = np.linspace(disorder.s_minus, disorder.s_plus, GUARD_POINTS + 2)[1:-1]
-    couplings = np.concatenate([[disorder.s_minus, disorder.s_plus], interior])
+    couplings = np.array([disorder.s_minus, disorder.s_plus])
     stack = base + (epsilon * couplings)[:, None, None] * potential.matrix
-    bottoms = np.linalg.eigvalsh(stack)[:, 0].tolist()
-
-    lo, hi = bottoms[:2]
+    lo, hi = np.linalg.eigvalsh(stack)[:, 0].tolist()
     if lo <= hi:
         q_star, value = disorder.s_minus, lo
     else:
         q_star, value = disorder.s_plus, hi
-
-    for q, bottom in zip(interior, bottoms[2:]):
-        if bottom < value - 1e-12 * (1.0 + abs(value)):
-            raise ConvergenceError(
-                f"interior coupling q={q} beats both endpoints; concavity violated"
-            )
     return FiberMinResult(epsilon=epsilon, theta=theta, q_star=q_star, value=value)
 
 
@@ -650,8 +641,8 @@ def quartic_trial_energy(epsilon: float, xi: float, n: int | None = None) -> flo
     """
     if xi <= 0.25:
         raise ValueError("xi must exceed 1/4")
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    if not 0 <= epsilon < np.inf:
+        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
     required = quartic_required_n(max(epsilon, 1e-6), xi)
     n = required if n is None else n
     _require_count("n", n, 1)
@@ -677,15 +668,11 @@ def quartic_trial_energy(epsilon: float, xi: float, n: int | None = None) -> flo
     return float(np.vdot(u, y).real / np.vdot(u, u).real)
 
 
-KS_FOLDED = "folded"
-KS_ONE_MINUS_COS = "one_minus_cos"
-KS_LITERAL = "literal"
-KS_VARIANTS = (KS_FOLDED, KS_ONE_MINUS_COS, KS_LITERAL)
 KS_SLACK = 1e-9  # band motion may leave the Kirsch-Simon sandwich by this much
 
 
-def _ks_dispersion(thetas: np.ndarray, N: int, variant: str) -> tuple[np.ndarray, np.ndarray]:
-    """Free dispersion factor at each row of ``thetas`` (shape (b, d)), and
+def _ks_dispersion(thetas: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Folded free dispersion at each row of ``thetas`` (shape (b, d)), and
     kappa = theta + 2 pi b* / N on the branch b* that attains the fold."""
     d = thetas.shape[1]
     # the fold over the N^d branches theta + 2 pi b / N
@@ -693,10 +680,6 @@ def _ks_dispersion(thetas: np.ndarray, N: int, variant: str) -> tuple[np.ndarray
     shifted = thetas[:, None, :] + branches
     folded = np.sum(2.0 * (1.0 - np.cos(shifted)), axis=2)
     kappa = shifted[np.arange(len(thetas)), folded.argmin(axis=1)]
-    if variant == KS_ONE_MINUS_COS:
-        return np.sum(1.0 - np.cos(thetas), axis=1), kappa
-    if variant == KS_LITERAL:
-        return 2 * d - np.sum(np.cos(thetas), axis=1), kappa
     return folded.min(axis=1), kappa
 
 
@@ -714,7 +697,6 @@ def _ks_trial_quotients(stack: np.ndarray, psi: np.ndarray, kappa: np.ndarray, g
 class KirschSimonReport:
     a_minus: float
     a_plus: float
-    variant: str
     violations: tuple[dict, ...]
     n_points: int
 
@@ -723,18 +705,13 @@ class KirschSimonReport:
         return not self.violations
 
 
-def kirsch_simon_sandwich(
-    hopping: HoppingOperator,
-    theta_grid,
-    variant: str = KS_FOLDED,
-) -> KirschSimonReport:
+def kirsch_simon_sandwich(hopping: HoppingOperator, theta_grid) -> KirschSimonReport:
     """Flag each row of ``theta_grid`` (shape (b, d), or (b,) when d = 1) where
     eigvalsh's E0(theta) - E0(0) leaves [lower - KS_SLACK, upper + KS_SLACK]:
-    (a_minus/a_plus)^2 and (a_plus/a_minus)^2 times the ``variant`` dispersion,
-    a_minus and a_plus the extreme entries of the positive ground state at
-    theta = 0 (Kirsch & Simon, J. Funct. Anal. 75, 1987)."""
-    if variant not in KS_VARIANTS:
-        raise ValueError(f"unknown dispersion variant {variant!r}")
+    (a_minus/a_plus)^2 and (a_plus/a_minus)^2 times the free dispersion folded
+    over the N^d branches theta + 2 pi b / N, a_minus and a_plus the extreme
+    entries of the positive ground state at theta = 0 (Kirsch & Simon, J. Funct.
+    Anal. 75, 1987)."""
     if not is_alloy(hopping):
         raise ValueError("sandwich check applies only to operators of the form -Delta + W")
     geom = hopping.geometry
@@ -754,7 +731,7 @@ def kirsch_simon_sandwich(
     a_plus = float(psi.real.max())
     e0 = ground.e0
 
-    disp, kappa = _ks_dispersion(thetas, geom.N, variant)
+    disp, kappa = _ks_dispersion(thetas, geom.N)
     lower = (a_minus / a_plus) ** 2 * disp
     upper = (a_plus / a_minus) ** 2 * disp
     # Rounding is monotone, so a bottom in [s_lo, s_hi] is never flagged.  Below:
@@ -786,7 +763,6 @@ def kirsch_simon_sandwich(
     return KirschSimonReport(
         a_minus=a_minus,
         a_plus=a_plus,
-        variant=variant,
         violations=violations,
         n_points=len(thetas),
     )

@@ -133,7 +133,14 @@ def test_verify_kirsch_simon(capsys):
     assert status == 0
     payload = json.loads(out)
     assert payload["passed"] is True
-    assert payload["variant"] == "folded"
+
+
+def test_verify_kirsch_simon_rejects_variant_option(capsys):
+    # the folded dispersion is the only one; there is no --variant option
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "kirsch-simon", "--model", "alloy", "--W", "0,1", "--variant", "literal"])
+    assert exc.value.code != 0
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_run_pipeline_anderson(capsys):
@@ -303,8 +310,25 @@ def test_cli_rejects_bad_counts(monkeypatch, capsys, argv, message):
         (["coefficients", "--model", "anderson", "--d", "0"], "dimension must be >= 1"),
         (["verify", "quartic", "--xi", "0.2", "--eps", "0.01"], "xi must exceed 1/4"),
         (["verify", "quartic", "--n", "0", "--eps", "0.01"], "argument --n: must be at least 1"),
+        (["coefficients", "--model", "dipole", "--eps", "nan"], "epsilon must be finite"),
+        (
+            ["verify", "fiber-sweep", "--model", "dipole", "--eps", "inf,0.1"],
+            "epsilon must be finite",
+        ),
+        (["verify", "quartic", "--eps", "nan"], "epsilon must be finite"),
+        (["run", "--model", "anderson", "--eps", "nan"], "epsilon must be finite"),
     ],
-    ids=["alloy-without-W", "fiber-theta-too-long", "d0", "quartic-xi-too-small", "quartic-n0"],
+    ids=[
+        "alloy-without-W",
+        "fiber-theta-too-long",
+        "d0",
+        "quartic-xi-too-small",
+        "quartic-n0",
+        "coefficients-eps-nan",
+        "fiber-sweep-eps-inf",
+        "quartic-eps-nan",
+        "run-eps-nan",
+    ],
 )
 def test_cli_reports_bad_input_as_a_usage_error(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -341,6 +365,26 @@ def test_model_file_round_trip_through_cli(tmp_path, capsys):
     status, out = run_cli(capsys, "coefficients", "--model", str(path))
     assert status == 0
     assert json.loads(out)["A2"] == pytest.approx(-0.25, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "flags, names",
+    [
+        (["--s-minus", "0"], "['s_minus']"),
+        (["--d", "2", "--N", "3", "--W", "0,1,2"], "['N', 'W', 'd']"),
+    ],
+)
+def test_model_file_rejects_preset_parameters(tmp_path, capsys, flags, names):
+    # a model file fixes the whole model: --s-minus 0 would otherwise be
+    # dropped, and the file's sign-changing A2 reported in place of A2'
+    path = tmp_path / "dipole.json"
+    save_model(path, *preset_model("dipole"))
+    with pytest.raises(SystemExit) as exc:
+        main(["coefficients", "--model", str(path), *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: a model file takes no preset parameters, got {names}" in err
+    assert "Traceback" not in err
 
 
 def test_regime_follows_s_minus_without_an_option(capsys):

@@ -184,6 +184,13 @@ def test_preset_alloy_requires_w():
     assert potential.matrix[0, 0] == 1.0
 
 
+def test_preset_alloy_takes_no_potential():
+    # the alloy's potential is delta at cell site 0; a model file sets any other
+    message = r"unexpected parameters for preset 'alloy': \['potential'\]"
+    with pytest.raises(ValueError, match=message):
+        preset_model("alloy", N=2, W=[0.0, 1.0], potential=np.eye(2))
+
+
 def test_unknown_preset_rejected():
     with pytest.raises(ValueError):
         preset_model("nonsense")

@@ -24,9 +24,6 @@ from bandedge.perturbation import (
     perturbation_matrix,
 )
 from bandedge.verification import (
-    KS_FOLDED,
-    KS_LITERAL,
-    KS_ONE_MINUS_COS,
     KS_SLACK,
     KirschSimonReport,
     _ks_dispersion,
@@ -135,11 +132,26 @@ def test_lambda_min_lipschitz(seed, N, t1, t2):
     assert abs(a - b) <= L * abs(t1 - t2) + 1e-10
 
 
-@settings(max_examples=20, deadline=None)
-@given(seed=seeds, N=periods, theta=thetas, eps=st.floats(min_value=0.0, max_value=0.1))
-def test_endpoint_guard_never_fires(seed, N, theta, eps):
-    hopping, potential, disorder = _model(seed, N)
-    fiber_min_over_q(hopping, potential, disorder, [theta % (2 * np.pi / N)], eps)
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=seeds,
+    preset=st.sampled_from([None, "anderson", "dipole", "quartic"]),
+    N=periods,
+    theta=thetas,
+    eps=st.floats(min_value=0.0, max_value=2.0),
+    fractions=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8),
+)
+def test_endpoint_guard_never_fires(seed, preset, N, theta, eps, fractions):
+    # lambda_min(M + eps q V) is concave in q, so no coupling inside the
+    # support goes below the endpoint minimum the sweep returns
+    hopping, potential, disorder = _model(seed, N) if preset is None else preset_model(preset)
+    theta = [theta % (2 * np.pi / hopping.geometry.N)]
+    result = fiber_min_over_q(hopping, potential, disorder, theta, eps)
+    base = build_floquet(hopping, theta).matrix
+    for f in fractions:
+        q = disorder.s_minus + f * (disorder.s_plus - disorder.s_minus)
+        bottom = np.linalg.eigvalsh(base + eps * q * potential.matrix)[0]
+        assert result.value <= bottom + 1e-12 * (1.0 + abs(bottom))
 
 
 @settings(max_examples=30, deadline=None)
@@ -191,9 +203,8 @@ def test_pruned_grid_keeps_every_point_near_its_minimum(seed, d, N, n, real, per
     d=st.integers(min_value=1, max_value=2),
     N=periods,
     contrast=st.floats(min_value=0.0, max_value=8.0),
-    variant=st.sampled_from([KS_FOLDED, KS_ONE_MINUS_COS, KS_LITERAL]),
 )
-def test_certified_sandwich_matches_every_point_eigensolved(seed, d, N, contrast, variant):
+def test_certified_sandwich_matches_every_point_eigensolved(seed, d, N, contrast):
     rng = np.random.default_rng(seed)
     hopping, _, _ = preset_model("alloy", d=d, N=N, W=list(rng.uniform(0.0, contrast, N**d)))
     thetas = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, size=(64, d))
@@ -201,7 +212,7 @@ def test_certified_sandwich_matches_every_point_eigensolved(seed, d, N, contrast
     # the report with hopping.band_bottom at every point
     ground = ground_space(hopping, np.zeros(d))
     a_minus, a_plus = float(ground.basis[:, 0].real.min()), float(ground.basis[:, 0].real.max())
-    disp = _ks_dispersion(thetas, N, variant)[0]
+    disp = _ks_dispersion(thetas, N)[0]
     lower = (a_minus / a_plus) ** 2 * disp
     upper = (a_plus / a_minus) ** 2 * disp
     motion = hopping.band_bottom(thetas) - ground.e0
@@ -209,8 +220,8 @@ def test_certified_sandwich_matches_every_point_eigensolved(seed, d, N, contrast
         {"theta": thetas[i].tolist(), "motion": motion[i], "lower": lower[i], "upper": upper[i]}
         for i in np.flatnonzero((motion < lower - KS_SLACK) | (motion > upper + KS_SLACK))
     )
-    expected = KirschSimonReport(a_minus, a_plus, variant, violations, len(thetas))
-    assert kirsch_simon_sandwich(hopping, thetas, variant) == expected
+    expected = KirschSimonReport(a_minus, a_plus, violations, len(thetas))
+    assert kirsch_simon_sandwich(hopping, thetas) == expected
 
 
 @settings(max_examples=40, deadline=None)

@@ -22,11 +22,8 @@ from bandedge.model import (
     SingleCellPotential,
     preset_model,
 )
-from bandedge.perturbation import edge_coefficients
+from bandedge.perturbation import edge_bound, edge_coefficients
 from bandedge.verification import (
-    KS_FOLDED,
-    KS_LITERAL,
-    KS_ONE_MINUS_COS,
     SAMPLER_CONSTANT,
     SAMPLER_UNIFORM,
     assemble_torus,
@@ -770,6 +767,20 @@ def test_box_rejects_bad_input_before_assembly(monkeypatch, capfd, model, epsilo
     assert capfd.readouterr().err == ""
 
 
+@pytest.mark.parametrize("epsilon", [-0.01, float("nan"), float("inf")])
+def test_epsilon_checks_reject_every_non_finite_or_negative_value(epsilon):
+    hopping, potential, disorder = preset_model("dipole")
+    coeffs = edge_coefficients(ground_space(hopping, [0.0]), potential, disorder)
+    calls = [
+        lambda: edge_bound(coeffs, epsilon),
+        lambda: fiber_min_over_q(hopping, potential, disorder, [0.0], epsilon),
+        lambda: quartic_trial_energy(epsilon, 0.3),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="epsilon must be finite and nonnegative"):
+            call()
+
+
 @pytest.mark.parametrize("other", ["hopping", "potential", "L"])
 def test_box_rejects_a_structure_built_for_another_torus(other):
     hopping, potential, disorder = preset_model("dipole")
@@ -927,20 +938,11 @@ def test_kirsch_simon_free_laplacian_equality():
 def test_kirsch_simon_diag_w():
     hopping, _, _ = preset_model("alloy", N=2, W=[0.0, 1.0])
     grid = [[t] for t in np.linspace(0.0, np.pi, 256)]
-    report = kirsch_simon_sandwich(hopping, grid, variant=KS_FOLDED)
+    report = kirsch_simon_sandwich(hopping, grid)
     assert report.passed
     assert 0 < report.a_minus < report.a_plus
     # a d = 1 grid may also be given as a flat array of thetas
     assert kirsch_simon_sandwich(hopping, np.linspace(0.0, np.pi, 256)) == report
-
-
-def test_kirsch_simon_variants_differ():
-    hopping, _, _ = preset_model("alloy", N=2, W=[0.0, 1.0])
-    grid = [[t] for t in np.linspace(0.0, np.pi, 64)]
-    literal = kirsch_simon_sandwich(hopping, grid, variant=KS_LITERAL)
-    one_minus = kirsch_simon_sandwich(hopping, grid, variant=KS_ONE_MINUS_COS)
-    assert not literal.passed
-    assert not one_minus.passed
 
 
 @pytest.mark.parametrize("grid", [[], np.empty((0, 1))])
@@ -979,7 +981,7 @@ def test_kirsch_simon_trial_quotient_lies_between_bottom_and_upper_side(d, N):
         ground = ground_space(hopping, np.zeros(d))
         psi = ground.basis[:, 0]
         thetas = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, size=(64, d))
-        disp, kappa = verification._ks_dispersion(thetas, N, KS_FOLDED)
+        disp, kappa = verification._ks_dispersion(thetas, N)
         stack = hopping.fibers(thetas)
         geom = hopping.geometry
         quotients = verification._ks_trial_quotients(stack, psi, kappa, geom)
@@ -1007,16 +1009,8 @@ def test_kirsch_simon_solves_no_point_of_a_weak_alloy(monkeypatch):
     backgrounds = [np.zeros(9), 2.0 * np.eye(9)[4], np.random.default_rng(1).uniform(0.0, 2.0, 9)]
     for W in backgrounds:
         hopping, _, _ = preset_model("alloy", d=2, N=3, W=list(W))
-        assert kirsch_simon_sandwich(hopping, grid, KS_FOLDED).passed
+        assert kirsch_simon_sandwich(hopping, grid).passed
     assert sum(rows) == 0
-
-
-def test_kirsch_simon_rejects_an_unknown_variant_before_any_fiber(monkeypatch):
-    monkeypatch.setattr(verification, "ground_space", refuse("ground_space"))
-    monkeypatch.setattr(HoppingOperator, "fibers", refuse("HoppingOperator.fibers"))
-    hopping, _, _ = preset_model("alloy", N=2, W=[0.0, 1.0])
-    with pytest.raises(ValueError, match="unknown dispersion variant 'bogus'"):
-        kirsch_simon_sandwich(hopping, [[0.0]], variant="bogus")
 
 
 def test_kirsch_simon_rejects_non_alloy():
