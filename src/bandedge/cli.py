@@ -57,7 +57,11 @@ def _model_params(args) -> dict:
 
 
 def _load(args):
-    return pipeline.resolve_model(args.model, _model_params(args))
+    """The model, refused as ``run`` refuses it when a hypothesis check fails."""
+    hopping, potential, disorder = pipeline.resolve_model(args.model, _model_params(args))
+    if failed := model.validate_hypotheses(hopping, potential).failed_names():
+        raise ValueError(f"model fails the hypothesis checks {failed}")
+    return hopping, potential, disorder
 
 
 def _emit_csv(rows: list[dict], stream) -> None:
@@ -74,7 +78,7 @@ def _print_json(payload) -> None:
 
 
 def cmd_validate(args) -> int:
-    hopping, potential, _ = _load(args)
+    hopping, potential, _ = pipeline.resolve_model(args.model, _model_params(args))
     report = model.validate_hypotheses(hopping, potential)
     _print_json(
         {

@@ -125,6 +125,8 @@ class HoppingOperator:
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.geometry.d,):
             raise ValueError(f"theta must have shape ({self.geometry.d},), got {theta.shape}")
+        if not np.isfinite(theta).all():
+            raise ValueError(f"theta must be finite, got {theta.tolist()}")
         return self.fibers(theta[None])[0]
 
     def fibers(self, thetas) -> np.ndarray:
@@ -265,8 +267,8 @@ def validate_hypotheses(
     scale = hopping.hopping_scale()
     checks.append(
         HypothesisCheck(
-            "hopping_hermitian",
-            worst_err <= 1e-14 * scale,
+            "hopping_hermitian",  # an inf or NaN amplitude has no mirror to match
+            worst_err <= 1e-14 * scale and np.isfinite(hopping.blocks).all(),
             {"max_asymmetry": worst_err, "pair": worst_pair},
         )
     )

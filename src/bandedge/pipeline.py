@@ -73,6 +73,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         eps = tuple(sorted(float(e) for e in self.epsilon_list))
         object.__setattr__(self, "epsilon_list", eps)
+        if self.verify.samples > 0 and not eps:
+            raise ValueError("Monte-Carlo samples need at least one epsilon")
 
 
 def resolve_model(
@@ -237,7 +239,7 @@ def write_report(report: dict, output: OutputConfig) -> str | None:
 def _json_default(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}

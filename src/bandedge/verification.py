@@ -131,11 +131,11 @@ def fiber_bound_sandwich(
     """Check the coupling-swept fiber bottom at ``ground.theta`` against the
     expansion ``coeffs`` predicts there.
 
-    The remainder constant C is fitted from the two largest epsilons (where
-    the remainder dominates rounding); every epsilon must then stay within
-    C * SLACK_FACTOR times the remainder power, so residuals decaying at the
-    predicted order or faster pass. NoMotion predicts no shift: only the lower
-    side is checked, to a rounding floor.
+    The remainder constant C is fitted from the two largest positive epsilons
+    (where the remainder dominates rounding; 0 when there are none); every
+    epsilon must then stay within C * SLACK_FACTOR times the remainder power,
+    so residuals decaying at the predicted order or faster pass. NoMotion
+    predicts no shift: only the lower side is checked, to a rounding floor.
     """
     epsilons = sorted(float(e) for e in epsilon_list)
     power = {CASE_LINEAR: 1.5, CASE_QUADRATIC: 3.0, CASE_NO_MOTION: None}[coeffs.case]
@@ -145,10 +145,8 @@ def fiber_bound_sandwich(
     residuals = [r.value - p for r, p in zip(results, predicted)]
 
     floor = 1e-12 * (1.0 + abs(ground.e0))
-    if power is None:
-        C = 0.0
-    else:
-        C = max(abs(res) / (r.epsilon**power) for r, res in zip(results[-2:], residuals[-2:]))
+    fitted = [(r.epsilon, res) for r, res in zip(results, residuals) if r.epsilon > 0][-2:]
+    C = 0.0 if power is None else max((abs(res) / e**power for e, res in fitted), default=0.0)
     rows = []
     for r, p, res in zip(results, predicted, residuals):
         slack = floor if power is None else SLACK_FACTOR * C * r.epsilon**power + floor
@@ -165,27 +163,35 @@ def fiber_bound_sandwich(
     return SandwichReport(coeffs.case, power, C, tuple(rows))
 
 
-def _apply_lattice_operator(
-    hopping: HoppingOperator,
-    potential: SingleCellPotential,
-    coupling: float,
-    u: np.ndarray,
-    n_cells: int,
+def _window_quotients(
+    hopping: HoppingOperator, potential: SingleCellPotential, coupling: float, parts, n_list
 ) -> np.ndarray:
-    """Apply H0 + coupling * (potential in every cell) to a truncated vector.
+    """Rayleigh quotients of H0 + coupling * (potential in every cell) for
+    u = sum_a c_a ext(u0_a, theta_a), one term per part (c, theta, u0), cut to
+    n^d cells, for each n in n_list; ext(u0, theta) is u0 e^{-i N theta.c} in cell c.
 
-    One space dimension; ``u`` covers n_cells consecutive cells, zero outside,
-    so over the offset stack y[c] += H_m u[c + m/N] wherever c + m/N is a cell.
+    A hop by m = N t joins the cells c and c + t both in the window, per axis
+    c = lo, ..., hi - 1 with lo = max(0, -t), hi = n - max(0, t), so
+    <u_a, H u_b> = sum_m e^{-i theta_b.m} (u0_a^H H_m u0_b) prod_axes sum_c z^c
+    with z = e^{i phi}, phi = N (theta_a - theta_b); the potential and the norm
+    take t = 0. Each sum is z^lo expm1(i phi (hi - lo)) / expm1(i phi), or the
+    count (n - |t|)+ when phi = 0: the cost does not grow with n.
     """
-    if hopping.geometry.d != 1:
-        raise NotImplementedError("direct lattice application implemented for d = 1")
-    cells = u.reshape(n_cells, hopping.geometry.N)
-    y = coupling * cells @ potential.matrix.T
-    for (m,), block in zip(hopping.offsets, hopping.blocks):
-        t = round(m / hopping.geometry.N)
-        lo, hi = max(0, -t), n_cells - max(0, t)
-        y[lo:hi] += cells[lo + t : hi + t] @ block.T
-    return y.reshape(-1)
+    geom = hopping.geometry
+    c, thetas, u0 = (np.array(x) for x in zip(*parts))
+    shifts = np.vstack([np.zeros(geom.d), hopping.offsets / geom.N])  # row 0: t = 0
+    lo = np.maximum(-shifts, 0.0)
+    count = np.maximum(np.reshape(n_list, (-1, 1, 1, 1, 1)) - np.abs(shifts), 0.0)
+    phi = geom.N * (thetas[:, None] - thetas[None, :])[:, :, None, :]  # (a, b, 1, axis)
+    flat = phi == 0.0
+    ratio = np.exp(1j * phi * lo) * np.expm1(1j * phi * count) / np.expm1(1j * (phi + flat))
+    weights = np.where(flat, count, ratio).prod(axis=-1)  # (n, a, b, t = 0 then each m)
+    forms = np.einsum("ai,mij,bj->abm", u0.conj(), hopping.blocks, u0)
+    energy = (weights[..., 1:] * forms * np.exp(-1j * thetas @ hopping.offsets.T)).sum(-1)
+    energy += coupling * weights[..., 0] * (u0.conj() @ potential.matrix @ u0.T)
+    pair = c.conj()[:, None] * c
+    norm = (pair * weights[..., 0] * (u0.conj() @ u0.T)).sum((1, 2)).real
+    return (pair * energy).sum((1, 2)).real / norm
 
 
 def quasiperiodic_rayleigh(
@@ -211,21 +217,7 @@ def quasiperiodic_rayleigh(
     n_list = [int(n) for n in n_list]
     if any(n < 1 for n in n_list):
         raise ValueError(f"window sizes in n_list must be positive, got {n_list}")
-    coupling = epsilon * q
-
-    norm0 = float(np.vdot(u0, u0).real)
-    v_energy = float(np.vdot(u0, potential.matrix @ u0).real)
-    # a hop by m = N t survives truncation in (n - |t_i|)+ window positions
-    # per dimension: weight the offset stack and take the fiber quotient
-    cells = np.abs(hopping.offsets) / geom.N
-    phases = np.exp(-1j * (hopping.offsets @ theta))
-    quotients = []
-    for n in n_list:
-        weights = np.prod(np.maximum(n - cells, 0.0), axis=1) / float(n**geom.d)
-        fiber = np.tensordot(weights * phases, hopping.blocks, axes=1)
-        h_energy = float(np.vdot(u0, fiber @ u0).real)
-        quotients.append((h_energy + coupling * v_energy) / norm0)
-    return quotients
+    return _window_quotients(hopping, potential, epsilon * q, [(1.0, theta, u0)], n_list).tolist()
 
 
 def fiber_quotient(
@@ -654,18 +646,12 @@ def quartic_trial_energy(epsilon: float, xi: float, n: int | None = None) -> flo
         )
 
     hopping, potential, _ = preset_model("quartic")
-    N = hopping.geometry.N
     eta = epsilon**xi
-
-    def truncated_state(theta: float) -> np.ndarray:
-        # ground fiber state (1, e^{-i theta}, e^{-2i theta})/sqrt(3) extended
-        # by u(x + 3) = e^{-3 i theta} u(x): a plane wave e^{-i theta x}
-        xs = np.arange(n * N)
-        return np.exp(-1j * theta * xs) / np.sqrt(3.0)
-
-    u = truncated_state(0.0) + eta * truncated_state(eta)
-    y = _apply_lattice_operator(hopping, potential, epsilon * 1.0, u, n)
-    return float(np.vdot(u, y).real / np.vdot(u, u).real)
+    # the ground fiber state (1, e^{-i theta}, e^{-2i theta}) extended by
+    # u(x + 3) = e^{-3 i theta} u(x): the plane wave e^{-i theta x}. Left
+    # unnormalised, the theta = 0 forms are exact and their O(n) sum cancels.
+    parts = [(c, [theta], np.exp(-1j * theta * np.arange(3))) for c, theta in ((1, 0), (eta, eta))]
+    return float(_window_quotients(hopping, potential, epsilon * 1.0, parts, [n])[0])
 
 
 KS_SLACK = 1e-9  # band motion may leave the Kirsch-Simon sandwich by this much

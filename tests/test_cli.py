@@ -104,6 +104,16 @@ def test_verify_quartic_reports_red(capsys):
     assert '"all_satisfied": false' in out
 
 
+def test_verify_quartic_at_epsilon_zero_prints_its_row(capsys):
+    # the default window at eps = 0 (epsilon floored at 1e-6) has 1.6e10 cells
+    status, out = run_cli(capsys, "verify", "quartic", "--eps", "0")
+    rows = list(csv.DictReader(io.StringIO(out.split("{")[0])))
+    assert [row["epsilon"] for row in rows] == ["0.0"]
+    # H0 >= 0, and the window's two cut ends leave a positive quotient
+    assert 0.0 < float(rows[0]["value"]) < 1e-9
+    assert status == 1  # so the target 0 is not met
+
+
 def test_verify_fiber_sweep_honours_scan_grid(capsys, monkeypatch):
     grids = []
     scan = floquet.scan_theta_set
@@ -317,6 +327,11 @@ def test_cli_rejects_bad_counts(monkeypatch, capsys, argv, message):
         ),
         (["verify", "quartic", "--eps", "nan"], "epsilon must be finite"),
         (["run", "--model", "anderson", "--eps", "nan"], "epsilon must be finite"),
+        (["fiber", "--model", "dipole", "--theta", "nan"], "theta must be finite, got [nan]"),
+        (
+            ["run", "--model", "anderson", "--samples", "3", "--seed", "1"],
+            "Monte-Carlo samples need at least one epsilon",
+        ),
     ],
     ids=[
         "alloy-without-W",
@@ -328,6 +343,8 @@ def test_cli_rejects_bad_counts(monkeypatch, capsys, argv, message):
         "fiber-sweep-eps-inf",
         "quartic-eps-nan",
         "run-eps-nan",
+        "fiber-theta-nan",
+        "run-samples-without-eps",
     ],
 )
 def test_cli_reports_bad_input_as_a_usage_error(capsys, argv, message):
@@ -337,6 +354,65 @@ def test_cli_reports_bad_input_as_a_usage_error(capsys, argv, message):
     err = capsys.readouterr().err
     assert f"error: {message}" in err
     assert "Traceback" not in err
+
+
+def _dipole_file(tmp_path, amplitude):
+    """The dipole as a model file, its hop (0, 1, -2) set to ``amplitude``
+    while the mirror hop (1, 0, 2) keeps -1."""
+    hopping, potential, disorder = preset_model("dipole")
+    table = {**hopping.coefficients, ((0,), (1,), (-2,)): amplitude}
+    path = tmp_path / "model.json"
+    save_model(path, model.HoppingOperator(hopping.geometry, table), potential, disorder)
+    return str(path)
+
+
+@pytest.mark.parametrize("amplitude", [-1.5, float("inf")])
+def test_validate_and_run_report_a_non_hermitian_table(tmp_path, capsys, amplitude):
+    path = _dipole_file(tmp_path, amplitude)
+    status, out = run_cli(capsys, "validate", "--model", path)
+    assert status == 1
+    checks = {check["name"]: check["passed"] for check in json.loads(out)["checks"]}
+    assert checks["hopping_hermitian"] is False
+    status, report = run_pipeline(RunConfig(model=path, epsilon_list=(0.01,)))
+    assert status == 1
+    assert json.loads(pipeline.write_report(report, pipeline.OutputConfig()))["validation"] == {
+        "passed": False,
+        "checks": json.loads(out)["checks"],
+    }
+    assert "coefficients" not in report
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["floquet-scan"],
+        ["fiber", "--theta", "0.1"],
+        ["coefficients"],
+        ["verify", "fiber-sweep", "--eps", "0.01"],
+        ["verify", "montecarlo", "--eps", "0.01", "--seed", "1"],
+        ["verify", "kirsch-simon"],
+    ],
+)
+def test_commands_refuse_a_model_that_fails_a_hypothesis(tmp_path, capsys, argv):
+    # unchecked, floquet-scan's lower-triangle eigvalsh and ground_space's
+    # symmetrised fiber disagree about the model
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--model", _dipole_file(tmp_path, -1.5)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: model fails the hypothesis checks ['hopping_hermitian']" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "fiber-sweep", "--eps", "0"], ["verify", "fiber-sweep", "--eps", "0,0.01"],
+     ["run", "--eps", "0"]],
+)
+def test_epsilon_zero_in_a_sweep_passes(capsys, argv):
+    status, out = run_cli(capsys, *argv, "--model", "dipole")
+    assert status == 0
+    assert '"passed": true' in out
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,8 @@ When a report change is deliberate, rewrite the expected files with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and say in the change log which entries moved and why.
+which writes only the files the comparison rejects, and say in the change
+log which entries moved and why.
 """
 
 import contextlib
@@ -155,10 +156,13 @@ def test_comparison_catches_changes():
 
 
 if __name__ == "__main__":
+    # rewrite only what the tests reject: a drift inside the tolerances stays unwritten
     DATA.mkdir(parents=True, exist_ok=True)
-    for name in sorted(CASES):
-        (DATA / f"{name}.json").write_text(report_text(name) + "\n")
-        print(f"wrote {DATA / name}.json")
-    for name in sorted(CLI_CASES):
-        (DATA / f"cli_{name}.txt").write_text(cli_text(name))
-        print(f"wrote {DATA / f'cli_{name}.txt'}")
+    outputs = [(DATA / f"{name}.json", report_text(name) + "\n", json.loads) for name in CASES]
+    outputs += [(DATA / f"cli_{name}.txt", cli_text(name), parse_cli) for name in CLI_CASES]
+    for path, text, parse in outputs:
+        try:
+            assert_same(parse(path.read_text()), parse(text))
+        except (AssertionError, FileNotFoundError):
+            path.write_text(text)
+            print(f"wrote {path}")

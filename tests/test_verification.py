@@ -3,6 +3,7 @@ import itertools
 import json
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -116,6 +117,18 @@ def test_sandwich_dipole_quadratic():
         [r.epsilon for r in report.rows], [-abs(r.residual) for r in report.rows]
     )
     assert fit.eta == pytest.approx(4.0, abs=0.05)
+
+
+def test_sandwich_fits_its_constant_on_positive_epsilons():
+    hopping, potential, disorder = preset_model("dipole")
+    ground = ground_space(hopping, [0.0])
+    coeffs = edge_coefficients(ground, potential, disorder)
+    fitted = fiber_bound_sandwich(hopping, potential, disorder, ground, coeffs, [1e-3, 1e-2])
+    report = fiber_bound_sandwich(hopping, potential, disorder, ground, coeffs, [0.0, 1e-3, 1e-2])
+    assert report.C == fitted.C > 0
+    assert report.passed and report.rows[0].epsilon == 0.0
+    alone = fiber_bound_sandwich(hopping, potential, disorder, ground, coeffs, [0.0])
+    assert alone.C == 0.0 and alone.passed
 
 
 def test_sandwich_no_motion_nonnegative():
@@ -897,6 +910,54 @@ def test_quartic_trial_scale():
     assert abs(value) < 10.0 * epsilon ** (1.0 + 2.0 * xi)
 
 
+def _quartic_trial_mp(epsilon, xi):
+    """quartic_trial_energy's closed form at 50 digits: every pair of the two
+    plane waves and every hop of the table, with each window sum
+    sum_{c=lo}^{hi-1} z^c as z^lo (z^(hi-lo) - 1) / (z - 1)."""
+    mp = pytest.importorskip("mpmath")
+    hopping, potential, _ = preset_model("quartic")
+    n = quartic_required_n(epsilon, xi)
+    with mp.workdps(50):
+
+        def window_sum(phi, t):
+            lo, count = max(0, -t), max(0, n - abs(t))
+            z = mp.expj(phi)
+            return mp.mpf(count) if phi == 0 else z**lo * (z**count - 1) / (z - 1)
+
+        eta = mp.mpf(epsilon) ** mp.mpf(xi)
+        energy = norm = mp.mpf(0)
+        for ca, ta in ((1, 0), (eta, eta)):
+            for cb, tb in ((1, 0), (eta, eta)):
+                ua = [mp.expj(-ta * k) for k in range(3)]
+                ub = [mp.expj(-tb * k) for k in range(3)]
+                for ((k,), (kp,), (m,)), value in hopping:
+                    hop = mp.conj(ua[k]) * value.real * ub[kp] * mp.expj(-tb * m)
+                    energy += ca * cb * hop * window_sum(3 * (ta - tb), m // 3)
+                for k in range(3):
+                    cell = ca * cb * mp.conj(ua[k]) * ub[k] * window_sum(3 * (ta - tb), 0)
+                    energy += epsilon * potential.matrix[k, k].real * cell
+                    norm += cell
+        return float(mp.re(energy) / mp.re(norm))
+
+
+@pytest.mark.parametrize("epsilon", [1e-2, 3e-3, 1e-3])
+def test_quartic_trial_matches_a_50_digit_evaluation(epsilon):
+    expected = _quartic_trial_mp(epsilon, 0.3)
+    assert quartic_trial_energy(epsilon, 0.3) == pytest.approx(expected, rel=1e-10, abs=0)
+
+
+def test_quartic_trial_memory_does_not_grow_with_the_window():
+    # the window at epsilon = 1e-3 has 252,383 cells of 3 sites
+    quartic_trial_energy(1e-3, 0.3)
+    tracemalloc.start()
+    try:
+        quartic_trial_energy(1e-3, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def _dense_open_chain(hopping, potential, coupling, n_cells):
     """H0 + coupling * (potential in every cell) on n_cells cells, entry by entry."""
     N = hopping.geometry.N
@@ -909,22 +970,51 @@ def _dense_open_chain(hopping, potential, coupling, n_cells):
     return matrix
 
 
+def _window_state(geom, parts, n, L):
+    """sum_a c_a ext(u0_a, theta_a) on the sites of L^d cells in torus order,
+    zero outside the first n^d cells."""
+    x = np.indices((L * geom.N,) * geom.d).reshape(geom.d, -1).T
+    cells, k = np.divmod(x, geom.N)
+    sub = np.ravel_multi_index(k.T, (geom.N,) * geom.d)  # cell_sites is lexicographic
+    u = sum(c * u0[sub] * np.exp(-1j * geom.N * cells @ theta) for c, theta, u0 in parts)
+    return u * (cells < n).all(axis=1)
+
+
 @pytest.mark.parametrize("dtype", ["real", "complex"])
 @pytest.mark.parametrize("N", [1, 2, 3])
 @pytest.mark.parametrize("n_cells", [1, 2, 5])
 @pytest.mark.parametrize("coupling", [0.0, 0.3])
-def test_apply_lattice_operator_matches_dense_open_chain(dtype, N, n_cells, coupling):
-    # at n_cells = 1 the slices of the +-1-cell blocks are empty
-    rng = np.random.default_rng(100 * N + n_cells)
-    hopping = random_hopping(rng, N=N)
-    if dtype == "real":
-        table = {key: value.real for key, value in hopping.coefficients.items()}
-        hopping = HoppingOperator(hopping.geometry, table)
-    potential = random_potential(rng, N)
-    u = rng.standard_normal(n_cells * N) + 1j * rng.standard_normal(n_cells * N)
-    applied = verification._apply_lattice_operator(hopping, potential, coupling, u, n_cells)
-    expected = _dense_open_chain(hopping, potential, coupling, n_cells) @ u
-    assert np.allclose(applied, expected, rtol=0, atol=1e-13 * hopping.hopping_scale())
+def test_window_quotients_match_dense_references(dtype, N, n_cells, coupling):
+    # two-part superpositions in d = 1, 2, 3 (up to 8 sites a cell); the second
+    # part shares the first's momentum on axis 0 when d > 1, so both kinds of
+    # window sum meet in one product. Hops reach one cell: in d > 1 a torus of
+    # n + 1 cells per axis, the last one empty, is the open window
+    for d in [d for d in (1, 2, 3) if N**d <= 8]:
+        rng = np.random.default_rng(100 * N + 10 * n_cells + d)
+        hopping = random_hopping(rng, d=d, N=N)
+        if dtype == "real":
+            table = {key: value.real for key, value in hopping.coefficients.items()}
+            hopping = HoppingOperator(hopping.geometry, table)
+        geom = hopping.geometry
+        potential = random_potential(rng, geom.cell_size)
+        thetas = rng.uniform(0.0, 2.0 * np.pi / N, (2, d))
+        thetas[1, 0] = thetas[0, 0] if d > 1 else thetas[1, 0]
+        parts = [
+            (complex(*rng.standard_normal(2)), theta, rng.standard_normal(geom.cell_size)
+             + 1j * rng.standard_normal(geom.cell_size))
+            for theta in thetas
+        ]
+        if d == 1:
+            matrix = _dense_open_chain(hopping, potential, coupling, n_cells)
+            u = _window_state(geom, parts, n_cells, n_cells)
+        else:
+            ones = np.ones((n_cells + 1) ** d)
+            matrix = torus_structure(hopping, potential, n_cells + 1).fill(coupling, ones)
+            u = _window_state(geom, parts, n_cells, n_cells + 1)
+        expected = np.vdot(u, matrix @ u).real / np.vdot(u, u).real
+        quotients = verification._window_quotients(hopping, potential, coupling, parts, [n_cells])
+        scale = hopping.hopping_scale() + coupling * potential.norm
+        assert abs(quotients[0] - expected) <= 1e-13 * scale, (d, quotients[0], expected)
 
 
 def test_kirsch_simon_free_laplacian_equality():
