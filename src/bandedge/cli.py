@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import json
 import sys
 
 import numpy as np
@@ -74,19 +73,23 @@ def _emit_csv(rows: list[dict], stream) -> None:
 
 
 def _print_json(payload) -> None:
-    print(json.dumps(payload, indent=2, default=pipeline._json_default))
+    print(pipeline.write_report(payload, pipeline.OutputConfig()))
+
+
+def _fit_summary(epsilons, values) -> dict:
+    """The exponent fit's eta, prefactor and r_squared, or the reason it failed."""
+    try:
+        fit = verification.fit_exponent(epsilons, values)
+    except ValueError as exc:
+        return {"fit_error": str(exc)}
+    return {"eta": fit.eta, "prefactor": fit.prefactor, "r_squared": fit.r_squared}
 
 
 def cmd_validate(args) -> int:
     hopping, potential, _ = pipeline.resolve_model(args.model, _model_params(args))
-    report = model.validate_hypotheses(hopping, potential)
-    _print_json(
-        {
-            "passed": report.passed,
-            "checks": [dataclasses.asdict(c) for c in report.checks],
-        }
-    )
-    return 0 if report.passed else 1
+    block = pipeline.validation_block(model.validate_hypotheses(hopping, potential))
+    _print_json(block)
+    return 0 if block["passed"] else 1
 
 
 def cmd_floquet_scan(args) -> int:
@@ -107,16 +110,7 @@ def cmd_fiber(args) -> int:
     theta = np.array(_parse_floats(args.theta))
     fiber = floquet.build_floquet(hopping, theta)
     eigenvalues, vectors = floquet.fiber_eigh(fiber)
-    _print_json(
-        {
-            "theta": theta.tolist(),
-            "eigenvalues": eigenvalues.tolist(),
-            "eigenvectors": [
-                [{"re": z.real, "im": z.imag} for z in vectors[:, j]]
-                for j in range(vectors.shape[1])
-            ],
-        }
-    )
+    _print_json({"theta": theta, "eigenvalues": eigenvalues, "eigenvectors": vectors.T})
     return 0
 
 
@@ -166,15 +160,9 @@ def cmd_verify_montecarlo(args) -> int:
                 {"epsilon": epsilon, "seed": args.seed + i, "lambda_min": s.lambda_min}
             )
     _emit_csv(rows, sys.stdout)
-    summary: dict = {"minima": dict(zip(map(repr, args.eps), minima))}
-    try:
-        fit = verification.fit_exponent(args.eps, minima)
-        summary["eta"] = fit.eta
-        summary["prefactor"] = fit.prefactor
-        summary["r_squared"] = fit.r_squared
-    except ValueError as exc:
-        summary["fit_error"] = str(exc)
-    _print_json(summary)
+    _print_json(
+        {"minima": dict(zip(map(repr, args.eps), minima)), **_fit_summary(args.eps, minima)}
+    )
     return 0
 
 
@@ -192,14 +180,11 @@ def cmd_verify_quartic(args) -> int:
             }
         )
     _emit_csv(rows, sys.stdout)
-    summary: dict = {"all_satisfied": all(r["satisfied"] for r in rows)}
-    try:
-        fit = verification.fit_exponent([r["epsilon"] for r in rows], [r["value"] for r in rows])
-        summary["eta"] = fit.eta
-    except ValueError as exc:
-        summary["fit_error"] = str(exc)
-    _print_json(summary)
-    return 0 if summary["all_satisfied"] else 1
+    satisfied = all(r["satisfied"] for r in rows)
+    _print_json(
+        {"all_satisfied": satisfied, **_fit_summary(args.eps, [r["value"] for r in rows])}
+    )
+    return 0 if satisfied else 1
 
 
 def cmd_verify_kirsch_simon(args) -> int:
@@ -326,8 +311,8 @@ def main(argv=None) -> int:
     if support != [None, None]:
         try:  # an endpoint not given keeps the presets' default, -1 or 1
             model.DisorderSupport(*(d if v is None else v for v, d in zip(support, (-1.0, 1.0))))
-        except ValueError:
-            parser.error("support needs s_minus < s_plus and s_plus > 0")
+        except ValueError as exc:
+            parser.error(str(exc))
     try:
         return args.func(args)
     except ValueError as exc:  # a model, theta or parameter the program cannot take

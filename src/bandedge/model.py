@@ -202,7 +202,7 @@ class SingleCellPotential:
 
 @dataclass(frozen=True)
 class DisorderSupport:
-    """Endpoints s_minus < s_plus, with s_plus > 0, of the coupling support."""
+    """Finite endpoints s_minus < s_plus, with s_plus > 0, of the coupling support."""
 
     s_minus: float
     s_plus: float
@@ -211,8 +211,10 @@ class DisorderSupport:
     POSITIVE = "positive"
 
     def __post_init__(self) -> None:
-        if not (self.s_minus < self.s_plus and self.s_plus > 0):
-            raise ValueError(f"support needs s_minus < s_plus and s_plus > 0, got {self}")
+        if not (-np.inf < self.s_minus < self.s_plus < np.inf and self.s_plus > 0):
+            raise ValueError(
+                f"support needs s_minus < s_plus and s_plus > 0, both finite, got {self}"
+            )
 
     @property
     def regime(self) -> str:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .floquet import GroundSpaceData, _fix_phases, ground_space
+from .floquet import GroundSpaceData, _fix_phases, _require_epsilon, ground_space
 from .model import (
     ConvergenceError,
     DisorderSupport,
@@ -250,8 +250,7 @@ def edge_bound(coeffs: EdgeCoefficients, epsilon: float) -> float:
     edge further: on the dipole chain alternating +-1 couplings reach about
     twice epsilon^2 * A2.
     """
-    if not 0 <= epsilon < np.inf:
-        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
+    _require_epsilon(epsilon)
     if coeffs.case == CASE_LINEAR:
         return epsilon * coeffs.first_order()
     if coeffs.case == CASE_QUADRATIC:

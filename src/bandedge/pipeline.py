@@ -36,8 +36,8 @@ class Tolerances:
     def __post_init__(self) -> None:
         for name in ("tol_shift", "tol_theta", "tol_deg", "tol_case"):
             value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+            if value is not None and not 0 < value < np.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -176,12 +176,8 @@ def run_pipeline(config: RunConfig) -> tuple[int, dict]:
     report: dict = {"config": dataclasses.asdict(config)}
     status = 0
 
-    validation = model.validate_hypotheses(hopping, potential)
-    report["validation"] = {
-        "passed": validation.passed,
-        "checks": [dataclasses.asdict(c) for c in validation.checks],
-    }
-    if not validation.passed:
+    report["validation"] = validation_block(model.validate_hypotheses(hopping, potential))
+    if not report["validation"]["passed"]:
         return 1, report
 
     theta_set = scan_zone(hopping, config.bz, config.tolerances)
@@ -228,19 +224,30 @@ def run_pipeline(config: RunConfig) -> tuple[int, dict]:
     return status, report
 
 
+def validation_block(report: model.ValidationReport) -> dict:
+    """The ``validation`` payload of ``run`` and ``validate``."""
+    return {"passed": report.passed, "checks": [dataclasses.asdict(c) for c in report.checks]}
+
+
 def write_report(report: dict, output: OutputConfig) -> str | None:
-    text = json.dumps(report, indent=2, default=_json_default)
+    """Strict JSON text of a report or any CLI payload, written to ``output.path``
+    when it is set, else returned."""
+    text = json.dumps(_json_ready(report), indent=2, allow_nan=False)
     if output.path is None:
         return text
     Path(output.path).write_text(text + "\n")
     return None
 
 
-def _json_default(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
+def _json_ready(obj):
+    """numpy values as Python ones, a complex number as {"re", "im"}, and a
+    non-finite float as the string "inf", "-inf" or "nan"."""
+    if isinstance(obj, dict):
+        return {key: _json_ready(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_ready(value) for value in obj]
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return _json_ready(obj.tolist())
     if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+        return {"re": _json_ready(obj.real), "im": _json_ready(obj.imag)}
+    return repr(obj) if isinstance(obj, float) and not np.isfinite(obj) else obj

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .floquet import GroundSpaceData, build_floquet, grid_band_bottom, ground_space
-from .floquet import _certificate_margin, _proven_above, _require_count
+from .floquet import _certificate_margin, _proven_above, _require_count, _require_epsilon
 from .model import (
     ConvergenceError,
     DisorderSupport,
@@ -47,23 +47,18 @@ SLACK_FACTOR = 1.25  # sweep residuals may exceed the fitted remainder by this f
 @dataclass(frozen=True)
 class FiberMinResult:
     epsilon: float
-    theta: np.ndarray
     q_star: float
     value: float
 
 
 @dataclass(frozen=True)
 class BoxSpectrumSample:
-    L: int
     omega: np.ndarray
-    epsilon: float
     lambda_min: float
 
 
 @dataclass(frozen=True)
 class ExponentFit:
-    epsilons: np.ndarray
-    values: np.ndarray
     eta: float
     prefactor: float
     r_squared: float
@@ -84,9 +79,7 @@ def fiber_min_over_q(
     endpoint, and only the two endpoints are solved. eigvalsh reads the lower
     triangle alone, so the family it solves is Hermitian and affine for any input.
     """
-    if not 0 <= epsilon < np.inf:
-        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
-    theta = np.asarray(theta, dtype=float)
+    _require_epsilon(epsilon)
     base = build_floquet(hopping, theta).matrix
     couplings = np.array([disorder.s_minus, disorder.s_plus])
     stack = base + (epsilon * couplings)[:, None, None] * potential.matrix
@@ -95,7 +88,7 @@ def fiber_min_over_q(
         q_star, value = disorder.s_minus, lo
     else:
         q_star, value = disorder.s_plus, hi
-    return FiberMinResult(epsilon=epsilon, theta=theta, q_star=q_star, value=value)
+    return FiberMinResult(epsilon=epsilon, q_star=q_star, value=value)
 
 
 @dataclass(frozen=True)
@@ -532,8 +525,7 @@ def box_min_eig(
     ``ConvergenceError``. Bad input raises ``ValueError`` before any structure is
     built. See README, ``bandedge.verification``."""
     _require_count("L", L, 1)
-    if not 0 <= epsilon < np.inf:
-        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
+    _require_epsilon(epsilon)
     if q is not None and not np.isfinite(q):
         raise ValueError(f"coupling q must be finite, got {q!r}")
     if not (np.isfinite(hopping.blocks).all() and np.isfinite(potential.matrix).all()):
@@ -560,7 +552,7 @@ def box_min_eig(
         raise ConvergenceError(f"eigenpair residual {residual:.3e} exceeds certificate bound")
     if lam > weyl + bound or (band is not None and _shifted_cholesky(band, lam - bound) is None):
         raise ConvergenceError(f"Rayleigh quotient {lam!r} is not the lowest eigenvalue")
-    return BoxSpectrumSample(L=L, omega=omega, epsilon=epsilon, lambda_min=lam)
+    return BoxSpectrumSample(omega=omega, lambda_min=lam)
 
 
 def torus_dual_minimum(
@@ -589,24 +581,17 @@ def fit_exponent(epsilons, values) -> ExponentFit:
     excluded = int(np.count_nonzero(~usable))
     if excluded:
         warnings.warn(f"fit_exponent: excluded {excluded} nonnegative value(s)", stacklevel=2)
-    eps = epsilons[usable]
-    vals = values[usable]
-    if len(eps) < 3:
-        raise ValueError(f"need at least 3 negative values to fit, have {len(eps)}")
-    x = np.log(eps)
-    y = np.log(-vals)
+    if usable.sum() < 3:
+        raise ValueError(f"need at least 3 negative values to fit, have {usable.sum()}")
+    x = np.log(epsilons[usable])
+    y = np.log(-values[usable])
     slope, intercept = np.polyfit(x, y, 1)
     predicted = slope * x + intercept
     ss_res = float(np.sum((y - predicted) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     return ExponentFit(
-        epsilons=eps,
-        values=vals,
-        eta=float(slope),
-        prefactor=float(np.exp(intercept)),
-        r_squared=r2,
-        excluded=excluded,
+        eta=float(slope), prefactor=float(np.exp(intercept)), r_squared=r2, excluded=excluded
     )
 
 
@@ -631,10 +616,9 @@ def quartic_trial_energy(epsilon: float, xi: float, n: int | None = None) -> flo
     epsilon^xi-weighted copy at theta = epsilon^xi, truncated to n cells, with
     constant coupling q = 1.
     """
-    if xi <= 0.25:
-        raise ValueError("xi must exceed 1/4")
-    if not 0 <= epsilon < np.inf:
-        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
+    if not 0.25 < xi < np.inf:
+        raise ValueError(f"xi must exceed 1/4 and be finite, got {xi!r}")
+    _require_epsilon(epsilon)
     required = quartic_required_n(max(epsilon, 1e-6), xi)
     n = required if n is None else n
     _require_count("n", n, 1)

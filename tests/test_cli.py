@@ -114,6 +114,17 @@ def test_verify_quartic_at_epsilon_zero_prints_its_row(capsys):
     assert status == 1  # so the target 0 is not met
 
 
+def test_verify_quartic_summarises_the_fit_as_montecarlo_does(monkeypatch, capsys):
+    # the quartic's trial energies are positive, so a negative power law stands in
+    monkeypatch.setattr(verification, "quartic_trial_energy", lambda e, xi, n: -(e**1.6))
+    status, out = run_cli(capsys, "verify", "quartic", "--eps", "0.01,0.02,0.04")
+    summary = json.loads(out[out.index("{") :])
+    assert list(summary) == ["all_satisfied", "eta", "prefactor", "r_squared"]
+    assert summary["eta"] == pytest.approx(1.6)
+    assert summary["prefactor"] == pytest.approx(1.0)
+    assert status == 0
+
+
 def test_verify_fiber_sweep_honours_scan_grid(capsys, monkeypatch):
     grids = []
     scan = floquet.scan_theta_set
@@ -195,6 +206,14 @@ def test_run_sweeps_with_the_reported_coefficients():
     assert report["fiber_sweep"]["case"] == "NoMotion"
     assert report["fiber_sweep"]["passed"] is False
     assert status == 1
+
+
+@pytest.mark.parametrize("name", ["tol_shift", "tol_theta", "tol_deg", "tol_case"])
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+def test_tolerances_must_be_finite_and_positive(name, value):
+    # a NaN tol_case made every case test false: anderson came out NoMotion
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+        Tolerances(**{name: value})
 
 
 def test_run_computes_coefficients_once_per_minimizer(monkeypatch):
@@ -319,6 +338,14 @@ def test_cli_rejects_bad_counts(monkeypatch, capsys, argv, message):
         (["fiber", "--model", "anderson", "--theta", "0.1,0.2"], "theta must have shape (1,)"),
         (["coefficients", "--model", "anderson", "--d", "0"], "dimension must be >= 1"),
         (["verify", "quartic", "--xi", "0.2", "--eps", "0.01"], "xi must exceed 1/4"),
+        (
+            ["verify", "quartic", "--xi", "inf", "--eps", "0.01"],
+            "xi must exceed 1/4 and be finite, got inf",
+        ),
+        (
+            ["verify", "quartic", "--xi", "nan", "--eps", "0.01"],
+            "xi must exceed 1/4 and be finite, got nan",
+        ),
         (["verify", "quartic", "--n", "0", "--eps", "0.01"], "argument --n: must be at least 1"),
         (["coefficients", "--model", "dipole", "--eps", "nan"], "epsilon must be finite"),
         (
@@ -327,6 +354,23 @@ def test_cli_rejects_bad_counts(monkeypatch, capsys, argv, message):
         ),
         (["verify", "quartic", "--eps", "nan"], "epsilon must be finite"),
         (["run", "--model", "anderson", "--eps", "nan"], "epsilon must be finite"),
+        (
+            ["coefficients", "--model", "dipole", "--eps", "1e300"],
+            "epsilon must be finite and nonnegative, at most 5.64e+102, got 1e+300",
+        ),
+        (
+            ["verify", "fiber-sweep", "--model", "dipole", "--eps", "1e120"],
+            "epsilon must be finite and nonnegative, at most 5.64e+102, got 1e+120",
+        ),
+        (
+            ["run", "--model", "dipole", "--eps", "1e200"],
+            "epsilon must be finite and nonnegative, at most 5.64e+102, got 1e+200",
+        ),
+        (
+            ["coefficients", "--model", "anderson", "--s-plus", "inf"],
+            "support needs s_minus < s_plus and s_plus > 0, both finite, "
+            "got DisorderSupport(s_minus=-1.0, s_plus=inf)",
+        ),
         (["fiber", "--model", "dipole", "--theta", "nan"], "theta must be finite, got [nan]"),
         (
             ["run", "--model", "anderson", "--samples", "3", "--seed", "1"],
@@ -338,11 +382,17 @@ def test_cli_rejects_bad_counts(monkeypatch, capsys, argv, message):
         "fiber-theta-too-long",
         "d0",
         "quartic-xi-too-small",
+        "quartic-xi-inf",
+        "quartic-xi-nan",
         "quartic-n0",
         "coefficients-eps-nan",
         "fiber-sweep-eps-inf",
         "quartic-eps-nan",
         "run-eps-nan",
+        "coefficients-eps-cube-overflows",
+        "fiber-sweep-eps-cube-overflows",
+        "run-eps-cube-overflows",
+        "support-s-plus-inf",
         "fiber-theta-nan",
         "run-samples-without-eps",
     ],
@@ -366,18 +416,23 @@ def _dipole_file(tmp_path, amplitude):
     return str(path)
 
 
+def _strict_json(text: str):
+    """``text`` parsed as JSON, refusing Infinity, -Infinity and NaN."""
+    return json.loads(text, parse_constant=refuse("a non-finite JSON number"))
+
+
 @pytest.mark.parametrize("amplitude", [-1.5, float("inf")])
 def test_validate_and_run_report_a_non_hermitian_table(tmp_path, capsys, amplitude):
     path = _dipole_file(tmp_path, amplitude)
     status, out = run_cli(capsys, "validate", "--model", path)
     assert status == 1
-    checks = {check["name"]: check["passed"] for check in json.loads(out)["checks"]}
+    checks = {check["name"]: check["passed"] for check in _strict_json(out)["checks"]}
     assert checks["hopping_hermitian"] is False
     status, report = run_pipeline(RunConfig(model=path, epsilon_list=(0.01,)))
     assert status == 1
-    assert json.loads(pipeline.write_report(report, pipeline.OutputConfig()))["validation"] == {
+    assert _strict_json(pipeline.write_report(report, pipeline.OutputConfig()))["validation"] == {
         "passed": False,
-        "checks": json.loads(out)["checks"],
+        "checks": _strict_json(out)["checks"],
     }
     assert "coefficients" not in report
 

@@ -80,8 +80,9 @@ def test_validate_flags_trivial_hopping():
 
 
 def test_disorder_regime_constraints():
-    # a support needs s_minus < s_plus and s_plus > 0; s_minus's sign sets the regime
-    for s_minus, s_plus in ((0.5, 0.5), (1.0, 0.5), (-1.0, 0.0), (-2.0, -1.0), (np.nan, 1.0)):
+    # a support needs finite s_minus < s_plus and s_plus > 0; s_minus's sign sets the regime
+    bad = [(0.5, 0.5), (1.0, 0.5), (-1.0, 0.0), (-2.0, -1.0), (np.nan, 1.0), (0.0, np.nan)]
+    for s_minus, s_plus in bad + [(-np.inf, 1.0), (-1.0, np.inf)]:
         with pytest.raises(ValueError, match="support needs"):
             DisorderSupport(s_minus, s_plus)
     assert DisorderSupport(-0.5, 1.0).regime == DisorderSupport.SIGN_CHANGING
@@ -250,3 +251,14 @@ def test_model_dict_schema_fields():
     assert set(data["hoppings"][0]) == {"k", "k_prime", "m", "re", "im"}
     h2, _, _ = model_from_dict(json.loads(json.dumps(data)))
     assert h2.coefficients == hopping.coefficients
+
+
+def test_model_file_with_an_infinite_support_endpoint_is_refused(tmp_path):
+    # Python's json reads the non-standard Infinity; the support must refuse it
+    data = model_to_dict(*preset_model("anderson"))
+    data["disorder"]["s_plus"] = float("inf")
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    assert '"s_plus": Infinity' in path.read_text()
+    with pytest.raises(ValueError, match="both finite, got DisorderSupport"):
+        load_model(path)

@@ -14,7 +14,7 @@ import scipy.sparse as sp
 
 import bandedge
 from bandedge import verification
-from bandedge.floquet import ground_space
+from bandedge.floquet import MAX_EPSILON, ground_space
 from bandedge.model import (
     ConvergenceError,
     DisorderSupport,
@@ -765,10 +765,14 @@ def _nan_table():
         (lambda: preset_model("anderson"), 0.05, True, 1.0, "L must be an integer of at least 1"),
         (lambda: preset_model("anderson"), -0.01, 64, 1.0, "epsilon must be finite"),
         (lambda: preset_model("anderson"), float("inf"), 64, 1.0, "epsilon must be finite"),
+        (lambda: preset_model("anderson"), 1e120, 64, 1.0, "epsilon must be finite"),
         (lambda: preset_model("anderson", d=2), 0.05, 72, float("nan"), "q must be finite"),
         (_nan_table, 0.05, 72, 1.0, "hopping amplitudes and potential entries"),
     ],
-    ids=["L0", "L-float", "L-bool", "eps-negative", "eps-inf", "q-nan", "hopping-nan"],
+    ids=[
+        "L0", "L-float", "L-bool", "eps-negative", "eps-inf", "eps-cube-overflows", "q-nan",
+        "hopping-nan",
+    ],
 )
 def test_box_rejects_bad_input_before_assembly(monkeypatch, capfd, model, epsilon, L, q, message):
     monkeypatch.setattr("bandedge.verification.assemble_torus", refuse("assemble_torus"))
@@ -780,7 +784,9 @@ def test_box_rejects_bad_input_before_assembly(monkeypatch, capfd, model, epsilo
     assert capfd.readouterr().err == ""
 
 
-@pytest.mark.parametrize("epsilon", [-0.01, float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "epsilon", [-0.01, float("nan"), float("inf"), 1e120, np.nextafter(MAX_EPSILON, np.inf)]
+)
 def test_epsilon_checks_reject_every_non_finite_or_negative_value(epsilon):
     hopping, potential, disorder = preset_model("dipole")
     coeffs = edge_coefficients(ground_space(hopping, [0.0]), potential, disorder)
@@ -792,6 +798,17 @@ def test_epsilon_checks_reject_every_non_finite_or_negative_value(epsilon):
     for call in calls:
         with pytest.raises(ValueError, match="epsilon must be finite and nonnegative"):
             call()
+
+
+@pytest.mark.parametrize("name", ["anderson", "dipole", "quartic"])
+def test_sweep_takes_the_largest_epsilon_whose_cube_is_finite(name):
+    # the sweep raises epsilon to the power 1.5 or 3 with Python's **, which
+    # raises OverflowError past a finite result
+    hopping, potential, disorder = preset_model(name)
+    ground = ground_space(hopping, [0.0])
+    coeffs = edge_coefficients(ground, potential, disorder)
+    report = fiber_bound_sandwich(hopping, potential, disorder, ground, coeffs, [MAX_EPSILON])
+    assert np.isfinite(report.rows[0].predicted)
 
 
 @pytest.mark.parametrize("other", ["hopping", "potential", "L"])
