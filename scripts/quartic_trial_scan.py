@@ -30,7 +30,8 @@ def main() -> int:
         n = args.n if args.n is not None else quartic_required_n(epsilon, args.xi)
         value = quartic_trial_energy(epsilon, args.xi, n)
         scale = epsilon ** (1.0 + 2.0 * args.xi)
-        writer.writerow([repr(epsilon), n, repr(value), repr(-scale / 6.0), repr(value / scale)])
+        ratio = value / scale if scale else float("nan")  # at eps = 0 there is no scale
+        writer.writerow([repr(epsilon), n, repr(value), repr(-scale / 6.0), repr(ratio)])
     return 0
 
 

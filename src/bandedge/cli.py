@@ -131,16 +131,9 @@ def cmd_verify_fiber_sweep(args) -> int:
     report = verification.fiber_bound_sandwich(
         theta_set.hopping, potential, disorder, ground, coeffs, args.eps
     )
-    rows = [dataclasses.asdict(r) for r in report.rows]
-    _emit_csv(rows, sys.stdout)
-    _print_json(
-        {
-            "case": report.case,
-            "C": report.C,
-            "remainder_power": report.remainder_power,
-            "passed": report.passed,
-        }
-    )
+    summary = dataclasses.asdict(report)
+    _emit_csv(summary.pop("rows"), sys.stdout)
+    _print_json({**summary, "passed": report.passed})
     return 0 if report.passed else 1
 
 
@@ -191,15 +184,7 @@ def cmd_verify_kirsch_simon(args) -> int:
     hopping, _, _ = _load(args)
     grid = floquet.zone_grid(hopping.geometry, args.grid)
     report = verification.kirsch_simon_sandwich(hopping, grid)
-    _print_json(
-        {
-            "a_minus": report.a_minus,
-            "a_plus": report.a_plus,
-            "n_points": report.n_points,
-            "violations": list(report.violations),
-            "passed": report.passed,
-        }
-    )
+    _print_json({**dataclasses.asdict(report), "passed": report.passed})
     return 0 if report.passed else 1
 
 
@@ -266,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=_parse_floats, required=True)
     p.add_argument("--L", type=_count_at_least(1), default=64)
     p.add_argument("--samples", type=_count_at_least(1), default=50)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_count_at_least(0), required=True)
     p.add_argument(
         "--sampler",
         default=verification.SAMPLER_ENDPOINT,
@@ -292,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=_parse_floats, default=[])
     p.add_argument("--L", type=_count_at_least(1), default=64)
     p.add_argument("--samples", type=_count_at_least(0), default=0)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_count_at_least(0), default=None)
     p.add_argument(
         "--sampler",
         default=verification.SAMPLER_ENDPOINT,

@@ -120,13 +120,22 @@ class HoppingOperator:
         """Bound L with |lambda_min(theta) - lambda_min(theta')| <= L * |theta - theta'|_inf."""
         return sum(abs(v) * sum(abs(mi) for mi in m) for (_, _, m), v in self)
 
+    def _require_finite_phases(self, thetas: np.ndarray, name: str) -> None:
+        """Refuse quasi-momenta a caller gives, the rows of ``thetas`` (b, d),
+        unless every entry and every phase theta.m that ``fibers`` takes is finite."""
+        with np.errstate(invalid="ignore", over="ignore"):
+            phases = sum(thetas[:, [a]] * self.offsets[:, a] for a in range(self.geometry.d))
+        bad = ~(np.isfinite(thetas).all(1) & np.isfinite(phases).all(1))
+        if bad.any():
+            row = thetas[bad][0].tolist()
+            raise ValueError(f"{name} must be finite, got {row} (non-finite entry or phase)")
+
     def fiber(self, theta) -> np.ndarray:
         """The cell_size x cell_size quasi-momentum fiber matrix at theta."""
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.geometry.d,):
             raise ValueError(f"theta must have shape ({self.geometry.d},), got {theta.shape}")
-        if not np.isfinite(theta).all():
-            raise ValueError(f"theta must be finite, got {theta.tolist()}")
+        self._require_finite_phases(theta[None], "theta")
         return self.fibers(theta[None])[0]
 
     def fibers(self, thetas) -> np.ndarray:

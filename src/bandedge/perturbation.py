@@ -264,7 +264,7 @@ class PFReport:
     simple: bool | None = None
     strictly_positive: bool | None = None
     min_entry: float | None = None
-    gap: float | None = None
+    ground: GroundSpaceData | None = None  # the theta = 0 ground space judged
 
     @property
     def passed(self) -> bool:
@@ -272,7 +272,7 @@ class PFReport:
 
 
 def perron_frobenius_check(hopping: HoppingOperator) -> PFReport:
-    """At theta = 0 the lowest fiber state of -Delta + W is simple and positive."""
+    """At theta = 0 the lowest fiber state of -Delta + W is simple, every entry above 1e-12."""
     if not is_alloy(hopping):
         return PFReport(applicable=False)
     ground = ground_space(hopping, np.zeros(hopping.geometry.d))
@@ -286,11 +286,10 @@ def perron_frobenius_check(hopping: HoppingOperator) -> PFReport:
     else:
         min_entry = float(psi.real.min())
         positive = min_entry > 1e-12
-    gap = float(eigenvalues[1] - eigenvalues[0]) if len(eigenvalues) > 1 else None
     return PFReport(
         applicable=True,
         simple=simple,
         strictly_positive=positive,
         min_entry=min_entry,
-        gap=gap,
+        ground=ground,
     )

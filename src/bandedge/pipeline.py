@@ -50,8 +50,8 @@ class VerifyConfig:
     def __post_init__(self) -> None:
         floquet._require_count("L", self.L, 1)
         floquet._require_count("samples", self.samples, 0)
-        if self.samples > 0 and self.seed is None:
-            raise ValueError("a seed is required whenever samples > 0")
+        if self.samples > 0 or self.seed is not None:  # sampling needs a seed
+            floquet._require_count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -157,6 +157,7 @@ def montecarlo_minima(
     all filled from one torus structure."""
     floquet._require_count("samples", samples, 1)
     floquet._require_count("L", L, 1)
+    floquet._require_count("seed", seed, 0)
     structure = verification.torus_structure(hopping, potential, L)
     return [
         verification.box_min_eig(

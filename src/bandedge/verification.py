@@ -15,14 +15,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .floquet import GroundSpaceData, build_floquet, grid_band_bottom, ground_space
+from .floquet import GroundSpaceData, build_floquet, grid_band_bottom
 from .floquet import _certificate_margin, _proven_above, _require_count, _require_epsilon
 from .model import (
     ConvergenceError,
     DisorderSupport,
     HoppingOperator,
     SingleCellPotential,
-    is_alloy,
     preset_model,
 )
 from .perturbation import (
@@ -31,6 +30,7 @@ from .perturbation import (
     CASE_QUADRATIC,
     EdgeCoefficients,
     edge_bound,
+    perron_frobenius_check,
 )
 
 if TYPE_CHECKING:
@@ -104,8 +104,8 @@ class SandwichRow:
 @dataclass(frozen=True)
 class SandwichReport:
     case: str
-    remainder_power: float | None
     C: float
+    remainder_power: float | None
     rows: tuple[SandwichRow, ...]
 
     @property
@@ -153,7 +153,7 @@ def fiber_bound_sandwich(
                 upper_ok=power is None or res <= slack,
             )
         )
-    return SandwichReport(coeffs.case, power, C, tuple(rows))
+    return SandwichReport(coeffs.case, C, power, tuple(rows))
 
 
 def _window_quotients(
@@ -204,6 +204,9 @@ def quasiperiodic_rayleigh(
     """
     geom = hopping.geometry
     theta = np.asarray(theta, dtype=float)
+    if theta.shape != (geom.d,):
+        raise ValueError(f"theta must have shape ({geom.d},), got {theta.shape}")
+    hopping._require_finite_phases(theta[None], "theta")
     u0 = np.asarray(u0, dtype=complex)
     if u0.shape != (geom.cell_size,) or not np.linalg.norm(u0):
         raise ValueError("u0 must be a nonzero cell vector")
@@ -599,14 +602,20 @@ QUARTIC_TRIAL_K = 4.0
 
 
 def quartic_required_n(epsilon: float, xi: float) -> int:
-    """Default window, in cells, for the quartic trial state: ceil(K eps^-(1+2xi)).
+    """Default window, in cells, for the quartic trial state: ceil(K e^-(1+2xi)),
+    e = max(eps, 1e-6), and at least 1; ValueError past 2^53 cells, the
+    counts float64 holds exactly.
 
     The sharp cut at the window ends adds about 4/(3K) eps^(1+2xi) to the
     quotient, a third of eps^(1+2xi) at K = QUARTIC_TRIAL_K = 4. That is twice
     the (1/6) eps^(1+2xi) target, so this window does not make truncation
     negligible; the cost falls only as 1/K.
     """
-    return int(np.ceil(QUARTIC_TRIAL_K * epsilon ** -(1.0 + 2.0 * xi)))
+    with np.errstate(over="ignore"):
+        cells = np.ceil(QUARTIC_TRIAL_K * np.float64(max(epsilon, 1e-6)) ** -(1.0 + 2.0 * xi))
+    if not cells <= 2.0**53:
+        raise ValueError(f"the window for epsilon={epsilon!r}, xi={xi!r} exceeds 2^53 cells")
+    return max(int(cells), 1)
 
 
 def quartic_trial_energy(epsilon: float, xi: float, n: int | None = None) -> float:
@@ -619,7 +628,10 @@ def quartic_trial_energy(epsilon: float, xi: float, n: int | None = None) -> flo
     if not 0.25 < xi < np.inf:
         raise ValueError(f"xi must exceed 1/4 and be finite, got {xi!r}")
     _require_epsilon(epsilon)
-    required = quartic_required_n(max(epsilon, 1e-6), xi)
+    with np.errstate(over="ignore"):  # for eps >= 1 this also bounds eps^xi
+        if not np.isfinite(np.float64(epsilon) ** (1.0 + 2.0 * xi)):
+            raise ValueError(f"eps^(1+2xi) overflows at epsilon={epsilon!r}, xi={xi!r}")
+    required = quartic_required_n(epsilon, xi)
     n = required if n is None else n
     _require_count("n", n, 1)
     if epsilon > 0 and n < required:
@@ -667,8 +679,8 @@ def _ks_trial_quotients(stack: np.ndarray, psi: np.ndarray, kappa: np.ndarray, g
 class KirschSimonReport:
     a_minus: float
     a_plus: float
-    violations: tuple[dict, ...]
     n_points: int
+    violations: tuple[dict, ...]
 
     @property
     def passed(self) -> bool:
@@ -680,10 +692,8 @@ def kirsch_simon_sandwich(hopping: HoppingOperator, theta_grid) -> KirschSimonRe
     eigvalsh's E0(theta) - E0(0) leaves [lower - KS_SLACK, upper + KS_SLACK]:
     (a_minus/a_plus)^2 and (a_plus/a_minus)^2 times the free dispersion folded
     over the N^d branches theta + 2 pi b / N, a_minus and a_plus the extreme
-    entries of the positive ground state at theta = 0 (Kirsch & Simon, J. Funct.
-    Anal. 75, 1987)."""
-    if not is_alloy(hopping):
-        raise ValueError("sandwich check applies only to operators of the form -Delta + W")
+    entries of the ground state at theta = 0 that ``perron_frobenius_check``
+    passed (Kirsch & Simon, J. Funct. Anal. 75, 1987)."""
     geom = hopping.geometry
     thetas = np.asarray(theta_grid, dtype=float)
     thetas = thetas[:, None] if thetas.ndim == 1 and geom.d == 1 else thetas
@@ -691,15 +701,14 @@ def kirsch_simon_sandwich(hopping: HoppingOperator, theta_grid) -> KirschSimonRe
         raise ValueError(f"theta_grid must have shape (b, {geom.d}), got {thetas.shape}")
     if not len(thetas):
         raise ValueError("theta_grid is empty: the sandwich would hold vacuously")
-    if not np.isfinite(thetas).all():
-        raise ValueError("theta_grid has a non-finite entry")
-    ground = ground_space(hopping, np.zeros(geom.d))
-    psi = ground.basis[:, 0]
-    if np.abs(psi.imag).max() > 1e-10 or psi.real.min() <= 0:
-        raise ConvergenceError("ground state at theta = 0 is not strictly positive")
-    a_minus = float(psi.real.min())
-    a_plus = float(psi.real.max())
-    e0 = ground.e0
+    hopping._require_finite_phases(thetas, "theta_grid")
+    pf = perron_frobenius_check(hopping)
+    if not pf.applicable:
+        raise ValueError("sandwich check applies only to operators of the form -Delta + W")
+    if not pf.passed:
+        raise ConvergenceError("ground state at theta = 0 is not simple and strictly positive")
+    psi, e0 = pf.ground.basis[:, 0], pf.ground.e0
+    a_minus, a_plus = float(psi.real.min()), float(psi.real.max())
 
     disp, kappa = _ks_dispersion(thetas, geom.N)
     lower = (a_minus / a_plus) ** 2 * disp
@@ -730,9 +739,4 @@ def kirsch_simon_sandwich(hopping: HoppingOperator, theta_grid) -> KirschSimonRe
         }
         for i in np.flatnonzero(flagged)
     )
-    return KirschSimonReport(
-        a_minus=a_minus,
-        a_plus=a_plus,
-        violations=violations,
-        n_points=len(thetas),
-    )
+    return KirschSimonReport(a_minus, a_plus, len(thetas), violations)

@@ -246,8 +246,9 @@ def test_verify_config_requires_seed():
         (dict(L=2.0), "L must be an integer of at least 1"),
         (dict(L=True), "L must be an integer of at least 1"),
         (dict(samples=-2, seed=1), "samples must be an integer of at least 0"),
+        (dict(samples=2, seed=-1), "seed must be an integer of at least 0, got -1"),
     ],
-    ids=["L0", "L-float", "L-bool", "samples-negative"],
+    ids=["L0", "L-float", "L-bool", "samples-negative", "seed-negative"],
 )
 def test_verify_config_rejects_bad_counts(kwargs, message):
     with pytest.raises(ValueError, match=message):
@@ -271,6 +272,14 @@ def test_montecarlo_rejects_bad_counts_before_any_structure(monkeypatch, samples
     hopping, potential, disorder = preset_model("anderson")
     with pytest.raises(ValueError, match=message):
         pipeline.montecarlo_minima(hopping, potential, disorder, 0.05, L, samples, 1)
+
+
+def test_montecarlo_rejects_a_negative_seed_before_any_structure(monkeypatch):
+    # numpy's "expected non-negative integer" named no parameter
+    monkeypatch.setattr(verification, "torus_structure", refuse("torus_structure"))
+    hopping, potential, disorder = preset_model("anderson")
+    with pytest.raises(ValueError, match="seed must be an integer of at least 0, got -1"):
+        pipeline.montecarlo_minima(hopping, potential, disorder, 0.05, 4, 2, -1)
 
 
 def test_montecarlo_builds_one_structure_for_all_samples(monkeypatch):
@@ -311,6 +320,8 @@ def test_montecarlo_builds_one_structure_for_all_samples(monkeypatch):
             f"at most {floquet.MAX_REFINEMENTS}",
         ),
         (["verify", "kirsch-simon", "--grid", "0"], "at least 1"),
+        (["run", "--eps", "0.1", "--samples", "2", "--seed", "-1"], "at least 0, got -1"),
+        (["verify", "montecarlo", "--eps", "0.1", "--seed", "-1"], "at least 0, got -1"),
     ],
     ids=[
         "montecarlo-samples0",
@@ -321,6 +332,8 @@ def test_montecarlo_builds_one_structure_for_all_samples(monkeypatch):
         "scan-refinements-negative",
         "scan-refinements-past-max",
         "kirsch-simon-grid0",
+        "run-seed-negative",
+        "montecarlo-seed-negative",
     ],
 )
 def test_cli_rejects_bad_counts(monkeypatch, capsys, argv, message):
@@ -376,6 +389,27 @@ def test_cli_rejects_bad_counts(monkeypatch, capsys, argv, message):
             ["run", "--model", "anderson", "--samples", "3", "--seed", "1"],
             "Monte-Carlo samples need at least one epsilon",
         ),
+        (
+            ["verify", "quartic", "--xi", "1e6", "--eps", "0.5"],
+            "the window for epsilon=0.5, xi=1000000.0 exceeds 2^53 cells",
+        ),
+        (
+            ["verify", "quartic", "--xi", "30", "--eps", "1e-3"],
+            "the window for epsilon=0.001, xi=30.0 exceeds 2^53 cells",
+        ),
+        (
+            ["verify", "quartic", "--xi", "10", "--eps", "1e40"],
+            "eps^(1+2xi) overflows at epsilon=1e+40, xi=10.0",
+        ),
+        (
+            ["verify", "quartic", "--xi", "10", "--eps", "1e40", "--n", "5"],
+            "eps^(1+2xi) overflows at epsilon=1e+40, xi=10.0",
+        ),
+        (
+            ["verify", "quartic", "--xi", "5", "--eps", "1e40", "--n", "1"],
+            "eps^(1+2xi) overflows at epsilon=1e+40, xi=5.0",
+        ),
+        (["fiber", "--model", "quartic", "--theta", "1e308"], "theta must be finite, got [1e+308]"),
     ],
     ids=[
         "alloy-without-W",
@@ -395,6 +429,12 @@ def test_cli_rejects_bad_counts(monkeypatch, capsys, argv, message):
         "support-s-plus-inf",
         "fiber-theta-nan",
         "run-samples-without-eps",
+        "quartic-window-overflows",
+        "quartic-window-past-2^53",
+        "quartic-window-underflows",
+        "quartic-eps-to-xi-overflows",
+        "quartic-threshold-overflows",
+        "fiber-phase-overflows",
     ],
 )
 def test_cli_reports_bad_input_as_a_usage_error(capsys, argv, message):

@@ -220,7 +220,7 @@ def test_certified_sandwich_matches_every_point_eigensolved(seed, d, N, contrast
         {"theta": thetas[i].tolist(), "motion": motion[i], "lower": lower[i], "upper": upper[i]}
         for i in np.flatnonzero((motion < lower - KS_SLACK) | (motion > upper + KS_SLACK))
     )
-    expected = KirschSimonReport(a_minus, a_plus, violations, len(thetas))
+    expected = KirschSimonReport(a_minus, a_plus, len(thetas), violations)
     assert kirsch_simon_sandwich(hopping, thetas) == expected
 
 

@@ -15,7 +15,8 @@ SRC = str(Path(bandedge.__file__).resolve().parents[1])
 
 SCRIPTS = [
     (["anderson_mc_exponent.py", "--L", "32", "--samples", "3"], "epsilon,min_lambda,mean_lambda"),
-    (["quartic_trial_scan.py", "--eps", "1e-2"], "epsilon,n,value,threshold,value_over_scale"),
+    # eps = 0 takes the default window's 1e-6 floor and has no threshold scale
+    (["quartic_trial_scan.py", "--eps", "1e-2,0"], "epsilon,n,value,threshold,value_over_scale"),
     (["dipole_residual_order.py"], "epsilon,value,predicted,residual"),
 ]
 

@@ -1,6 +1,8 @@
+import dataclasses
 import functools
 import itertools
 import json
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -23,7 +25,7 @@ from bandedge.model import (
     SingleCellPotential,
     preset_model,
 )
-from bandedge.perturbation import edge_bound, edge_coefficients
+from bandedge.perturbation import edge_bound, edge_coefficients, perron_frobenius_check
 from bandedge.verification import (
     SAMPLER_CONSTANT,
     SAMPLER_UNIFORM,
@@ -204,6 +206,25 @@ def test_torus_dual_minimum_rejects_bad_L(L):
     hopping, potential, _ = preset_model("anderson")
     with pytest.raises(ValueError, match="L must be an integer of at least 1"):
         torus_dual_minimum(hopping, potential, 0.05, -1.0, L)
+
+
+@pytest.mark.parametrize(
+    "theta, match",
+    [([np.nan], "theta must be finite, got [nan]"), ([0.1, 0.2], "theta must have shape (1,)")],
+)
+def test_quasiperiodic_rejects_a_bad_theta(theta, match):
+    # a NaN theta used to give NaN quotients; no theta was checked
+    hopping, potential, _ = preset_model("dipole")
+    with pytest.raises(ValueError, match=re.escape(match)):
+        quasiperiodic_rayleigh(hopping, potential, 1.0, 0.01, theta, [1.0, 1.0], [8, 16])
+
+
+def test_fiber_min_refuses_a_theta_whose_phase_overflows():
+    # theta = 1e308 is finite, but theta.m on the dipole's offsets m = +-2 is not:
+    # the fiber was NaN, and so was the minimum
+    hopping, potential, disorder = preset_model("dipole")
+    with pytest.raises(ValueError, match=re.escape("theta must be finite, got [1e+308]")):
+        fiber_min_over_q(hopping, potential, disorder, [1e308], 0.01)
 
 
 @pytest.mark.parametrize("ns", [[0], [8, 0, 16], [-4]])
@@ -920,6 +941,30 @@ def test_quartic_trial_epsilon_zero_vanishes():
     assert abs(larger) < abs(value)
 
 
+def test_quartic_required_n_floors_epsilon_and_counts_at_least_one_cell():
+    # eps = 0 takes the 1e-6 floor (it raised ZeroDivisionError), and a window
+    # that underflows to 0 cells is one cell
+    assert quartic_required_n(0.0, 0.3) == quartic_required_n(1e-6, 0.3) > 1
+    assert quartic_required_n(1e40, 10.0) == 1
+
+
+@pytest.mark.parametrize("epsilon, xi", [(0.5, 1e6), (1e-3, 30.0)])
+def test_quartic_window_past_what_float64_counts_is_refused(epsilon, xi):
+    # (0.5, 1e6) overflowed; (1e-3, 30) handed 4e183 cells to numpy as an object array
+    message = re.escape(f"epsilon={epsilon!r}, xi={xi!r} exceeds 2^53 cells")
+    with pytest.raises(ValueError, match=message):
+        quartic_required_n(epsilon, xi)
+    with pytest.raises(ValueError, match=message):
+        quartic_trial_energy(epsilon, xi)
+
+
+@pytest.mark.parametrize("xi, n", [(10.0, None), (10.0, 5), (5.0, 1)])
+def test_quartic_trial_refuses_a_scale_that_overflows(xi, n):
+    # eps^(1+2xi) is not finite at eps = 1e40; eps^xi overflowed at xi = 10
+    with pytest.raises(ValueError, match=re.escape(f"overflows at epsilon=1e+40, xi={xi!r}")):
+        quartic_trial_energy(1e40, xi, n)
+
+
 def test_quartic_trial_scale():
     # the quotient tracks the epsilon^(1+2 xi) scale of the target bound
     epsilon, xi = 1e-2, 0.3
@@ -1068,6 +1113,7 @@ def test_kirsch_simon_rejects_empty_grid(grid):
         (1, np.zeros((2, 1, 1)), "shape"),
         (1, [0.1, np.nan], "non-finite"),  # was numpy's LinAlgError
         (2, [[0.1, np.inf]], "non-finite"),
+        (1, [[0.1], [1e308]], "non-finite"),  # theta.m overflows; the report passed
     ],
 )
 def test_kirsch_simon_rejects_a_bad_grid_before_any_fiber(monkeypatch, d, grid, match):
@@ -1118,6 +1164,25 @@ def test_kirsch_simon_solves_no_point_of_a_weak_alloy(monkeypatch):
         hopping, _, _ = preset_model("alloy", d=2, N=3, W=list(W))
         assert kirsch_simon_sandwich(hopping, grid).passed
     assert sum(rows) == 0
+
+
+def test_kirsch_simon_refuses_an_alloy_the_perron_frobenius_check_fails():
+    # min_entry = 5e-13 lies below the check's 1e-12 floor; the sandwich used to
+    # pass with a_minus = 5e-13, its two sides a factor of about 1.6e49 apart
+    hopping, _, _ = preset_model("alloy", N=2, W=[0.0, 4e12])
+    assert not perron_frobenius_check(hopping).passed
+    with pytest.raises(ConvergenceError, match="not simple and strictly positive"):
+        kirsch_simon_sandwich(hopping, [[0.1]])
+
+
+def test_kirsch_simon_takes_its_ground_state_from_the_perron_frobenius_check():
+    hopping, _, _ = preset_model("alloy", d=2, N=2, W=[0.0, 1.0, 0.5, 2.0])
+    pf = perron_frobenius_check(hopping)
+    fields = [f.name for f in dataclasses.fields(pf)]
+    assert fields == ["applicable", "simple", "strictly_positive", "min_entry", "ground"]
+    report = kirsch_simon_sandwich(hopping, [[0.1, 0.2]])
+    assert report.a_minus == pf.min_entry
+    assert report.a_plus == float(pf.ground.basis[:, 0].real.max())
 
 
 def test_kirsch_simon_rejects_non_alloy():
