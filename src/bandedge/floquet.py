@@ -113,7 +113,9 @@ def _proven_above(stack: np.ndarray, shift) -> np.ndarray:
     shift, or one per matrix) has only finite positive pivots, from one batched
     ?potrf call.  It reads the lower triangle alone, as eigvalsh does.  A failed
     factor is NaN, and a NaN pivot passes potrf's ``<= 0`` test: every pivot is checked."""
-    a = stack - np.multiply.outer(shift, np.eye(stack.shape[-1]))
+    n = stack.shape[-1]
+    a = stack.copy()
+    a.reshape(-1, n * n)[:, :: n + 1] -= np.reshape(shift, (-1, 1))  # on each diagonal
     with np.errstate(all="ignore"):
         pivots = np.diagonal(_umath_linalg.cholesky_lo(a, signature="D->D", out=a), 0, -2, -1).real
     return ((pivots > 0) & (pivots < np.inf)).all(-1)

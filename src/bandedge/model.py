@@ -79,6 +79,7 @@ class HoppingOperator:
     offsets: np.ndarray = field(init=False, repr=False, compare=False)  # (n_m, d) shifts m
     blocks: np.ndarray = field(init=False, repr=False, compare=False)  # (n_m, n, n) blocks H_m
     real: bool = field(init=False, repr=False, compare=False)  # no H_m has an imaginary part
+    terms: tuple = field(init=False, repr=False, compare=False)  # fibers' positions and term rows
 
     def __post_init__(self) -> None:
         geom = self.geometry
@@ -91,23 +92,26 @@ class HoppingOperator:
                 raise ValueError(f"hop offset {m} is not in the sublattice N*Z^d")
             if any(abs(mi) > geom.N for mi in m):
                 raise ValueError(f"hop offset {m} exceeds the reduced range N={geom.N}")
-            geom.site_index(k)
-            geom.site_index(kp)
             clean[(k, kp, m)] = complex(value)
         object.__setattr__(self, "coefficients", clean)
 
         # offset stack: one cell_size x cell_size block H_m per distinct shift m
-        index = {site: i for i, site in enumerate(geom.cell_sites())}
         slots: dict[Site, int] = {}
         for _, _, m in clean:
             slots.setdefault(m, len(slots))
         blocks = np.zeros((len(slots), geom.cell_size, geom.cell_size), dtype=complex)
         for (k, kp, m), value in clean.items():
-            blocks[slots[m], index[k], index[kp]] = value
+            blocks[slots[m], geom.site_index(k), geom.site_index(kp)] = value  # checks the sites
         offsets = np.array(list(slots), dtype=float).reshape(len(slots), geom.d)
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "real", not blocks.imag.any())
+        stack = blocks.reshape(len(blocks), geom.cell_size**2)
+        columns = np.flatnonzero(stack.any(0))  # the P positions i*n + j where some H_m is nonzero
+        slot = np.argsort(stack[:, columns] == 0, axis=0, kind="stable")  # at each position its
+        value = np.take_along_axis(stack[:, columns], slot, 0)  # terms in slot order, then zeros
+        depth = value.any(1).sum()  # D, the most terms at one position
+        object.__setattr__(self, "terms", (columns, slot[:depth], value[:depth, :, None]))
 
     def __iter__(self) -> Iterator[tuple[tuple[Site, Site, Site], complex]]:
         return iter(self.coefficients.items())
@@ -141,26 +145,30 @@ class HoppingOperator:
     def fibers(self, thetas) -> np.ndarray:
         """Fiber matrices at a batch of thetas, shape (len(thetas), cell_size, cell_size).
 
-        M(theta) = sum_m e^{-i theta.m} H_m over the offset stack.  Only
-        elementwise real operations are used (complex multiply, matmul and
-        einsum change their rounding with the array shape), so each theta's
-        matrix has the same bits in any batch.  A real table skips the products
-        with its zero imaginary blocks, which changes no bit but a zero's sign.
+        M(theta) = sum_m e^{-i theta.m} H_m over the stored ``terms``, added row by
+        row in slot order to sums that start at +0: those never turn -0, so each
+        skipped zero term is a no-op and the bits, zero signs too, are the dense
+        loop's.  Only elementwise real operations are used (complex multiply,
+        matmul, einsum and np.add.reduce change their rounding with the array
+        shape), so a theta's matrix has the same bits in any batch.  A non-finite
+        phase (``_require_finite_phases`` refuses one) leaves the zeros at 0.
         """
         geom = self.geometry
         thetas = np.asarray(thetas, dtype=float)
         if thetas.ndim != 2 or thetas.shape[1] != geom.d:
             raise ValueError(f"thetas must have shape (b, {geom.d}), got {thetas.shape}")
         angles = sum(thetas[:, [a]] * self.offsets[:, a] for a in range(geom.d))
-        shape = (len(thetas), geom.cell_size, geom.cell_size)
-        real, imag = np.zeros(shape), np.zeros(shape)
-        cos, sin = np.cos(angles).T[:, :, None, None], np.sin(angles).T[:, :, None, None]
-        for c, s, re, im in zip(cos, sin, self.blocks.real, self.blocks.imag):
-            real += c * re if self.real else c * re + s * im
-            imag -= s * re if self.real else s * re - c * im
-        matrices = real.astype(complex)
-        matrices.imag = imag
-        return matrices
+        columns, slot, value = self.terms
+        cos, sin = np.cos(angles).T[slot], np.sin(angles).T[slot]  # (D, P, b)
+        real_terms = cos * value.real if self.real else cos * value.real + sin * value.imag
+        imag_terms = sin * value.real if self.real else sin * value.real - cos * value.imag
+        real, imag = np.zeros((2,) + cos.shape[1:])
+        for real_term, imag_term in zip(real_terms, imag_terms):
+            real += real_term
+            imag -= imag_term
+        matrices = np.zeros((len(thetas), geom.cell_size**2), dtype=complex)
+        matrices.real[:, columns], matrices.imag[:, columns] = real.T, imag.T
+        return matrices.reshape(len(thetas), geom.cell_size, geom.cell_size)
 
     def band_bottom(self, thetas, perturbation=None, proven=None) -> np.ndarray:
         """Lowest eigenvalue of M(theta) (plus ``perturbation``) at each theta.

@@ -211,8 +211,8 @@ def quasiperiodic_rayleigh(
     if u0.shape != (geom.cell_size,) or not np.linalg.norm(u0):
         raise ValueError("u0 must be a nonzero cell vector")
     n_list = [int(n) for n in n_list]
-    if any(n < 1 for n in n_list):
-        raise ValueError(f"window sizes in n_list must be positive, got {n_list}")
+    if any(not 1 <= n <= 2**53 for n in n_list):
+        raise ValueError(f"window sizes in n_list must be positive and at most 2^53, got {n_list}")
     return _window_quotients(hopping, potential, epsilon * q, [(1.0, theta, u0)], n_list).tolist()
 
 
@@ -634,6 +634,8 @@ def quartic_trial_energy(epsilon: float, xi: float, n: int | None = None) -> flo
     required = quartic_required_n(epsilon, xi)
     n = required if n is None else n
     _require_count("n", n, 1)
+    if n > 2**53:
+        raise ValueError(f"n must be at most 2^53 cells, got {n!r}")
     if epsilon > 0 and n < required:
         raise ValueError(
             f"n={n} too small for epsilon={epsilon}, xi={xi}: the window cut adds "

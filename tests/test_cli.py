@@ -410,6 +410,10 @@ def test_cli_rejects_bad_counts(monkeypatch, capsys, argv, message):
             "eps^(1+2xi) overflows at epsilon=1e+40, xi=5.0",
         ),
         (["fiber", "--model", "quartic", "--theta", "1e308"], "theta must be finite, got [1e+308]"),
+        (
+            ["verify", "quartic", "--eps", "0.01", "--n", "100000000000000000000"],
+            "n must be at most 2^53 cells, got 100000000000000000000",
+        ),
     ],
     ids=[
         "alloy-without-W",
@@ -435,6 +439,7 @@ def test_cli_rejects_bad_counts(monkeypatch, capsys, argv, message):
         "quartic-eps-to-xi-overflows",
         "quartic-threshold-overflows",
         "fiber-phase-overflows",
+        "quartic-n-past-2^53",
     ],
 )
 def test_cli_reports_bad_input_as_a_usage_error(capsys, argv, message):

@@ -544,6 +544,54 @@ def test_scan_complex_table_finds_the_unmirrored_minimizer():
     assert theta_set.E0 == pytest.approx(-4.0, abs=1e-6)
 
 
+def _dense_fibers(hopping, thetas) -> np.ndarray:
+    """M(theta) over every entry of every block H_m, zeros included: the dense
+    offset-stack loop, always on the complex path, accumulated from +0."""
+    angles = sum(thetas[:, [a]] * hopping.offsets[:, a] for a in range(hopping.geometry.d))
+    shape = (len(thetas),) + hopping.blocks.shape[1:]
+    real, imag = np.zeros(shape), np.zeros(shape)
+    cos, sin = np.cos(angles).T[:, :, None, None], np.sin(angles).T[:, :, None, None]
+    for c, s, re, im in zip(cos, sin, hopping.blocks.real, hopping.blocks.imag):
+        real += c * re + s * im
+        imag -= s * re - c * im
+    matrices = real.astype(complex)
+    matrices.imag = imag
+    return matrices
+
+
+def _sparse_tables(rng):
+    """Presets and random tables, complex and real, with explicit zero amplitudes;
+    at N = 1 and N = 2 one matrix position takes terms from several blocks H_m."""
+    tables = [preset_model(name, **params)[0] for name, params in PIPELINE_PRESETS]
+    for d, N in [(1, 1), (2, 1), (1, 2), (2, 2), (1, 3), (3, 1)]:
+        table = dict(random_hopping(rng, d=d, N=N))
+        for key in list(table)[::4]:
+            table[key] = complex(0.0) if rng.random() < 0.5 else complex(-0.0, -0.0)
+        geom = LatticeGeometry(d, N)
+        real = {key: value.real for key, value in table.items()}
+        tables += [HoppingOperator(geom, table), HoppingOperator(geom, real)]
+    return tables
+
+
+def test_fibers_are_the_dense_loop_bit_for_bit():
+    # the kernel adds only the stored terms; a skipped zero term is an exact
+    # no-op on an accumulator that starts at +0, so every bit (zero signs too)
+    # is the dense loop's, on the real path as on the complex one
+    rng = np.random.default_rng(25)
+    tables = _sparse_tables(rng)
+    assert any(len(t.terms[1]) >= 2 for t in tables) and not all(t.real for t in tables)
+    for hopping in tables:
+        geom = hopping.geometry
+        thetas = rng.uniform(-7.0, 7.0, size=(1000, geom.d))
+        thetas[:3] = [[0.0] * geom.d, [np.pi] * geom.d, [-0.5 * np.pi] * geom.d]
+        expected = _dense_fibers(hopping, thetas)
+        for batch in (1, 2, FIBER_CHUNK - 1, FIBER_CHUNK, 1000):
+            fibers = hopping.fibers(thetas[:batch])
+            assert np.array_equal(fibers.view(np.uint64), expected[:batch].view(np.uint64))
+            parts = fibers.view(float)
+            assert not np.signbit(parts[parts == 0.0]).any()
+
+
 def _fiber_loop(hopping, theta) -> np.ndarray:
     """M(theta) summed entry by entry over the hopping table, offsets in the
     order they first appear, with the fiber kernel's real arithmetic."""
@@ -574,7 +622,7 @@ def test_fibers_match_the_table_loop_and_real_ones_are_conjugate():
     for hopping in tables:
         thetas = rng.uniform(-7.0, 7.0, size=(50, hopping.geometry.d))
         fibers = hopping.fibers(thetas)
-        # == ignores the sign of an exact zero, the one bit the real path may flip
+        # == ignores the sign of an exact zero; the dense-loop test pins those bits
         assert np.array_equal(fibers, np.array([_fiber_loop(hopping, t) for t in thetas]))
         if hopping.real:
             assert np.array_equal(hopping.fibers(-thetas), fibers.conj())

@@ -234,6 +234,14 @@ def test_quasiperiodic_rejects_nonpositive_windows(ns):
         quasiperiodic_rayleigh(hopping, potential, 1.0, 0.01, [0.0], [1.0, 1.0], ns)
 
 
+@pytest.mark.parametrize("ns", [[2**53 + 1], [8, 10**20]])
+def test_quasiperiodic_rejects_windows_past_2_to_the_53(ns):
+    # 10**20 became a numpy object array and died in a ufunc TypeError
+    hopping, potential, _ = preset_model("dipole")
+    with pytest.raises(ValueError, match=re.escape(f"at most 2^53, got {ns}")):
+        quasiperiodic_rayleigh(hopping, potential, 1.0, 0.01, [0.0], [1.0, 1.0], ns)
+
+
 def test_box_epsilon_zero_nonnegative():
     hopping, potential, disorder = preset_model("dipole")
     sample = box_min_eig(hopping, potential, disorder, 0.0, 8, seed=1)
@@ -956,6 +964,12 @@ def test_quartic_window_past_what_float64_counts_is_refused(epsilon, xi):
         quartic_required_n(epsilon, xi)
     with pytest.raises(ValueError, match=message):
         quartic_trial_energy(epsilon, xi)
+
+
+@pytest.mark.parametrize("n", [2**53 + 1, 10**20])
+def test_quartic_trial_refuses_an_explicit_window_past_2_to_the_53(n):
+    with pytest.raises(ValueError, match=re.escape(f"n must be at most 2^53 cells, got {n}")):
+        quartic_trial_energy(0.01, 0.3, n)
 
 
 @pytest.mark.parametrize("xi, n", [(10.0, None), (10.0, 5), (5.0, 1)])
