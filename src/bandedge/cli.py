@@ -300,8 +300,10 @@ def main(argv=None) -> int:
             parser.error(str(exc))
     try:
         return args.func(args)
-    except ValueError as exc:  # a model, theta or parameter the program cannot take
+    except (ValueError, OSError) as exc:  # a model, theta, parameter or path it cannot take
         parser.error(str(exc))
+    except model.ConvergenceError as exc:  # a check that cannot be completed has failed
+        parser.exit(1, f"{parser.prog}: error: {exc}\n")
 
 
 if __name__ == "__main__":

@@ -463,17 +463,23 @@ def model_to_dict(
 
 
 def model_from_dict(data: dict) -> tuple[HoppingOperator, SingleCellPotential, DisorderSupport]:
-    geom = LatticeGeometry(int(data["dimension"]), int(data["period"]))
-    coeffs = {
+    def read(name: str, parse, source=data):
+        try:  # a payload that is not an object fails at its first field
+            return parse(source[name])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"model field {name!r} is missing or malformed: {exc!r}") from exc
+
+    geom = LatticeGeometry(read("dimension", int), read("period", int))
+    coeffs = read("hoppings", lambda hops: {
         (tuple(h["k"]), tuple(h["k_prime"]), tuple(h["m"])): complex(h["re"], h["im"])
-        for h in data["hoppings"]
-    }
-    hopping = HoppingOperator(geom, coeffs, float(data.get("energy_shift", 0.0)))
+        for h in hops
+    })
+    hopping = HoppingOperator(geom, coeffs, read("energy_shift", float, {"energy_shift": 0} | data))
     potential = SingleCellPotential(
-        np.array([[complex(re, im) for re, im in row] for row in data["potential"]])
+        read("potential", lambda rows: np.array([[complex(x, y) for x, y in r] for r in rows]))
     )
-    dis = data["disorder"]
-    disorder = DisorderSupport(float(dis["s_minus"]), float(dis["s_plus"]))
+    dis = read("disorder", dict)
+    disorder = DisorderSupport(read("s_minus", float, dis), read("s_plus", float, dis))
     stated = str(dis.get("regime", disorder.regime)).lower()
     sign_changing = {"signchanging": True, "sign_changing": True, "positive": False}
     if stated not in sign_changing:
@@ -489,5 +495,8 @@ def save_model(path, hopping, potential, disorder) -> None:
 
 
 def load_model(path) -> tuple[HoppingOperator, SingleCellPotential, DisorderSupport]:
-    with open(path) as fh:
-        return model_from_dict(json.load(fh))
+    try:
+        with open(path) as fh:
+            return model_from_dict(json.load(fh))
+    except ValueError as exc:  # bad JSON or a field model_from_dict cannot read
+        raise ValueError(f"model file {path}: {exc}") from exc

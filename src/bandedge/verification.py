@@ -122,7 +122,7 @@ def fiber_bound_sandwich(
     epsilon_list,
 ) -> SandwichReport:
     """Check the coupling-swept fiber bottom at ``ground.theta`` against the
-    expansion ``coeffs`` predicts there.
+    expansion ``coeffs`` predicts there: ``ground.e0`` plus its edge motion.
 
     The remainder constant C is fitted from the two largest positive epsilons
     (where the remainder dominates rounding; 0 when there are none); every
@@ -134,7 +134,7 @@ def fiber_bound_sandwich(
     power = {CASE_LINEAR: 1.5, CASE_QUADRATIC: 3.0, CASE_NO_MOTION: None}[coeffs.case]
 
     results = [fiber_min_over_q(hopping, potential, disorder, ground.theta, e) for e in epsilons]
-    predicted = [edge_bound(coeffs, e) for e in epsilons]
+    predicted = [ground.e0 + edge_bound(coeffs, e) for e in epsilons]
     residuals = [r.value - p for r, p in zip(results, predicted)]
 
     floor = 1e-12 * (1.0 + abs(ground.e0))
@@ -187,6 +187,14 @@ def _window_quotients(
     return (pair * energy).sum((1, 2)).real / norm
 
 
+def _cell_vector(u0, cell_size: int) -> np.ndarray:
+    """``u0`` as a complex array, refused unless finite and nonzero with ``cell_size`` entries."""
+    u0 = np.asarray(u0, dtype=complex)
+    if u0.shape != (cell_size,) or not (np.isfinite(u0).all() and u0.any()):
+        raise ValueError(f"u0 must be a nonzero cell vector of {cell_size} finite entries: {u0}")
+    return u0
+
+
 def quasiperiodic_rayleigh(
     hopping: HoppingOperator,
     potential: SingleCellPotential,
@@ -207,9 +215,7 @@ def quasiperiodic_rayleigh(
     if theta.shape != (geom.d,):
         raise ValueError(f"theta must have shape ({geom.d},), got {theta.shape}")
     hopping._require_finite_phases(theta[None], "theta")
-    u0 = np.asarray(u0, dtype=complex)
-    if u0.shape != (geom.cell_size,) or not np.linalg.norm(u0):
-        raise ValueError("u0 must be a nonzero cell vector")
+    u0 = _cell_vector(u0, geom.cell_size)
     n_list = [int(n) for n in n_list]
     if any(not 1 <= n <= 2**53 for n in n_list):
         raise ValueError(f"window sizes in n_list must be positive and at most 2^53, got {n_list}")
@@ -225,7 +231,7 @@ def fiber_quotient(
     u0,
 ) -> float:
     """The limiting value of quasiperiodic_rayleigh for the same data."""
-    u0 = np.asarray(u0, dtype=complex)
+    u0 = _cell_vector(u0, hopping.geometry.cell_size)
     matrix = build_floquet(hopping, theta).matrix + epsilon * q * potential.matrix
     return float(np.vdot(u0, matrix @ u0).real / np.vdot(u0, u0).real)
 
@@ -239,8 +245,6 @@ def _draw_couplings(
     disorder: DisorderSupport, n_cells: int, sampler: str, seed, q: float | None
 ) -> np.ndarray:
     if sampler == SAMPLER_CONSTANT:
-        if q is None:
-            raise ValueError("PeriodicConstant sampler needs q")
         return np.full(n_cells, float(q))
     rng = np.random.default_rng(seed)
     if sampler == SAMPLER_ENDPOINT:
@@ -531,6 +535,8 @@ def box_min_eig(
     _require_epsilon(epsilon)
     if q is not None and not np.isfinite(q):
         raise ValueError(f"coupling q must be finite, got {q!r}")
+    if (q is None) == (sampler == SAMPLER_CONSTANT):
+        raise ValueError(f"sampler {sampler!r} {'needs' if q is None else 'takes no'} q")
     if not (np.isfinite(hopping.blocks).all() and np.isfinite(potential.matrix).all()):
         raise ValueError("hopping amplitudes and potential entries must be finite")
 
@@ -577,13 +583,16 @@ def torus_dual_minimum(
 
 
 def fit_exponent(epsilons, values) -> ExponentFit:
-    """Least-squares slope of log(-value) against log(epsilon)."""
+    """Least-squares slope of log(-value) against log(epsilon), over epsilon > 0."""
     epsilons = np.asarray(list(epsilons), dtype=float)
     values = np.asarray(list(values), dtype=float)
-    usable = values < 0
-    excluded = int(np.count_nonzero(~usable))
+    positive = epsilons > 0
+    usable = positive & (values < 0)
+    excluded, bad_eps = int(np.count_nonzero(~usable)), int(np.count_nonzero(~positive))
     if excluded:
-        warnings.warn(f"fit_exponent: excluded {excluded} nonnegative value(s)", stacklevel=2)
+        counts = {"nonnegative value(s)": excluded - bad_eps, "point(s) at epsilon <= 0": bad_eps}
+        dropped = " and ".join(f"{n} {kind}" for kind, n in counts.items() if n)
+        warnings.warn(f"fit_exponent: excluded {dropped}", stacklevel=2)
     if usable.sum() < 3:
         raise ValueError(f"need at least 3 negative values to fit, have {usable.sum()}")
     x = np.log(epsilons[usable])

@@ -451,6 +451,76 @@ def test_cli_reports_bad_input_as_a_usage_error(capsys, argv, message):
     assert "Traceback" not in err
 
 
+def _anderson_file(tmp_path, edit):
+    """The anderson preset as a model file, its payload first passed through ``edit``."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(edit(model.model_to_dict(*preset_model("anderson")))))
+    return str(path)
+
+
+def _without(key):
+    return lambda data: {k: v for k, v in data.items() if k != key}
+
+
+def _first_hop(**fields):
+    return lambda data: {**data, "hoppings": [{**data["hoppings"][0], **fields}]}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_without("period"), "model field 'period' is missing or malformed: KeyError('period')"),
+        (_without("disorder"), "model field 'disorder' is missing or malformed"),
+        (lambda data: [data], "model field 'dimension' is missing or malformed: TypeError"),
+        (_first_hop(re="abc"), "model field 'hoppings' is missing or malformed: TypeError"),
+        (lambda data: {**data, "potential": [[1]]}, "model field 'potential' is missing"),
+        (lambda data: {**data, "hoppings": 5}, "model field 'hoppings' is missing or malformed"),
+    ],
+    ids=["no-period", "no-disorder", "top-level-list", "hop-re-abc", "potential-row-1", "hops-5"],
+)
+def test_cli_reports_an_unreadable_model_file_as_a_usage_error(tmp_path, capsys, edit, message):
+    # each ended in a KeyError or TypeError traceback
+    path = _anderson_file(tmp_path, edit)
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--model", path])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: model file {path}: {message}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["validate", "--model", "{tmp}/nope.json"], "No such file or directory: '{tmp}/nope.json'"),
+        (["validate", "--model", "{tmp}"], "Is a directory: '{tmp}'"),
+        (
+            ["run", "--model", "anderson", "--output", "{tmp}/no/x.json"],
+            "No such file or directory: '{tmp}/no/x.json'",
+        ),
+    ],
+    ids=["missing-model-file", "model-is-a-directory", "output-directory-missing"],
+)
+def test_cli_reports_a_path_it_cannot_open_as_a_usage_error(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(tmp=tmp_path) for arg in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message.format(tmp=tmp_path) in err
+    assert "Traceback" not in err
+
+
+def test_cli_reports_a_convergence_error_as_a_failed_check(capsys):
+    # the ground state of W = [0, 4e12] has an entry of 5e-13: the Kirsch-Simon
+    # sandwich would be vacuous, and perron_frobenius_check fails it
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "kirsch-simon", "--model", "alloy", "--N", "2", "--W", "0,4e12"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "bandedge: error: ground state at theta = 0 is not simple and strictly positive" in err
+    assert "Traceback" not in err
+
+
 def _dipole_file(tmp_path, amplitude):
     """The dipole as a model file, its hop (0, 1, -2) set to ``amplitude``
     while the mirror hop (1, 0, 2) keeps -1."""
@@ -513,6 +583,36 @@ def test_epsilon_zero_in_a_sweep_passes(capsys, argv):
     status, out = run_cli(capsys, *argv, "--model", "dipole")
     assert status == 0
     assert '"passed": true' in out
+
+
+def test_sweep_measures_motion_from_the_ground_energy(tmp_path, capsys):
+    # a band bottom of 5e-10 is under the scan's tol_shift and stays unshifted,
+    # one of -2e-9 is shifted to 0: the sweep once compared the absolute fiber
+    # bottom with the motion alone, and failed the first model at eps = 1e-3
+    hopping, potential, disorder = preset_model("dipole")
+    path = tmp_path / "dipole.json"
+    for shift in (-5e-10, 2e-9):
+        save_model(path, hopping.shifted(shift), potential, disorder)
+        status, out = run_cli(capsys, "run", "--model", str(path), "--eps", "1e-3,1e-2,1e-1")
+        sweep = json.loads(out)["fiber_sweep"]
+        assert (status, sweep["passed"]) == (0, True)
+        for row in sweep["rows"]:
+            assert row["residual"] == row["value"] - row["predicted"]
+            assert abs(row["residual"]) < 2e-6
+
+
+@pytest.mark.parametrize("params", [["--model", "anderson", "--d", "2"], ["--model", "quartic"]])
+def test_montecarlo_fit_drops_epsilon_zero(capsys, params):
+    # the eps = 0 minimum is a rounding-level negative, and log(0) once broke the fit
+    argv = ["verify", "montecarlo", *params, "--eps", "0,1e-3,1e-2,1e-1", "--L", "4"]
+    with pytest.warns(UserWarning, match=r"excluded 1 point\(s\) at epsilon <= 0$"):
+        status, out = run_cli(capsys, *argv, "--samples", "2", "--seed", "1")
+    assert status == 0
+    summary = json.loads(out[out.index("{") :])
+    assert "fit_error" not in summary
+    minima = [summary["minima"][e] for e in ("0.001", "0.01", "0.1")]
+    fit = verification.fit_exponent([1e-3, 1e-2, 1e-1], minima)
+    assert (summary["eta"], summary["prefactor"]) == (fit.eta, fit.prefactor)
 
 
 @pytest.mark.parametrize(

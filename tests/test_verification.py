@@ -28,6 +28,7 @@ from bandedge.model import (
 from bandedge.perturbation import edge_bound, edge_coefficients, perron_frobenius_check
 from bandedge.verification import (
     SAMPLER_CONSTANT,
+    SAMPLER_ENDPOINT,
     SAMPLER_UNIFORM,
     assemble_torus,
     box_min_eig,
@@ -169,6 +170,46 @@ def test_quasiperiodic_dipole_with_coupling():
     limit = fiber_quotient(hopping, potential, 1.0, 0.01, [0.0], u0)
     assert abs(quotients[0] - limit) < 1e-2
     assert limit == pytest.approx(0.0, abs=1e-12)  # <psi, V psi> = 0
+
+
+@pytest.mark.parametrize(
+    "model, u0, message",
+    [
+        ("anderson", [0.0], "u0 must be a nonzero cell vector of 1 finite entries"),
+        ("anderson", [1.0, 1.0], "u0 must be a nonzero cell vector of 1 finite entries"),
+        ("anderson", [np.nan], "u0 must be a nonzero cell vector of 1 finite entries"),
+        ("dipole", [1.0, np.inf], "u0 must be a nonzero cell vector of 2 finite entries"),
+    ],
+    ids=["zero", "too-long", "nan", "inf"],
+)
+def test_quotients_refuse_a_bad_cell_vector(model, u0, message):
+    # fiber_quotient checked no u0: [0] gave nan and [1, 1] a matmul error;
+    # quasiperiodic_rayleigh passed [nan] through to a nan quotient
+    hopping, potential, _ = preset_model(model)
+    calls = [
+        lambda: fiber_quotient(hopping, potential, 1.0, 0.01, [0.0], u0),
+        lambda: quasiperiodic_rayleigh(hopping, potential, 1.0, 0.01, [0.0], u0, [8]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
+
+@pytest.mark.parametrize(
+    "sampler, q, message",
+    [
+        (SAMPLER_ENDPOINT, 0.5, "sampler 'EndpointBernoulli' takes no q"),
+        (SAMPLER_UNIFORM, -1.0, "sampler 'Uniform' takes no q"),
+        (SAMPLER_CONSTANT, None, "sampler 'PeriodicConstant' needs q"),
+    ],
+    ids=["endpoint-with-q", "uniform-with-q", "constant-without-q"],
+)
+def test_box_refuses_q_with_any_sampler_but_the_constant_one(monkeypatch, sampler, q, message):
+    # endpoint couplings [1, 1, 1, -1] were drawn with q = 0.5 ignored
+    monkeypatch.setattr("bandedge.verification.torus_structure", refuse("torus_structure"))
+    hopping, potential, disorder = preset_model("anderson")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        box_min_eig(hopping, potential, disorder, 0.1, 4, sampler=sampler, q=q)
 
 
 def test_box_constant_coupling_matches_dual_grid():
@@ -919,6 +960,19 @@ def test_fit_exponent_excludes_nonnegative():
     with pytest.warns(UserWarning):
         fit = fit_exponent(eps, values)
     assert fit.excluded == 1
+    assert fit.eta == pytest.approx(1.0, abs=1e-12)
+
+
+def test_fit_exponent_drops_epsilon_zero_and_counts_each_kind():
+    eps = [0.0, 1e-3, 1e-2, 1e-1, 1.0]
+    values = [-4e-17, -1e-3, -1e-2, -1e-1, 0.5]
+    with pytest.warns(UserWarning, match=r"excluded 1 nonnegative value\(s\)$"):
+        fit_exponent(eps[1:], values[1:])
+    with pytest.warns(UserWarning) as caught:
+        fit = fit_exponent(eps, values)
+    message = "fit_exponent: excluded 1 nonnegative value(s) and 1 point(s) at epsilon <= 0"
+    assert [str(w.message) for w in caught] == [message]
+    assert fit.excluded == 2
     assert fit.eta == pytest.approx(1.0, abs=1e-12)
 
 
