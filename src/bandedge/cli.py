@@ -140,18 +140,15 @@ def cmd_verify_fiber_sweep(args) -> int:
 def cmd_verify_montecarlo(args) -> int:
     hopping, potential, disorder = _load(args)
     hopping = pipeline.scan_zone(hopping).hopping
-    rows = []
-    minima = []
-    for epsilon in args.eps:
-        samples = pipeline.montecarlo_minima(
-            hopping, potential, disorder, epsilon, args.L, args.samples, args.seed, args.sampler
-        )
-        smallest = min(s.lambda_min for s in samples)
-        minima.append(smallest)
-        for i, s in enumerate(samples):
-            rows.append(
-                {"epsilon": epsilon, "seed": args.seed + i, "lambda_min": s.lambda_min}
-            )
+    runs = pipeline.montecarlo_minima(
+        hopping, potential, disorder, args.eps, args.L, args.samples, args.seed, args.sampler
+    )
+    rows = [
+        {"epsilon": epsilon, "seed": args.seed + i, "lambda_min": s.lambda_min}
+        for epsilon, run in zip(args.eps, runs)
+        for i, s in enumerate(run)
+    ]
+    minima = [min(s.lambda_min for s in run) for run in runs]
     _emit_csv(rows, sys.stdout)
     _print_json(
         {"minima": dict(zip(map(repr, args.eps), minima)), **_fit_summary(args.eps, minima)}

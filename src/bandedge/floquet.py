@@ -26,10 +26,6 @@ class FloquetMatrix:
     theta: np.ndarray
     matrix: np.ndarray
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.matrix, 2))
-
 
 @dataclass(frozen=True)
 class GroundSpaceData:
@@ -72,7 +68,7 @@ def fiber_eigh(fiber: FloquetMatrix) -> tuple[np.ndarray, np.ndarray]:
         eigenvalues, vectors = np.linalg.eigh(fiber.matrix)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"dense eigensolver failed on fiber at theta={fiber.theta}") from exc
-    scale = max(fiber.norm, 1e-300)
+    scale = max(float(np.abs(eigenvalues).max()), 1e-300)  # the 2-norm of a Hermitian fiber
     residual = np.abs(fiber.matrix @ vectors - vectors * eigenvalues).max()
     if residual > 1e-12 * scale:
         raise ConvergenceError(f"eigenpair residual {residual:.3e} exceeds 1e-12 * norm")
@@ -270,7 +266,7 @@ def ground_space(
     fiber = build_floquet(hopping, theta)
     eigenvalues, vectors = fiber_eigh(fiber)
     if tol_deg is None:
-        tol_deg = max(1e-10, 1e-8 * fiber.norm)
+        tol_deg = max(1e-10, 1e-8 * float(np.abs(eigenvalues).max()))
     p = int(np.count_nonzero(eigenvalues <= eigenvalues[0] + tol_deg))
     basis = _fix_phases(vectors[:, :p])
     gap = None if p == len(eigenvalues) else float(eigenvalues[p] - eigenvalues[0])

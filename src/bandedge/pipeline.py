@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import errno
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -58,6 +60,11 @@ class VerifyConfig:
 class OutputConfig:
     format: str = "JSON"  # the only format; kept because reports embed the config
     path: str | None = None
+
+    def __post_init__(self) -> None:  # the OSError write_report would raise, before any run
+        if (p := self.path) is not None and (Path(p).is_dir() or not Path(p).parent.is_dir()):
+            code = errno.EISDIR if Path(p).is_dir() else errno.ENOENT
+            raise OSError(code, os.strerror(code), p)
 
 
 @dataclass(frozen=True)
@@ -147,23 +154,31 @@ def montecarlo_minima(
     hopping: model.HoppingOperator,
     potential: model.SingleCellPotential,
     disorder: model.DisorderSupport,
-    epsilon: float,
+    epsilon_list,
     L: int,
     samples: int,
     seed: int,
     sampler: str = verification.SAMPLER_ENDPOINT,
-) -> list[verification.BoxSpectrumSample]:
-    """Independent disorder realizations, one per seed seed + i, in seed order,
-    all filled from one torus structure."""
+) -> list[list[verification.BoxSpectrumSample]]:
+    """Independent disorder realizations for each epsilon of ``epsilon_list``,
+    one per seed seed + i, in seed order, on the same seeds for every epsilon;
+    all filled from one torus structure, which bad input never reaches."""
+    for epsilon in epsilon_list:
+        floquet._require_epsilon(epsilon)
     floquet._require_count("samples", samples, 1)
     floquet._require_count("L", L, 1)
     floquet._require_count("seed", seed, 0)
+    if sampler not in (verification.SAMPLER_ENDPOINT, verification.SAMPLER_UNIFORM):
+        raise ValueError(f"unknown Monte-Carlo sampler {sampler!r}")
     structure = verification.torus_structure(hopping, potential, L)
     return [
-        verification.box_min_eig(
-            hopping, potential, disorder, epsilon, L, sampler, seed + i, structure=structure
-        )
-        for i in range(samples)
+        [
+            verification.box_min_eig(
+                hopping, potential, disorder, epsilon, L, sampler, seed + i, structure=structure
+            )
+            for i in range(samples)
+        ]
+        for epsilon in epsilon_list
     ]
 
 
@@ -203,23 +218,14 @@ def run_pipeline(config: RunConfig) -> tuple[int, dict]:
             status = 1
 
         if config.verify.samples > 0:
-            mc = {}
-            for epsilon in config.epsilon_list:
-                samples = montecarlo_minima(
-                    hopping,
-                    potential,
-                    disorder,
-                    epsilon,
-                    config.verify.L,
-                    config.verify.samples,
-                    config.verify.seed,
-                    config.verify.sampler,
-                )
-                mc[repr(epsilon)] = {
-                    "min": min(s.lambda_min for s in samples),
-                    "mean": float(np.mean([s.lambda_min for s in samples])),
-                }
-            report["montecarlo"] = mc
+            eps, v = config.epsilon_list, config.verify
+            runs = montecarlo_minima(
+                hopping, potential, disorder, eps, v.L, v.samples, v.seed, v.sampler
+            )
+            report["montecarlo"] = {
+                repr(e): {"min": min(lams), "mean": float(np.mean(lams))}
+                for e, lams in zip(eps, [[s.lambda_min for s in r] for r in runs])
+            }
 
     report["status"] = status
     return status, report

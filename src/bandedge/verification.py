@@ -540,10 +540,10 @@ def box_min_eig(
     if not (np.isfinite(hopping.blocks).all() and np.isfinite(potential.matrix).all()):
         raise ValueError("hopping amplitudes and potential entries must be finite")
 
+    omega = _draw_couplings(disorder, L**hopping.geometry.d, sampler, seed, q)
     structure = structure or torus_structure(hopping, potential, L)
     if not (structure.hopping is hopping and structure.potential is potential) or structure.L != L:
         raise ValueError("structure was built for another hopping, potential or L")
-    omega = _draw_couplings(disorder, L**hopping.geometry.d, sampler, seed, q)
     matrix = structure.fill(epsilon, omega)
     n_sites = matrix.shape[0]
     # the inf-norm bounds the operator norm; a Hermitian torus's column sums are its row sums

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 
+from bandedge import verification
 from bandedge.model import (
     DisorderSupport,
     HoppingOperator,
@@ -58,3 +59,15 @@ def refuse(name):
         raise AssertionError(f"{name} was called")
 
     return refused
+
+
+def halve_ks_dispersion(monkeypatch):
+    """Halve the Kirsch-Simon folded dispersion, so the sandwich misses the
+    band's true motion away from theta = 0."""
+    dispersion = verification._ks_dispersion
+
+    def halved(thetas, N):
+        disp, kappa = dispersion(thetas, N)
+        return disp / 2, kappa
+
+    monkeypatch.setattr(verification, "_ks_dispersion", halved)

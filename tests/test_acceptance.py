@@ -63,10 +63,8 @@ def test_criterion_1_anderson_linear_expansion():
     clauses["fiber_min_over_q = -eps exactly"] = exact
 
     eps_list = [1e-5, 3e-5, 1e-4]
-    minima = []
-    for epsilon in eps_list:
-        samples = montecarlo_minima(hopping, potential, disorder, epsilon, 256, 200, 12345)
-        minima.append(min(s.lambda_min for s in samples))
+    runs = montecarlo_minima(hopping, potential, disorder, eps_list, 256, 200, 12345)
+    minima = [min(s.lambda_min for s in samples) for samples in runs]
     fit = fit_exponent(eps_list, minima)
     clauses["MC exponent 1.00 +- 0.05"] = abs(fit.eta - 1.0) <= 0.05
 

@@ -11,7 +11,7 @@ from bandedge.cli import main
 from bandedge.model import preset_model, save_model
 from bandedge.pipeline import RunConfig, Tolerances, VerifyConfig, run_pipeline
 
-from conftest import refuse
+from conftest import halve_ks_dispersion, refuse
 
 
 def run_cli(capsys, *argv):
@@ -156,6 +156,20 @@ def test_verify_kirsch_simon(capsys):
     assert payload["passed"] is True
 
 
+def test_verify_kirsch_simon_prints_its_violations_and_exits_1(monkeypatch, capsys):
+    halve_ks_dispersion(monkeypatch)
+    hopping, _, _ = preset_model("alloy", N=2, W=[0.0, 1.0])
+    report = verification.kirsch_simon_sandwich(hopping, floquet.zone_grid(hopping.geometry, 256))
+    assert report.violations
+    status, out = run_cli(
+        capsys, "verify", "kirsch-simon", "--model", "alloy", "--N", "2", "--W", "0,1"
+    )
+    assert status == 1
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    assert payload["violations"] == list(report.violations)
+
+
 def test_verify_kirsch_simon_rejects_variant_option(capsys):
     # the folded dispersion is the only one; there is no --variant option
     with pytest.raises(SystemExit) as exc:
@@ -271,7 +285,7 @@ def test_montecarlo_rejects_bad_counts_before_any_structure(monkeypatch, samples
     monkeypatch.setattr(verification, "box_min_eig", refuse("box_min_eig"))
     hopping, potential, disorder = preset_model("anderson")
     with pytest.raises(ValueError, match=message):
-        pipeline.montecarlo_minima(hopping, potential, disorder, 0.05, L, samples, 1)
+        pipeline.montecarlo_minima(hopping, potential, disorder, [0.05], L, samples, 1)
 
 
 def test_montecarlo_rejects_a_negative_seed_before_any_structure(monkeypatch):
@@ -279,7 +293,29 @@ def test_montecarlo_rejects_a_negative_seed_before_any_structure(monkeypatch):
     monkeypatch.setattr(verification, "torus_structure", refuse("torus_structure"))
     hopping, potential, disorder = preset_model("anderson")
     with pytest.raises(ValueError, match="seed must be an integer of at least 0, got -1"):
-        pipeline.montecarlo_minima(hopping, potential, disorder, 0.05, 4, 2, -1)
+        pipeline.montecarlo_minima(hopping, potential, disorder, [0.05], 4, 2, -1)
+
+
+@pytest.mark.parametrize(
+    "epsilon_list, sampler, message",
+    [
+        ([0.05, -0.01], verification.SAMPLER_ENDPOINT, "epsilon must be finite and nonnegative"),
+        ([0.05, float("nan")], verification.SAMPLER_ENDPOINT, "epsilon must be finite"),
+        ([0.05], "bogus", "unknown Monte-Carlo sampler 'bogus'"),
+        ([0.05], verification.SAMPLER_CONSTANT, "unknown Monte-Carlo sampler 'PeriodicConstant'"),
+    ],
+    ids=["eps-negative", "eps-nan", "sampler-unknown", "sampler-constant"],
+)
+def test_montecarlo_rejects_a_bad_epsilon_or_sampler_before_any_structure(
+    monkeypatch, epsilon_list, sampler, message
+):
+    # a bad sampler was found only when the first sample was drawn, and a bad
+    # epsilon only when its turn came, after the earlier ones were sampled
+    monkeypatch.setattr(verification, "torus_structure", refuse("torus_structure"))
+    monkeypatch.setattr(verification, "box_min_eig", refuse("box_min_eig"))
+    hopping, potential, disorder = preset_model("anderson")
+    with pytest.raises(ValueError, match=message):
+        pipeline.montecarlo_minima(hopping, potential, disorder, epsilon_list, 4, 2, 1, sampler)
 
 
 def test_montecarlo_builds_one_structure_for_all_samples(monkeypatch):
@@ -299,11 +335,12 @@ def test_montecarlo_builds_one_structure_for_all_samples(monkeypatch):
     monkeypatch.setattr(verification, "torus_structure", counting_build)
     monkeypatch.setattr(verification, "box_min_eig", counting_solve)
     hopping, potential, disorder = preset_model("dipole")
-    samples = pipeline.montecarlo_minima(hopping, potential, disorder, 0.05, 16, 5, 3)
-    assert len(samples) == len(used) == 5
+    runs = pipeline.montecarlo_minima(hopping, potential, disorder, [0.05, 0.2], 16, 5, 3)
+    assert [len(samples) for samples in runs] == [5, 5] and len(used) == 10
     assert len(built) == 1 and all(structure is built[0] for structure in used)
-    alone = [solve(hopping, potential, disorder, 0.05, 16, seed=3 + i) for i in range(5)]
-    assert [s.lambda_min for s in samples] == [s.lambda_min for s in alone]
+    for epsilon, samples in zip([0.05, 0.2], runs):  # every epsilon on seeds 3 ... 7
+        alone = [solve(hopping, potential, disorder, epsilon, 16, seed=3 + i) for i in range(5)]
+        assert [s.lambda_min for s in samples] == [s.lambda_min for s in alone]
 
 
 @pytest.mark.parametrize(
@@ -498,16 +535,35 @@ def test_cli_reports_an_unreadable_model_file_as_a_usage_error(tmp_path, capsys,
             ["run", "--model", "anderson", "--output", "{tmp}/no/x.json"],
             "No such file or directory: '{tmp}/no/x.json'",
         ),
+        (["run", "--model", "anderson", "--output", "{tmp}"], "Is a directory: '{tmp}'"),
     ],
-    ids=["missing-model-file", "model-is-a-directory", "output-directory-missing"],
+    ids=[
+        "missing-model-file", "model-is-a-directory", "output-directory-missing",
+        "output-is-a-directory",
+    ],
 )
-def test_cli_reports_a_path_it_cannot_open_as_a_usage_error(tmp_path, capsys, argv, message):
+def test_cli_reports_a_path_it_cannot_open_as_a_usage_error(
+    monkeypatch, tmp_path, capsys, argv, message
+):
+    # run found a bad --output only after the whole pipeline had run
+    monkeypatch.setattr(pipeline, "run_pipeline", refuse("run_pipeline"))
     with pytest.raises(SystemExit) as exc:
         main([arg.format(tmp=tmp_path) for arg in argv])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert message.format(tmp=tmp_path) in err
     assert "Traceback" not in err
+
+
+def test_run_writes_to_output_what_it_would_print(tmp_path, capsys):
+    argv = ["run", "--model", "dipole", "--eps", "0.01", "--samples", "2", "--seed", "1"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert main(argv + ["--output", str(tmp_path / "r.json")]) == 0
+    assert capsys.readouterr().out == ""
+    written = (tmp_path / "r.json").read_text()
+    # the report embeds its config, so only the output path differs
+    assert written == printed.replace('"path": null', f'"path": "{tmp_path / "r.json"}"')
 
 
 def test_cli_reports_a_convergence_error_as_a_failed_check(capsys):

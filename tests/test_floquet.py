@@ -203,8 +203,9 @@ def test_ground_space_residual_bound():
     residual = np.abs(
         ground.fiber.matrix @ ground.basis - ground.e0 * ground.basis
     ).max()
-    tol_deg = max(1e-10, 1e-8 * ground.fiber.norm)
-    assert residual <= tol_deg * max(ground.fiber.norm, 1.0)
+    norm = float(np.abs(ground.eigenvalues).max())  # the 2-norm of the Hermitian fiber
+    tol_deg = max(1e-10, 1e-8 * norm)
+    assert residual <= tol_deg * max(norm, 1.0)
 
 
 def _fiber_reference(hopping, theta) -> np.ndarray:

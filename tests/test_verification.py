@@ -44,7 +44,14 @@ from bandedge.verification import (
     torus_structure,
 )
 
-from conftest import no_motion_model, random_hopping, random_potential, refuse, sign_changing
+from conftest import (
+    halve_ks_dispersion,
+    no_motion_model,
+    random_hopping,
+    random_potential,
+    refuse,
+    sign_changing,
+)
 
 EPS = np.finfo(float).eps
 
@@ -201,11 +208,13 @@ def test_quotients_refuse_a_bad_cell_vector(model, u0, message):
         (SAMPLER_ENDPOINT, 0.5, "sampler 'EndpointBernoulli' takes no q"),
         (SAMPLER_UNIFORM, -1.0, "sampler 'Uniform' takes no q"),
         (SAMPLER_CONSTANT, None, "sampler 'PeriodicConstant' needs q"),
+        ("bogus", None, "unknown sampler 'bogus'"),
     ],
-    ids=["endpoint-with-q", "uniform-with-q", "constant-without-q"],
+    ids=["endpoint-with-q", "uniform-with-q", "constant-without-q", "unknown-sampler"],
 )
 def test_box_refuses_q_with_any_sampler_but_the_constant_one(monkeypatch, sampler, q, message):
-    # endpoint couplings [1, 1, 1, -1] were drawn with q = 0.5 ignored
+    # endpoint couplings [1, 1, 1, -1] were drawn with q = 0.5 ignored, and an
+    # unknown sampler raised only after the structure was built
     monkeypatch.setattr("bandedge.verification.torus_structure", refuse("torus_structure"))
     hopping, potential, disorder = preset_model("anderson")
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -1251,6 +1260,27 @@ def test_kirsch_simon_takes_its_ground_state_from_the_perron_frobenius_check():
     report = kirsch_simon_sandwich(hopping, [[0.1, 0.2]])
     assert report.a_minus == pf.min_entry
     assert report.a_plus == float(pf.ground.basis[:, 0].real.max())
+
+
+def test_kirsch_simon_records_every_violation_and_only_those(monkeypatch):
+    hopping, _, _ = preset_model("alloy", N=2, W=[0.0, 1.0])
+    grid = np.linspace(0.0, np.pi, 64)
+    halve_ks_dispersion(monkeypatch)
+    report = kirsch_simon_sandwich(hopping, grid)
+    assert not report.passed
+    e0 = perron_frobenius_check(hopping).ground.e0
+    motion = np.linalg.eigvalsh(hopping.fibers(grid[:, None]))[:, 0] - e0
+    disp, _ = verification._ks_dispersion(grid[:, None], 2)
+    lower = (report.a_minus / report.a_plus) ** 2 * disp
+    upper = (report.a_plus / report.a_minus) ** 2 * disp
+    outside = (motion < lower - verification.KS_SLACK) | (motion > upper + verification.KS_SLACK)
+    assert [v["theta"] for v in report.violations] == [[t] for t in grid[outside]]
+    for v, i in zip(report.violations, np.flatnonzero(outside)):
+        assert v["motion"] == motion[i]
+        assert (v["lower"], v["upper"]) == (lower[i], upper[i])
+        slack = verification.KS_SLACK
+        assert not v["lower"] - slack <= v["motion"] <= v["upper"] + slack
+    assert 0 < outside.sum() < len(grid)  # theta = 0 and its neighbours stay inside
 
 
 def test_kirsch_simon_rejects_non_alloy():
