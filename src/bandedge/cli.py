@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import floquet, model, pipeline, verification
+from . import model, pipeline  # each handler imports the rest of what it uses
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -78,6 +78,8 @@ def _print_json(payload) -> None:
 
 def _fit_summary(epsilons, values) -> dict:
     """The exponent fit's eta, prefactor and r_squared, or the reason it failed."""
+    from . import verification
+
     try:
         fit = verification.fit_exponent(epsilons, values)
     except ValueError as exc:
@@ -93,6 +95,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_floquet_scan(args) -> int:
+    from . import floquet
+
     hopping, _, _ = _load(args)
     theta_set = pipeline.scan_zone(hopping, pipeline.BZConfig(args.grid, args.refinements))
     rows = []
@@ -106,6 +110,8 @@ def cmd_floquet_scan(args) -> int:
 
 
 def cmd_fiber(args) -> int:
+    from . import floquet
+
     hopping, _, _ = _load(args)
     theta = np.array(_parse_floats(args.theta))
     fiber = floquet.build_floquet(hopping, theta)
@@ -124,6 +130,8 @@ def cmd_coefficients(args) -> int:
 
 
 def cmd_verify_fiber_sweep(args) -> int:
+    from . import verification
+
     hopping, potential, disorder = _load(args)
     config = pipeline.RunConfig(model=args.model, epsilon_list=tuple(args.eps))
     theta_set = pipeline.scan_zone(hopping)
@@ -157,6 +165,8 @@ def cmd_verify_montecarlo(args) -> int:
 
 
 def cmd_verify_quartic(args) -> int:
+    from . import verification
+
     rows = []
     for epsilon in args.eps:
         value = verification.quartic_trial_energy(epsilon, args.xi, args.n)
@@ -178,6 +188,8 @@ def cmd_verify_quartic(args) -> int:
 
 
 def cmd_verify_kirsch_simon(args) -> int:
+    from . import floquet, verification
+
     hopping, _, _ = _load(args)
     grid = floquet.zone_grid(hopping.geometry, args.grid)
     report = verification.kirsch_simon_sandwich(hopping, grid)
@@ -215,9 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("floquet-scan", help="scan the zone for band minimizers (CSV)")
     _add_model_argument(p)
-    p.add_argument("--grid", type=_count_at_least(1), default=floquet.DEFAULT_GRID_PER_DIM)
-    refinements = _count_at_least(0, floquet.MAX_REFINEMENTS)
-    p.add_argument("--refinements", type=refinements, default=floquet.DEFAULT_REFINEMENTS)
+    p.add_argument("--grid", type=_count_at_least(1), default=model.DEFAULT_GRID_PER_DIM)
+    refinements = _count_at_least(0, model.MAX_REFINEMENTS)
+    p.add_argument("--refinements", type=refinements, default=model.DEFAULT_REFINEMENTS)
     p.set_defaults(func=cmd_floquet_scan)
 
     p = sub.add_parser("fiber", help="full fiber spectrum at one theta (JSON)")
@@ -251,8 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_count_at_least(0), required=True)
     p.add_argument(
         "--sampler",
-        default=verification.SAMPLER_ENDPOINT,
-        choices=[verification.SAMPLER_ENDPOINT, verification.SAMPLER_UNIFORM],
+        default=model.SAMPLER_ENDPOINT,
+        choices=[model.SAMPLER_ENDPOINT, model.SAMPLER_UNIFORM],
     )
     p.set_defaults(func=cmd_verify_montecarlo)
 
@@ -277,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_count_at_least(0), default=None)
     p.add_argument(
         "--sampler",
-        default=verification.SAMPLER_ENDPOINT,
-        choices=[verification.SAMPLER_ENDPOINT, verification.SAMPLER_UNIFORM],
+        default=model.SAMPLER_ENDPOINT,
+        choices=[model.SAMPLER_ENDPOINT, model.SAMPLER_UNIFORM],
     )
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_run)

@@ -8,12 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .model import ConvergenceError, HoppingOperator, LatticeGeometry
+from .model import DEFAULT_GRID_PER_DIM, DEFAULT_REFINEMENTS, DEFAULT_TOL_THETA, MAX_REFINEMENTS
+from .model import ConvergenceError, HoppingOperator, LatticeGeometry, _require_count
 
-DEFAULT_TOL_THETA = 1e-9
-DEFAULT_GRID_PER_DIM = 64
-DEFAULT_REFINEMENTS = 6
-MAX_REFINEMENTS = 60
 # stride per axis of the grid points solved first for an upper bound on its minimum
 COARSE_STRIDE = 8
 
@@ -87,11 +84,6 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
         if abs(entry) > 0:
             fixed[:, j] *= np.conj(entry) / abs(entry)
     return fixed
-
-
-def _require_count(name: str, value, least: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 MAX_EPSILON = float(np.finfo(float).max ** (1 / 3))  # the sweep raises epsilon to powers up to 3

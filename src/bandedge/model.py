@@ -20,6 +20,20 @@ Site = tuple[int, ...]
 
 DEFAULT_TOL_SHIFT = 1e-9
 FIBER_CHUNK = 256  # thetas per batched fiber eigensolve
+# scan and sampling defaults live here, not in floquet or verification, so that
+# the run configs in pipeline read them without importing either module
+DEFAULT_TOL_THETA = 1e-9
+DEFAULT_GRID_PER_DIM = 64
+DEFAULT_REFINEMENTS = 6
+MAX_REFINEMENTS = 60
+SAMPLER_ENDPOINT = "EndpointBernoulli"
+SAMPLER_UNIFORM = "Uniform"
+SAMPLER_CONSTANT = "PeriodicConstant"
+
+
+def _require_count(name: str, value, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 class ConvergenceError(RuntimeError):

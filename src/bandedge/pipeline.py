@@ -8,10 +8,14 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import floquet, model, perturbation, verification
+from . import model
+
+if TYPE_CHECKING:  # the functions that use them import them: resolve_model needs none
+    from . import floquet, perturbation, verification
 
 
 def worker_count() -> int:
@@ -24,14 +28,14 @@ def worker_count() -> int:
 
 @dataclass(frozen=True)
 class BZConfig:
-    grid_per_dim: int = floquet.DEFAULT_GRID_PER_DIM
-    refinements: int = floquet.DEFAULT_REFINEMENTS
+    grid_per_dim: int = model.DEFAULT_GRID_PER_DIM
+    refinements: int = model.DEFAULT_REFINEMENTS
 
 
 @dataclass(frozen=True)
 class Tolerances:
     tol_shift: float = model.DEFAULT_TOL_SHIFT
-    tol_theta: float = floquet.DEFAULT_TOL_THETA
+    tol_theta: float = model.DEFAULT_TOL_THETA
     tol_deg: float | None = None  # None: max(1e-10, 1e-8 * fiber norm)
     tol_case: float | None = None  # None: scaled by potential and coupling size
 
@@ -47,13 +51,13 @@ class VerifyConfig:
     L: int = 64
     samples: int = 0
     seed: int | None = None
-    sampler: str = verification.SAMPLER_ENDPOINT
+    sampler: str = model.SAMPLER_ENDPOINT
 
     def __post_init__(self) -> None:
-        floquet._require_count("L", self.L, 1)
-        floquet._require_count("samples", self.samples, 0)
+        model._require_count("L", self.L, 1)
+        model._require_count("samples", self.samples, 0)
         if self.samples > 0 or self.seed is not None:  # sampling needs a seed
-            floquet._require_count("seed", self.seed, 0)
+            model._require_count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -105,6 +109,8 @@ def scan_zone(
     """The one zone scan of a run: minimizers of the lowest band, with the
     operator shifted so that its band bottom is zero.  Configs default to
     BZConfig() and Tolerances()."""
+    from . import floquet
+
     bz = bz or BZConfig()
     tolerances = tolerances or Tolerances()
     return floquet.scan_theta_set(
@@ -128,6 +134,8 @@ def coefficients_report(
     With several minimizers the reported bound takes the minimum over them;
     ties in the coefficients are broken by lexicographic order of theta.
     """
+    from . import floquet, perturbation
+
     hopping = theta_set.hopping
     rows = []
     for theta in theta_set.minimizers:
@@ -158,17 +166,21 @@ def montecarlo_minima(
     L: int,
     samples: int,
     seed: int,
-    sampler: str = verification.SAMPLER_ENDPOINT,
+    sampler: str = model.SAMPLER_ENDPOINT,
 ) -> list[list[verification.BoxSpectrumSample]]:
     """Independent disorder realizations for each epsilon of ``epsilon_list``,
     one per seed seed + i, in seed order, on the same seeds for every epsilon;
     all filled from one torus structure, which bad input never reaches."""
+    from . import floquet, verification
+
+    if len(epsilon_list) == 0:
+        raise ValueError("Monte-Carlo samples need at least one epsilon")
     for epsilon in epsilon_list:
         floquet._require_epsilon(epsilon)
-    floquet._require_count("samples", samples, 1)
-    floquet._require_count("L", L, 1)
-    floquet._require_count("seed", seed, 0)
-    if sampler not in (verification.SAMPLER_ENDPOINT, verification.SAMPLER_UNIFORM):
+    model._require_count("samples", samples, 1)
+    model._require_count("L", L, 1)
+    model._require_count("seed", seed, 0)
+    if sampler not in (model.SAMPLER_ENDPOINT, model.SAMPLER_UNIFORM):
         raise ValueError(f"unknown Monte-Carlo sampler {sampler!r}")
     structure = verification.torus_structure(hopping, potential, L)
     return [
@@ -205,6 +217,8 @@ def run_pipeline(config: RunConfig) -> tuple[int, dict]:
     )
 
     if config.epsilon_list:
+        from . import verification
+
         sandwich = verification.fiber_bound_sandwich(
             hopping, potential, disorder, ground, coeffs, config.epsilon_list
         )

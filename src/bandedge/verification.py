@@ -16,12 +16,16 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .floquet import GroundSpaceData, build_floquet, grid_band_bottom
-from .floquet import _certificate_margin, _proven_above, _require_count, _require_epsilon
+from .floquet import _certificate_margin, _proven_above, _require_epsilon
 from .model import (
+    SAMPLER_CONSTANT,
+    SAMPLER_ENDPOINT,
+    SAMPLER_UNIFORM,
     ConvergenceError,
     DisorderSupport,
     HoppingOperator,
     SingleCellPotential,
+    _require_count,
     preset_model,
 )
 from .perturbation import (
@@ -236,11 +240,6 @@ def fiber_quotient(
     return float(np.vdot(u0, matrix @ u0).real / np.vdot(u0, u0).real)
 
 
-SAMPLER_ENDPOINT = "EndpointBernoulli"
-SAMPLER_UNIFORM = "Uniform"
-SAMPLER_CONSTANT = "PeriodicConstant"
-
-
 def _draw_couplings(
     disorder: DisorderSupport, n_cells: int, sampler: str, seed, q: float | None
 ) -> np.ndarray:
@@ -294,13 +293,20 @@ class TorusStructure:
         return order, b, rows, rows != cols, lower, (rows - cols)[lower] * n + cols[lower]
 
 
+def _require_finite(hopping: HoppingOperator, potential: SingleCellPotential) -> None:
+    if not (np.isfinite(hopping.blocks).all() and np.isfinite(potential.matrix).all()):
+        raise ValueError("hopping amplitudes and potential entries must be finite")
+
+
 def torus_structure(
     hopping: HoppingOperator, potential: SingleCellPotential, L: int
 ) -> TorusStructure:
     """The coupling-independent part of the operator on a torus of L^d cells
     with periodic boundary. Its matrices are float64 when every hopping
-    amplitude and every potential entry is real, and complex otherwise.
+    amplitude and every potential entry is real, and complex otherwise. A
+    non-finite amplitude or entry raises ``ValueError`` before anything is built.
     """
+    _require_finite(hopping, potential)
     import scipy.sparse as sp  # here, not at module top: only torus work needs scipy
     geom = hopping.geometry
     d, N = geom.d, geom.N
@@ -537,8 +543,7 @@ def box_min_eig(
         raise ValueError(f"coupling q must be finite, got {q!r}")
     if (q is None) == (sampler == SAMPLER_CONSTANT):
         raise ValueError(f"sampler {sampler!r} {'needs' if q is None else 'takes no'} q")
-    if not (np.isfinite(hopping.blocks).all() and np.isfinite(potential.matrix).all()):
-        raise ValueError("hopping amplitudes and potential entries must be finite")
+    _require_finite(hopping, potential)
 
     omega = _draw_couplings(disorder, L**hopping.geometry.d, sampler, seed, q)
     structure = structure or torus_structure(hopping, potential, L)

@@ -318,6 +318,44 @@ def test_montecarlo_rejects_a_bad_epsilon_or_sampler_before_any_structure(
         pipeline.montecarlo_minima(hopping, potential, disorder, epsilon_list, 4, 2, 1, sampler)
 
 
+def test_montecarlo_rejects_an_empty_epsilon_list_before_any_structure(monkeypatch):
+    # an empty list built a structure and sampled nothing; verify montecarlo exited 0
+    monkeypatch.setattr(verification, "torus_structure", refuse("torus_structure"))
+    monkeypatch.setattr(verification, "box_min_eig", refuse("box_min_eig"))
+    hopping, potential, disorder = preset_model("anderson")
+    with pytest.raises(ValueError, match="Monte-Carlo samples need at least one epsilon"):
+        pipeline.montecarlo_minima(hopping, potential, disorder, [], 4, 2, 1)
+
+
+def _nan_hopping(hopping, potential):
+    coeffs = {**hopping.coefficients, ((0,), (0,), (0,)): float("nan")}
+    return model.HoppingOperator(hopping.geometry, coeffs), potential
+
+
+def _nan_potential(hopping, potential):
+    return hopping, model.SingleCellPotential(np.full_like(potential.matrix, np.nan))
+
+
+@pytest.mark.parametrize("poison", [_nan_hopping, _nan_potential], ids=["hopping", "potential"])
+def test_montecarlo_rejects_a_non_finite_model_before_any_structure(monkeypatch, poison):
+    # only box_min_eig checked the table, after montecarlo_minima had built a structure
+    build, built = verification.torus_structure, []
+
+    def counting_build(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(verification, "torus_structure", counting_build)
+    hopping, potential, disorder = preset_model("anderson")
+    hopping, potential = poison(hopping, potential)
+    message = "hopping amplitudes and potential entries must be finite"
+    with pytest.raises(ValueError, match=message):
+        pipeline.montecarlo_minima(hopping, potential, disorder, [0.05], 4, 2, 1)
+    with pytest.raises(ValueError, match=message):
+        verification.assemble_torus(hopping, potential, 0.05, 4, np.ones(4))
+    assert built == []
+
+
 def test_montecarlo_builds_one_structure_for_all_samples(monkeypatch):
     build, solve = verification.torus_structure, verification.box_min_eig
     built, used = [], []
@@ -427,6 +465,10 @@ def test_cli_rejects_bad_counts(monkeypatch, capsys, argv, message):
             "Monte-Carlo samples need at least one epsilon",
         ),
         (
+            ["verify", "montecarlo", "--model", "anderson", "--eps", "", "--seed", "1"],
+            "Monte-Carlo samples need at least one epsilon",
+        ),
+        (
             ["verify", "quartic", "--xi", "1e6", "--eps", "0.5"],
             "the window for epsilon=0.5, xi=1000000.0 exceeds 2^53 cells",
         ),
@@ -470,6 +512,7 @@ def test_cli_rejects_bad_counts(monkeypatch, capsys, argv, message):
         "support-s-plus-inf",
         "fiber-theta-nan",
         "run-samples-without-eps",
+        "montecarlo-eps-empty",
         "quartic-window-overflows",
         "quartic-window-past-2^53",
         "quartic-window-underflows",
