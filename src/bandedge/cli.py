@@ -146,6 +146,8 @@ def cmd_verify_fiber_sweep(args) -> int:
 
 
 def cmd_verify_montecarlo(args) -> int:
+    verify = pipeline.VerifyConfig(args.L, args.samples, args.seed, args.sampler)
+    pipeline.RunConfig(args.model, tuple(args.eps), verify=verify)  # refused before the scan
     hopping, potential, disorder = _load(args)
     hopping = pipeline.scan_zone(hopping).hopping
     runs = pipeline.montecarlo_minima(
@@ -167,6 +169,8 @@ def cmd_verify_montecarlo(args) -> int:
 def cmd_verify_quartic(args) -> int:
     from . import verification
 
+    if not args.eps:
+        raise ValueError("no epsilon given: the quartic check would hold vacuously")
     rows = []
     for epsilon in args.eps:
         value = verification.quartic_trial_energy(epsilon, args.xi, args.n)

@@ -10,6 +10,7 @@ from numpy.linalg import _umath_linalg
 
 from .model import DEFAULT_GRID_PER_DIM, DEFAULT_REFINEMENTS, DEFAULT_TOL_THETA, MAX_REFINEMENTS
 from .model import ConvergenceError, HoppingOperator, LatticeGeometry, _require_count
+from .model import MAX_EPSILON, _require_epsilon  # unused here; kept under their floquet names
 
 # stride per axis of the grid points solved first for an upper bound on its minimum
 COARSE_STRIDE = 8
@@ -84,16 +85,6 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
         if abs(entry) > 0:
             fixed[:, j] *= np.conj(entry) / abs(entry)
     return fixed
-
-
-MAX_EPSILON = float(np.finfo(float).max ** (1 / 3))  # the sweep raises epsilon to powers up to 3
-
-
-def _require_epsilon(epsilon) -> None:
-    if not 0 <= epsilon <= MAX_EPSILON:
-        raise ValueError(
-            f"epsilon must be finite and nonnegative, at most {MAX_EPSILON:.3g}, got {epsilon!r}"
-        )
 
 
 def _proven_above(stack: np.ndarray, shift) -> np.ndarray:

@@ -36,6 +36,16 @@ def _require_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
+MAX_EPSILON = float(np.finfo(float).max ** (1 / 3))  # the sweep raises epsilon to powers up to 3
+
+
+def _require_epsilon(epsilon) -> None:
+    if not 0 <= epsilon <= MAX_EPSILON:
+        raise ValueError(
+            f"epsilon must be finite and nonnegative, at most {MAX_EPSILON:.3g}, got {epsilon!r}"
+        )
+
+
 class ConvergenceError(RuntimeError):
     """A grid scan or iterative solve failed to converge to tolerance."""
 

@@ -11,12 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .floquet import GroundSpaceData, _fix_phases, _require_epsilon, ground_space
+from .floquet import GroundSpaceData, _fix_phases, ground_space
 from .model import (
     ConvergenceError,
     DisorderSupport,
     HoppingOperator,
     SingleCellPotential,
+    _require_epsilon,
     is_alloy,
 )
 
@@ -81,8 +82,6 @@ def coeff_A1(pert: PerturbationMatrix, disorder: DisorderSupport) -> float:
 
 GAP_TOL = 1e-12  # smallest spectral gap the second-order pseudoinverse accepts
 TOL_V01 = 1e-10  # eigenvalues of the perturbation matrix within this of P_1 span V01
-ASCENT_ITERATIONS = 200
-ASCENT_STARTS = 8
 
 
 def _v01(pert: PerturbationMatrix) -> np.ndarray:
@@ -92,8 +91,8 @@ def _v01(pert: PerturbationMatrix) -> np.ndarray:
 
 def _second_order(
     ground: GroundSpaceData, pert: PerturbationMatrix, disorder: DisorderSupport
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """(c^2, B, (fiber restricted to the complement)^+) for both A2 estimates.
+) -> tuple[float, np.ndarray]:
+    """(c^2, B) for both A2 estimates, once the spectral gap is checked.
 
     c^2 is the squared extremal coupling and B spans the ground subspace the
     second order acts on: the whole ground space for sign-changing couplings,
@@ -104,17 +103,8 @@ def _second_order(
             f"spectral gap {ground.gap} too small for the second-order pseudoinverse"
         )
     if disorder.regime == DisorderSupport.SIGN_CHANGING:
-        c2 = max(disorder.s_minus**2, disorder.s_plus**2)
-        B = pert.diagonalizing_basis
-    else:
-        c2 = disorder.s_plus**2
-        B = pert.diagonalizing_basis[:, _v01(pert)]
-    vectors = ground.eigenvectors
-    eigenvalues = ground.eigenvalues
-    p = ground.p
-    inv = np.zeros_like(eigenvalues)
-    inv[p:] = 1.0 / (eigenvalues[p:] - eigenvalues[0])
-    return c2, B, (vectors * inv) @ vectors.conj().T
+        return max(disorder.s_minus**2, disorder.s_plus**2), pert.diagonalizing_basis
+    return disorder.s_plus**2, pert.diagonalizing_basis[:, _v01(pert)]
 
 
 def coeff_A2(
@@ -128,7 +118,13 @@ def coeff_A2(
     Returns -c^2 * lambda_max(B* V Q (H|_perp)^+ Q V B) with B spanning the
     ground subspace of the regime and c^2 the squared extremal coupling.
     """
-    c2, B, pinv = _second_order(ground, pert, disorder)
+    c2, B = _second_order(ground, pert, disorder)
+    vectors = ground.eigenvectors
+    eigenvalues = ground.eigenvalues
+    p = ground.p
+    inv = np.zeros_like(eigenvalues)
+    inv[p:] = 1.0 / (eigenvalues[p:] - eigenvalues[0])
+    pinv = (vectors * inv) @ vectors.conj().T
     operator = potential.matrix @ pinv @ potential.matrix
     restricted = B.conj().T @ operator @ B
     restricted = 0.5 * (restricted + restricted.conj().T)
@@ -141,57 +137,25 @@ def coeff_A2_variational(
     pert: PerturbationMatrix,
     potential: SingleCellPotential,
     disorder: DisorderSupport,
-    seed: int = 0,
 ) -> float:
-    """Independent estimate of the second-order coefficient by alternating ascent.
+    """Independent value of the second-order coefficient, by one linear solve.
 
-    Maximizes |<psi, V phi>|^2 / <H phi, phi> over unit psi in the ground
-    subspace of the regime and phi in its orthogonal complement, from
-    ASCENT_STARTS random starts of at most ASCENT_ITERATIONS steps each.
+    For unit psi in span B the sup over phi orthogonal to the ground space of
+    |<psi, V phi>|^2 / <(H - E0) phi, phi> is <Q V psi, phi>, where phi solves
+    (M - E0 + G G*) phi = Q V psi, G is the ground basis and Q = 1 - G G*
+    (Cauchy-Schwarz in the H - E0 form). One LU solve against Q V B gives the
+    Hermitian form S = (Q V B)* phi on span B, and the value is -c^2 ||S||_2.
+    No eigenvector of the complement enters, so this check does not share the
+    pseudoinverse of ``coeff_A2``: a pseudoinverse missing or misweighting
+    part of the complement makes the two disagree.
     """
-    c2, B, pinv = _second_order(ground, pert, disorder)
-    eigenvalues = ground.eigenvalues
-    n = len(eigenvalues)
-    V = potential.matrix
-
-    def objective(psi: np.ndarray, phi: np.ndarray) -> float:
-        h_energy = np.real(np.vdot(phi, (ground.fiber.matrix - eigenvalues[0] * np.eye(n)) @ phi))
-        if h_energy <= 0:
-            return 0.0
-        return float(abs(np.vdot(psi, V @ phi)) ** 2 / h_energy)
-
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(ASCENT_STARTS):
-        coeff = rng.standard_normal(B.shape[1]) + 1j * rng.standard_normal(B.shape[1])
-        psi = B @ coeff
-        psi /= np.linalg.norm(psi)
-        value = 0.0
-        for _ in range(ASCENT_ITERATIONS):
-            phi = pinv @ (V @ psi)
-            norm_phi = np.linalg.norm(phi)
-            if norm_phi < 1e-300:
-                value = 0.0
-                break
-            phi /= norm_phi
-            projected = B @ (B.conj().T @ (V @ phi))
-            norm_psi = np.linalg.norm(projected)
-            if norm_psi < 1e-300:
-                value = 0.0
-                break
-            psi = projected / norm_psi
-            new_value = objective(psi, phi)
-            if abs(new_value - value) <= 1e-12 * (1.0 + new_value):
-                value = new_value
-                break
-            value = new_value
-        else:
-            raise ConvergenceError(
-                f"alternating ascent did not settle in {ASCENT_ITERATIONS} iterations; "
-                f"best={-c2 * max(best, value):.6e}"
-            )
-        best = max(best, value)
-    return -c2 * best
+    c2, B = _second_order(ground, pert, disorder)
+    G = ground.basis
+    coupled = potential.matrix @ B
+    coupled = coupled - G @ (G.conj().T @ coupled)
+    shifted = ground.fiber.matrix - ground.e0 * np.eye(len(G)) + G @ G.conj().T
+    form = coupled.conj().T @ np.linalg.solve(shifted, coupled)
+    return -c2 * float(np.linalg.norm(form, 2))
 
 
 def nondegeneracy_check(ground: GroundSpaceData, potential: SingleCellPotential) -> bool:

@@ -84,6 +84,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         eps = tuple(sorted(float(e) for e in self.epsilon_list))
         object.__setattr__(self, "epsilon_list", eps)
+        for epsilon in eps:  # before any scan
+            model._require_epsilon(epsilon)
         if self.verify.samples > 0 and not eps:
             raise ValueError("Monte-Carlo samples need at least one epsilon")
 
@@ -171,12 +173,12 @@ def montecarlo_minima(
     """Independent disorder realizations for each epsilon of ``epsilon_list``,
     one per seed seed + i, in seed order, on the same seeds for every epsilon;
     all filled from one torus structure, which bad input never reaches."""
-    from . import floquet, verification
+    from . import verification
 
     if len(epsilon_list) == 0:
         raise ValueError("Monte-Carlo samples need at least one epsilon")
     for epsilon in epsilon_list:
-        floquet._require_epsilon(epsilon)
+        model._require_epsilon(epsilon)
     model._require_count("samples", samples, 1)
     model._require_count("L", L, 1)
     model._require_count("seed", seed, 0)

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .floquet import GroundSpaceData, build_floquet, grid_band_bottom
-from .floquet import _certificate_margin, _proven_above, _require_epsilon
+from .floquet import _certificate_margin, _proven_above
 from .model import (
     SAMPLER_CONSTANT,
     SAMPLER_ENDPOINT,
@@ -26,6 +26,7 @@ from .model import (
     HoppingOperator,
     SingleCellPotential,
     _require_count,
+    _require_epsilon,
     preset_model,
 )
 from .perturbation import (
@@ -135,6 +136,8 @@ def fiber_bound_sandwich(
     predicts no shift: only the lower side is checked, to a rounding floor.
     """
     epsilons = sorted(float(e) for e in epsilon_list)
+    if not epsilons:
+        raise ValueError("epsilon_list is empty: the sweep would pass vacuously")
     power = {CASE_LINEAR: 1.5, CASE_QUADRATIC: 3.0, CASE_NO_MOTION: None}[coeffs.case]
 
     results = [fiber_min_over_q(hopping, potential, disorder, ground.theta, e) for e in epsilons]

@@ -14,6 +14,9 @@ from bandedge.pipeline import RunConfig, Tolerances, VerifyConfig, run_pipeline
 from conftest import halve_ks_dispersion, refuse
 
 
+BAD_EPSILON = "epsilon must be finite and nonnegative, at most 5.64e+102"
+
+
 def run_cli(capsys, *argv):
     status = main(list(argv))
     out = capsys.readouterr().out
@@ -469,6 +472,11 @@ def test_cli_rejects_bad_counts(monkeypatch, capsys, argv, message):
             "Monte-Carlo samples need at least one epsilon",
         ),
         (
+            ["verify", "fiber-sweep", "--model", "dipole", "--eps", ""],
+            "epsilon_list is empty: the sweep would pass vacuously",
+        ),
+        (["verify", "quartic", "--eps", ""], "no epsilon given: the quartic check would hold"),
+        (
             ["verify", "quartic", "--xi", "1e6", "--eps", "0.5"],
             "the window for epsilon=0.5, xi=1000000.0 exceeds 2^53 cells",
         ),
@@ -513,6 +521,8 @@ def test_cli_rejects_bad_counts(monkeypatch, capsys, argv, message):
         "fiber-theta-nan",
         "run-samples-without-eps",
         "montecarlo-eps-empty",
+        "fiber-sweep-eps-empty",
+        "quartic-eps-empty",
         "quartic-window-overflows",
         "quartic-window-past-2^53",
         "quartic-window-underflows",
@@ -529,6 +539,38 @@ def test_cli_reports_bad_input_as_a_usage_error(capsys, argv, message):
     err = capsys.readouterr().err
     assert f"error: {message}" in err
     assert "Traceback" not in err
+
+
+MONTECARLO_D2 = ["verify", "montecarlo", "--model", "dipole", "--d", "2", "--seed", "1", "--eps"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "--model", "dipole", "--eps", "-0.1"], f"{BAD_EPSILON}, got -0.1"),
+        (["run", "--model", "dipole", "--eps", "nan"], f"{BAD_EPSILON}, got nan"),
+        (["coefficients", "--model", "dipole", "--eps", "-0.1"], f"{BAD_EPSILON}, got -0.1"),
+        (["verify", "fiber-sweep", "--model", "dipole", "--eps", "-0.1"],
+         f"{BAD_EPSILON}, got -0.1"),
+        (MONTECARLO_D2 + ["-0.1"], f"{BAD_EPSILON}, got -0.1"),
+        (MONTECARLO_D2 + [""], "Monte-Carlo samples need at least one epsilon"),
+    ],
+    ids=["run", "run-nan", "coefficients", "fiber-sweep", "montecarlo", "montecarlo-empty"],
+)
+def test_cli_refuses_a_bad_epsilon_before_the_zone_scan(monkeypatch, capsys, argv, message):
+    # each command ran a full zone scan before the epsilon list was checked
+    scan, scans = floquet.scan_theta_set, []
+
+    def counting_scan(*args, **kwargs):
+        scans.append(args)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(floquet, "scan_theta_set", counting_scan)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert scans == []
 
 
 def _anderson_file(tmp_path, edit):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -105,14 +107,14 @@ def test_coeff_A2_variational_agrees():
     ground, potential, disorder = _ground("dipole")
     pert = perturbation_matrix(ground, potential)
     closed = coeff_A2(ground, pert, potential, disorder)
-    variational = coeff_A2_variational(ground, pert, potential, disorder, seed=1)
+    variational = coeff_A2_variational(ground, pert, potential, disorder)
     assert abs(closed - variational) < 1e-10
 
 
 def test_coeff_A2_variational_quartic_negative():
     ground, potential, disorder = _ground("quartic")
     pert = perturbation_matrix(ground, potential)
-    value = coeff_A2_variational(ground, pert, potential, disorder, seed=2)
+    value = coeff_A2_variational(ground, pert, potential, disorder)
     assert value == pytest.approx(-1.0 / 18.0, abs=1e-8)
     assert value < 0
 
@@ -126,21 +128,39 @@ def test_positive_regime_dipole():
     assert coeffs.V01_dim == 1
 
 
-def test_positive_regime_second_order_over_v01():
-    # dipole d=2 at theta = (pi/2, 0): fiber spectrum (2, 2, 6, 6), so a
-    # generic potential splits the ground space and V01 is one of its two lines
+def _v01_case():
+    """(ground, potential, nonnegative support) on the dipole d=2 at theta =
+    (pi/2, 0): fiber spectrum (2, 2, 6, 6), so a generic potential splits the
+    ground space and V01 is one of its two lines."""
     hopping, _, _ = preset_model("dipole", d=2)
     ground = ground_space(hopping, [np.pi / 2, 0.0])
-    potential = random_potential(np.random.default_rng(5), 4)
+    return ground, random_potential(np.random.default_rng(5), 4), DisorderSupport(0.0, 1.0)
+
+
+def test_positive_regime_second_order_over_v01():
+    ground, potential, positive = _v01_case()
     pert = perturbation_matrix(ground, potential)
-    positive = DisorderSupport(0.0, 1.0)
     coeffs = edge_coefficients(ground, potential, positive)
     assert ground.p == 2 and coeffs.V01_dim == 1
-    variational = coeff_A2_variational(ground, pert, potential, positive, seed=1)
+    variational = coeff_A2_variational(ground, pert, potential, positive)
     assert abs(coeffs.A2_prime - variational) <= 1e-8 * (1.0 + abs(coeffs.A2_prime))
     # the same c^2 = 1 over the whole ground space reaches further
     sign_changing = DisorderSupport(-1.0, 1.0)
     assert edge_coefficients(ground, potential, sign_changing).A2 < coeffs.A2_prime - 0.1
+
+
+@pytest.mark.parametrize(
+    "case", [lambda: _ground("dipole"), _v01_case], ids=["dipole-d1", "dipole-d2-v01"]
+)
+def test_coeff_A2_variational_reads_no_complement_eigenvector(case):
+    # a check that reads the columns coeff_A2 builds its pseudoinverse from
+    # cannot see a pseudoinverse that leaves out part of the complement
+    ground, potential, disorder = case()
+    pert = perturbation_matrix(ground, potential)
+    value = coeff_A2_variational(ground, pert, potential, disorder)
+    blind = dataclasses.replace(ground, eigenvectors=np.full_like(ground.eigenvectors, np.nan))
+    assert coeff_A2_variational(blind, pert, potential, disorder) == value
+    assert value == pytest.approx(coeff_A2(ground, pert, potential, disorder), rel=1e-12)
 
 
 def test_positive_regime_arithmetic():
