@@ -132,8 +132,10 @@ def cmd_coefficients(args) -> int:
 def cmd_verify_fiber_sweep(args) -> int:
     from . import verification
 
-    hopping, potential, disorder = _load(args)
     config = pipeline.RunConfig(model=args.model, epsilon_list=tuple(args.eps))
+    if not args.eps:  # refused before the scan, as fiber_bound_sandwich would refuse it
+        raise ValueError("epsilon_list is empty: the sweep would pass vacuously")
+    hopping, potential, disorder = _load(args)
     theta_set = pipeline.scan_zone(hopping)
     _, ground, coeffs = pipeline.coefficients_report(theta_set, potential, disorder, config)
     report = verification.fiber_bound_sandwich(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -12,7 +13,8 @@ from .model import DEFAULT_GRID_PER_DIM, DEFAULT_REFINEMENTS, DEFAULT_TOL_THETA,
 from .model import ConvergenceError, HoppingOperator, LatticeGeometry, _require_count
 from .model import MAX_EPSILON, _require_epsilon  # unused here; kept under their floquet names
 
-# stride per axis of the grid points solved first for an upper bound on its minimum
+# stride per axis of the grid points solved first: an upper bound on its minimum
+# and the anchors of a lower bound elsewhere
 COARSE_STRIDE = 8
 
 
@@ -126,41 +128,107 @@ def zone_grid(geometry: LatticeGeometry, n: int) -> np.ndarray:
     return np.stack([g.ravel() for g in mesh], -1)
 
 
+@functools.lru_cache  # the 128 layouts used last
+def _grid_layout(geometry: LatticeGeometry, n: int, folded: bool) -> tuple[np.ndarray, ...]:
+    """The bookkeeping of ``grid_band_bottom`` on the n^d ``zone_grid``, built
+    once per geometry, n and folding and kept read-only, as every call that
+    hits the cache shares it.
+
+    ``solved`` is the first point of each pair {j, (-j) mod n} when folded,
+    else every point, and ``pair`` each point's position in it.  ``coarse``
+    and ``tested`` are the positions of the pairs whose first point lies on
+    every COARSE_STRIDE-th line of each axis, and of the rest.  For each
+    corner c of the coarse cell of each tested point (2^d rows, one column
+    per point), ``anchor`` is the position in ``coarse`` of c's pair, or
+    len(coarse) if that pair is not coarse, and ``steps`` is the sup
+    distance |j - c|_inf in grid steps along the unwrapped displacement: a
+    cell that runs past the last coarse point ends at the period, whose
+    pair is the point 0's.
+    """
+    d, shape, axis = geometry.d, (n,) * geometry.d, np.arange(n)
+    rep = np.arange(n**d)
+    if folded:
+        rep = np.minimum(rep, np.ravel_multi_index(np.ix_(*[-axis % n] * d), shape).ravel())
+    first = rep == np.arange(n**d)
+    solved, pair = np.flatnonzero(first), np.cumsum(first)[rep] - 1
+    off_lines = functools.reduce(np.maximum, np.ix_(*[axis % COARSE_STRIDE] * d)).ravel() > 0
+    coarse, tested = np.flatnonzero(~off_lines[solved]), np.flatnonzero(off_lines[solved])
+    position = np.full(len(solved), len(coarse))
+    position[coarse] = np.arange(len(coarse))
+    ends = np.append(axis[::COARSE_STRIDE], n)  # an axis's coarse points, then the period
+    at_ends = position[pair[np.ravel_multi_index(np.ix_(*[ends % n] * d), shape)]]
+    # per axis a, the two cell ends (rows) of each point, viewed along axes a
+    # and d + a of the (2,)*d + (n,)*d array of corners and points
+    cell = np.stack([axis // COARSE_STRIDE, axis // COARSE_STRIDE + 1])
+    views = [tuple(np.concatenate([1 + e, 1 + (n - 1) * e])) for e in np.eye(d, dtype=int)]
+    anchor = at_ends[tuple(cell.reshape(v) for v in views)]
+    steps = functools.reduce(np.maximum, [abs(axis - ends[cell]).reshape(v) for v in views])
+    columns = solved[tested]
+    anchor = anchor.reshape(2**d, -1)[:, columns]
+    steps = steps.reshape(2**d, -1)[:, columns].astype(np.int8)  # at most COARSE_STRIDE
+    layout = (zone_grid(geometry, n), solved, pair, coarse, tested, anchor, steps)
+    for array in layout:
+        array.setflags(write=False)
+    return layout
+
+
 def grid_band_bottom(
     hopping: HoppingOperator, n: int, window: float, perturbation=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The n^d ``zone_grid`` and the band bottom of M (plus ``perturbation``)
-    at every point that can lie within ``window`` of the grid minimum, with
-    the bits of ``band_bottom``.
+    """The n^d ``zone_grid`` (read-only, shared between calls) and the band
+    bottom of M (plus ``perturbation``) at every point that can lie within
+    ``window`` of the grid minimum, with the bits of ``band_bottom``.
 
     The bottoms at every COARSE_STRIDE-th point per axis, kept there, bound the
-    minimum by ``upper``.  Another point where Cholesky of M - s*I, s = upper +
-    window + delta, has only finite positive pivots has lambda_min > upper +
-    window; it is not eigensolved and gets +inf.  delta covers that
-    factorization's backward error.
+    minimum by ``upper``.  They also anchor a lower bound: with G =
+    lipschitz_bound(), a point where max_c lambda(c) - G |theta - theta_c|_inf
+    - mu > upper + window, over the 2^d corners c of its coarse cell, gets
+    +inf with no fiber built.  Another point where Cholesky of M - s*I, s =
+    upper + window + delta, has only finite positive pivots has lambda_min >
+    upper + window; it is not eigensolved and gets +inf.  delta covers that
+    factorization's backward error, and mu the anchor bound's rounding
+    (derived below).
 
     A real table and perturbation give M(-theta) = conj M(theta), and M has
     period 2pi/N per axis, so points j and (-j) mod n share a bottom: only the
-    first of each pair is solved.  Otherwise every point is solved.
+    first of each pair is solved, and a coarse point whose pair's first point
+    is not coarse anchors nothing.  Otherwise every point is solved.
     """
     _require_count("n", n, 1)
     if not 0 <= window < np.inf:
         raise ValueError(f"window must be finite and at least 0, got {window!r}")
     geom = hopping.geometry
-    points = zone_grid(geom, n)
-    shape = (n,) * geom.d
-    index = np.indices(shape).reshape(geom.d, -1)
-    solved = pair = np.arange(len(points))
-    if hopping.real and (perturbation is None or not np.imag(perturbation).any()):
-        partner = np.ravel_multi_index(tuple(-index % n), shape)
-        solved, pair = np.unique(np.minimum(solved, partner), return_inverse=True)
-    tested = (index[:, solved] % COARSE_STRIDE).any(0)  # every point but the coarse ones
+    folded = hopping.real and (perturbation is None or not np.imag(perturbation).any())
+    points, solved, pair, coarse, tested, anchor, steps = _grid_layout(geom, n, folded)
     values = np.full(len(solved), np.inf)
-    values[~tested] = hopping.band_bottom(points[solved[~tested]], perturbation)
+    values[coarse] = hopping.band_bottom(points[solved[coarse]], perturbation)
     level = float(values.min()) + window  # upper + window
-    shift = level + _certificate_margin(hopping, level, perturbation)
-    values[tested] = hopping.band_bottom(
-        points[solved[tested]], perturbation, lambda stack, _: _proven_above(stack, shift)
+    delta = _certificate_margin(hopping, level, perturbation)
+    # mu, with u the unit roundoff, s the scale of delta and P = 2pi/N:
+    # - eigvalsh at the anchor errs by <= 2n(n+1)u(s + |lambda(c)|) <= delta/2,
+    #   and the bound must clear the level by 2n(n+1)u(s + |level|) <= delta/4
+    #   for eigvalsh at theta to stay above it, as the Cholesky test does;
+    # - each fiber entry sums <= D = len(offsets) terms a e^{-i phi}, phi =
+    #   theta.m with sum_a |theta_a m_a| < 2 pi d rounded d times; with 4 ulps
+    #   for cos and sin, the products, the sum and the perturbation's addition
+    #   it errs by <= u(4 pi d^2 + 22 + 2D) times its terms' and P_ij's
+    #   moduli, so the Hermitian matrix eigvalsh reads from the lower triangle
+    #   errs in norm by <= 2u(4 pi d^2 + 22 + 2D)s; both fibers together, by
+    #   <= (pi d^2 + 6 + D/2) delta;
+    # - the distances steps * fl(P/n) lie within 5uP of the true ones (also
+    #   for an anchor read through its pair or across the period), and G is
+    #   rounded up, so with the two products and the subtractions the bound
+    #   loses <= 10uGP + 2us <= (4d + 1) delta, as GP <= 2 pi d s.
+    # As delta >= 16us, mu = (8 + 4d(d + 1) + D) delta covers the sum.
+    mu = (8 + 4 * geom.d * (geom.d + 1) + len(hopping.offsets)) * delta
+    # a pair with no value yet anchors at -inf, and a NaN anchor gives a NaN
+    # bound: neither clears a point
+    anchors = np.append(values[coarse] - mu, -np.inf)[anchor]
+    slope = hopping.lipschitz_bound() * (2.0 * np.pi / geom.N / n)
+    rest = tested[~((anchors - slope * steps).max(0) > level)]
+    shift = level + delta
+    values[rest] = hopping.band_bottom(
+        points[solved[rest]], perturbation, lambda stack, _: _proven_above(stack, shift)
     )
     return points, values[pair]
 
@@ -175,17 +243,17 @@ def scan_theta_set(
     """Locate the minimizer set of the lowest band over [0, 2pi/N)^d.
 
     A coarse grid scan (``grid_band_bottom`` with window tol_theta: a point
-    its Cholesky test proves more than tol_theta above the grid minimum is
-    +inf) keeps the points within tol_theta of the grid minimum and clusters
-    them once: in (value, theta) order each joins the first cluster with a
-    grid neighbour among its members (sup-torus distance one spacing), else
-    heads a new one.  Each round then halves the spacing and moves every head
-    to the lowest of its 3^d neighbours, the centre first so a tie stays put:
-    a compass search, all heads in one batch.  Runs the requested number of
-    rounds and keeps refining until the per-round improvement of the minimum
-    drops below tol/4; raises ConvergenceError if that has not happened after
-    MAX_REFINEMENTS rounds.  The heads within tol_theta of the final minimum
-    are the minimizers.
+    its anchor bound or Cholesky test proves more than tol_theta above the
+    grid minimum is +inf) keeps the points within tol_theta of the grid
+    minimum and clusters them once: in (value, theta) order each joins the
+    first cluster with a grid neighbour among its members (sup-torus distance
+    one spacing), else heads a new one.  Each round then halves the spacing
+    and moves every head to the lowest of its 3^d neighbours, the centre
+    first so a tie stays put: a compass search, all heads in one batch.  Runs
+    the requested number of rounds and keeps refining until the per-round
+    improvement of the minimum drops below tol/4; raises ConvergenceError if
+    that has not happened after MAX_REFINEMENTS rounds.  The heads within
+    tol_theta of the final minimum are the minimizers.
 
     With ``tol_shift`` the same scan also zeroes the band bottom: it refines
     to tol = min(tol_shift, tol_theta), and if |E0| > tol_shift the result

@@ -145,8 +145,18 @@ class HoppingOperator:
         return sum(abs(v) for v in self.coefficients.values()) or 1.0
 
     def lipschitz_bound(self) -> float:
-        """Bound L with |lambda_min(theta) - lambda_min(theta')| <= L * |theta - theta'|_inf."""
-        return sum(abs(v) * sum(abs(mi) for mi in m) for (_, _, m), v in self)
+        """Bound G with |lambda_min(theta) - lambda_min(theta')| <= G * |theta - theta'|_inf.
+
+        G = sum_m ||H_m||_2 |m|_1 over the offset blocks, with ||H_m||_2 <=
+        sqrt(||H_m||_1 ||H_m||_inf), rounded up: by Weyl and |e^{-i theta.m} -
+        e^{-i theta'.m}| <= |m|_1 |theta - theta'|_inf, ||M(theta) - M(theta')||_2
+        is at most G |theta - theta'|_inf.  Up to the rounding, never above the
+        entry sum sum |amplitude| |m|_1.
+        """
+        size, magnitudes = self.geometry.cell_size, np.abs(self.blocks)
+        norms = np.sqrt(magnitudes.sum(1).max(-1) * magnitudes.sum(2).max(-1))
+        bound = float(norms @ np.abs(self.offsets).sum(1))
+        return bound * (1 + (size + len(self.blocks) + 4) * np.finfo(float).eps)
 
     def _require_finite_phases(self, thetas: np.ndarray, name: str) -> None:
         """Refuse quasi-momenta a caller gives, the rows of ``thetas`` (b, d),

@@ -583,7 +583,7 @@ def torus_dual_minimum(
 
     The torus of L^d cells is exactly the direct sum of fibers on the dual
     grid theta_j = 2 pi j / (L N), which ``grid_band_bottom`` solves with
-    window 0: a point its Cholesky test (margin delta) proves above the
+    window 0: a point its anchor bound or Cholesky test proves above the
     minimum is +inf and not eigensolved, so the minimum keeps its bits.
     """
     _require_count("L", L, 1)

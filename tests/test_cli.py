@@ -554,8 +554,13 @@ MONTECARLO_D2 = ["verify", "montecarlo", "--model", "dipole", "--d", "2", "--see
          f"{BAD_EPSILON}, got -0.1"),
         (MONTECARLO_D2 + ["-0.1"], f"{BAD_EPSILON}, got -0.1"),
         (MONTECARLO_D2 + [""], "Monte-Carlo samples need at least one epsilon"),
+        (["verify", "fiber-sweep", "--model", "dipole", "--d", "2", "--eps", ""],
+         "epsilon_list is empty: the sweep would pass vacuously"),
     ],
-    ids=["run", "run-nan", "coefficients", "fiber-sweep", "montecarlo", "montecarlo-empty"],
+    ids=[
+        "run", "run-nan", "coefficients", "fiber-sweep", "montecarlo", "montecarlo-empty",
+        "fiber-sweep-empty",
+    ],
 )
 def test_cli_refuses_a_bad_epsilon_before_the_zone_scan(monkeypatch, capsys, argv, message):
     # each command ran a full zone scan before the epsilon list was checked

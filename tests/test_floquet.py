@@ -334,6 +334,19 @@ def _orbits(n: int, d: int) -> np.ndarray:
     return np.minimum(np.arange(n**d), np.ravel_multi_index(tuple(-index % n), (n,) * d))
 
 
+# pairs off the coarse lines that the anchor bound does not clear, so that
+# they go to the inertia test, without and with the perturbation
+OPEN_PAIRS = {
+    ("anderson", 1): (5, 5),
+    ("anderson", 2): (136, 136),
+    ("dipole", 1): (12, 12),
+    ("dipole", 2): (716, 716),
+    ("quartic", 1): (27, 28),
+    ("alloy", 1): (18, 18),
+    ("alloy", 2): (1536, 1536),
+}
+
+
 @pytest.mark.parametrize("name, params", PIPELINE_PRESETS)
 def test_grid_band_bottom_folds_real_tables(monkeypatch, name, params):
     hopping, potential, _ = preset_model(name, **params)
@@ -342,7 +355,7 @@ def test_grid_band_bottom_folds_real_tables(monkeypatch, name, params):
     grid = np.stack([g.ravel() for g in np.meshgrid(*([axis] * geom.d), indexing="ij")], -1)
     scale = hopping.hopping_scale() + np.abs(potential.matrix).sum()
     orbits = _orbits(64, geom.d)
-    for added in (None, 0.3 * potential.matrix):
+    for added, open_pairs in zip((None, 0.3 * potential.matrix), OPEN_PAIRS[name, geom.d]):
         full = hopping.band_bottom(grid, added)
         counts = _count_solved(monkeypatch)
         points, values = grid_band_bottom(hopping, 64, 1e-9, added)
@@ -350,11 +363,12 @@ def test_grid_band_bottom_folds_real_tables(monkeypatch, name, params):
         solved = np.isfinite(values)
         # one point per orbit of j -> (-j) mod 64: 2 + 62/2 per axis pair;
         # the upper bound takes the orbits of every 8th point: 2 + 6/2, and
-        # they keep their bottoms, so the inertia test skips them
+        # they keep their bottoms; of the other 28 (d = 1) or 2,016 (d = 2),
+        # the inertia test gets those the anchors do not clear
         coarse = {1: 5, 2: 34}[geom.d]
-        tested = {1: 33, 2: 2050}[geom.d] - coarse
-        assert counts["band_bottom"] == [coarse, tested]
-        assert sum(counts["tested"]) == tested
+        assert open_pairs <= {1: 33, 2: 2050}[geom.d] - coarse
+        assert counts["band_bottom"] == [coarse, open_pairs]
+        assert sum(counts["tested"]) == open_pairs
         assert sum(counts["eigvalsh"]) == len(np.unique(orbits[solved]))
         assert np.array_equal(solved, solved[orbits])
         assert np.array_equal(points, grid)
@@ -365,24 +379,61 @@ def test_grid_band_bottom_folds_real_tables(monkeypatch, name, params):
 
 @pytest.mark.parametrize("d, N", [(1, 3), (2, 2)])
 def test_grid_band_bottom_solves_every_point_when_complex(monkeypatch, d, N):
+    # points off the coarse lines that the anchors do not clear: complex table, real plus V
+    open_points = {(1, 3): (14, 12), (2, 2): (252, 252)}[d, N]
     rng = np.random.default_rng(4 * d + N)
     complex_table = random_hopping(rng, d=d, N=N)
     real_table = HoppingOperator(complex_table.geometry, {k: v.real for k, v in complex_table})
     potential = random_potential(rng, complex_table.geometry.cell_size).matrix
-    for hopping, added in ((complex_table, None), (real_table, potential)):
+    cases = ((complex_table, None), (real_table, potential))
+    for (hopping, added), opened in zip(cases, open_points):
         full = hopping.band_bottom(grid_band_bottom(hopping, 16, 0.0)[0], added)
         counts = _count_solved(monkeypatch)
         _, values = grid_band_bottom(hopping, 16, 1e-3, added)
         monkeypatch.undo()
         solved = np.isfinite(values)
         # the upper bound takes every 8th point per axis: 2^d of them, each
-        # solved once; the rest go through the inertia test
-        assert counts["band_bottom"] == [2**d, 16**d - 2**d]
-        assert counts["tested"] == [16**d - 2**d]
+        # solved once; of the rest, those the anchors do not clear go
+        # through the inertia test
+        assert counts["band_bottom"] == [2**d, opened]
+        assert counts["tested"] == [opened]
         assert sum(counts["eigvalsh"]) == solved.sum()
         assert np.array_equal(values[solved], full[solved])
         assert (full[~solved] > full.min() + 1e-3).all()
         assert values.min() == full.min()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_anchor_bound_clears_only_points_above_the_level(monkeypatch, d):
+    # no n is a multiple of COARSE_STRIDE: each axis's last coarse cell ends at
+    # the period, and on a folded grid of 30 points the coarse points 16 and 24
+    # have their pair's first point (14, 6) off the coarse lines, so they
+    # anchor nothing; below 8 the only anchor is the point 0
+    cleared = 0
+    for n in (3, 5, 7, 30):
+        rng = np.random.default_rng(10 * n + d)
+        first = _orbits(n, d)
+        for N in (1, 2, 3)[: 4 - d]:
+            complex_table = random_hopping(rng, d=d, N=N)
+            geom = complex_table.geometry
+            real_table = HoppingOperator(geom, {k: v.real for k, v in complex_table})
+            added = random_potential(rng, geom.cell_size).matrix.real
+            cases = ((complex_table, None, np.arange(n**d)), (real_table, added, first))
+            for hopping, perturbation, pairs in cases:
+                full = hopping.band_bottom(floquet.zone_grid(geom, n), perturbation)
+                full = full[pairs]  # the bottom each point gets: its pair's first point's
+                width = full.max() - full.min()
+                for window in (0.0, 0.01 * width, 0.2 * width, 0.5 * width):
+                    counts = _count_solved(monkeypatch)
+                    _, values = grid_band_bottom(hopping, n, window, perturbation)
+                    monkeypatch.undo()
+                    kept = np.isfinite(values)
+                    assert np.array_equal(values[kept], full[kept])
+                    assert (full[~kept] > values.min() + window).all()
+                    assert values.min() == full.min()
+                    coarse, opened = counts["band_bottom"]
+                    cleared += len(np.unique(pairs)) - coarse - opened
+    assert cleared > 0  # points the anchors cleared before any inertia test
 
 
 def _flat_bottom(d: int, decoupled: bool) -> HoppingOperator:

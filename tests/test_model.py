@@ -175,6 +175,22 @@ def test_preset_quartic_cell_mapping():
     assert hopping.coefficients[((0,), (2,), (-3,))] == -4.0
 
 
+@pytest.mark.parametrize(
+    "name, params, bound, entry_sum",
+    [
+        ("anderson", {"d": 2}, 4.0, 4.0),
+        ("dipole", {"d": 2}, 8.0, 16.0),
+        ("alloy", {"d": 2, "N": 3, "W": [0.3, 1.1, 0.7, 0.2, 1.9, 0.4, 1.2, 0.8, 0.1]}, 12.0, 36.0),
+        ("quartic", {}, 30.0, 36.0),
+    ],
+)
+def test_lipschitz_bound_of_the_presets(name, params, bound, entry_sum):
+    # sum_m ||H_m||_2 |m|_1, rounded up; the entry sum sum |amplitude| |m|_1 it replaced
+    hopping = preset_model(name, **params)[0]
+    assert bound <= hopping.lipschitz_bound() <= bound * (1 + 1e-13)
+    assert sum(abs(v) * sum(map(abs, m)) for (_, _, m), v in hopping) == entry_sum
+
+
 def test_preset_alloy_requires_w():
     with pytest.raises(ValueError, match="^preset 'alloy' requires W$"):
         preset_model("alloy", N=2)

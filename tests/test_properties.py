@@ -121,15 +121,39 @@ def test_serialization_round_trip(seed, N):
     assert (d2.s_minus, d2.s_plus) == (disorder.s_minus, disorder.s_plus)
 
 
-@settings(max_examples=30, deadline=None)
-@given(seed=seeds, N=periods, t1=thetas, t2=thetas)
-def test_lambda_min_lipschitz(seed, N, t1, t2):
-    rng = np.random.default_rng(seed)
-    hopping = random_hopping(rng, N=N)
+def _random_table(seed, d, N, real):
+    hopping = random_hopping(np.random.default_rng(seed), d=d, N=N)
+    return HoppingOperator(hopping.geometry, {k: v.real for k, v in hopping}) if real else hopping
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=seeds,
+    d=st.integers(min_value=1, max_value=2),
+    N=periods,
+    real=st.booleans(),
+    t1=st.tuples(thetas, thetas),
+    t2=st.tuples(thetas, thetas),
+)
+def test_lambda_min_lipschitz(seed, d, N, real, t1, t2):
+    hopping = _random_table(seed, d, N, real)
     L = hopping.lipschitz_bound()
-    a = float(np.linalg.eigvalsh(build_floquet(hopping, [t1]).matrix)[0])
-    b = float(np.linalg.eigvalsh(build_floquet(hopping, [t2]).matrix)[0])
-    assert abs(a - b) <= L * abs(t1 - t2) + 1e-10
+    a = float(np.linalg.eigvalsh(build_floquet(hopping, t1[:d]).matrix)[0])
+    b = float(np.linalg.eigvalsh(build_floquet(hopping, t2[:d]).matrix)[0])
+    assert abs(a - b) <= L * np.abs(np.subtract(t1[:d], t2[:d])).max() + 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, d=st.integers(min_value=1, max_value=2), N=periods, real=st.booleans())
+def test_lipschitz_bound_never_exceeds_the_entry_sum(seed, d, N, real):
+    # ||H_m||_2 <= sqrt(||H_m||_1 ||H_m||_inf) <= sum |H_m(k, k')|; equal on 1 x 1
+    # blocks (N = 1), where only the rounding up can put the bound above
+    hopping = _random_table(seed, d, N, real)
+    entry_sum = sum(abs(v) * sum(map(abs, m)) for (_, _, m), v in hopping)
+    bound = hopping.lipschitz_bound()
+    assert bound <= entry_sum * (1 + 1e-13)
+    if N > 1:
+        assert bound < entry_sum
 
 
 @settings(max_examples=40, deadline=None)
