@@ -9,6 +9,7 @@ construction (a finite-range operator can always be reduced to range N).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -142,7 +143,7 @@ class HoppingOperator:
 
     def hopping_scale(self) -> float:
         """Sum of stored amplitude magnitudes; an upper bound on the fiber norm."""
-        return sum(abs(v) for v in self.coefficients.values()) or 1.0
+        return self._hopping_scale
 
     def lipschitz_bound(self) -> float:
         """Bound G with |lambda_min(theta) - lambda_min(theta')| <= G * |theta - theta'|_inf.
@@ -153,6 +154,15 @@ class HoppingOperator:
         is at most G |theta - theta'|_inf.  Up to the rounding, never above the
         entry sum sum |amplitude| |m|_1.
         """
+        return self._lipschitz_bound
+
+    # both depend on the table alone: computed on first use, then kept
+    @functools.cached_property
+    def _hopping_scale(self) -> float:
+        return sum(abs(v) for v in self.coefficients.values()) or 1.0
+
+    @functools.cached_property
+    def _lipschitz_bound(self) -> float:
         size, magnitudes = self.geometry.cell_size, np.abs(self.blocks)
         norms = np.sqrt(magnitudes.sum(1).max(-1) * magnitudes.sum(2).max(-1))
         bound = float(norms @ np.abs(self.offsets).sum(1))

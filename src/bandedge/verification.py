@@ -250,7 +250,8 @@ def _draw_couplings(
         return np.full(n_cells, float(q))
     rng = np.random.default_rng(seed)
     if sampler == SAMPLER_ENDPOINT:
-        return rng.choice([disorder.s_minus, disorder.s_plus], size=n_cells)
+        # rng.choice's draw and its values, without its overhead
+        return np.array([disorder.s_minus, disorder.s_plus])[rng.integers(0, 2, size=n_cells)]
     if sampler == SAMPLER_UNIFORM:
         return rng.uniform(disorder.s_minus, disorder.s_plus, size=n_cells)
     raise ValueError(f"unknown sampler {sampler!r}")
@@ -281,19 +282,32 @@ class TorusStructure:
 
     @functools.cached_property
     def band(self) -> tuple[np.ndarray, ...]:
-        """The reverse Cuthill-McKee ``order`` of the pattern, its half-bandwidth
-        ``b``, each slot's row in that order and whether it is off the diagonal,
-        and the lower slots with their flat index into ``band[i - j, j]``."""
+        """The layout of the banded solver, built on first use: the reverse
+        Cuthill-McKee ``order`` of the pattern; ``base``, the hopping values as
+        the lower band ``base[i - j, j]`` of the reordered torus; the flat index
+        into ``base`` of each potential slot on or below the diagonal, with its
+        value and cell (a slot above it holds the conjugate of one below); the
+        row of each entry of ``base[1:]``, for row sums; and the seeded start
+        vector of the inverse iteration. ``base`` and ``start`` are read-only."""
         from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-        n = self.pattern.shape[0]
-        order = reverse_cuthill_mckee(self.pattern, symmetric_mode=True)
+        pattern = self.pattern
+        n = pattern.shape[0]
+        order = reverse_cuthill_mckee(pattern, symmetric_mode=True)
         rank = np.argsort(order)  # the inverse permutation
-        rows = rank[np.repeat(np.arange(n), np.diff(self.pattern.indptr))]
-        cols = rank[self.pattern.indices]
-        lower = np.flatnonzero(rows >= cols)
+        rows = rank[np.repeat(np.arange(n), np.diff(pattern.indptr))]
+        cols = rank[pattern.indices]
+        lower = rows >= cols
         b = int((rows - cols)[lower].max(initial=0))
-        return order, b, rows, rows != cols, lower, (rows - cols)[lower] * n + cols[lower]
+        flat = (rows - cols) * n + cols  # each slot's base[i - j, j], where lower holds
+        base = np.zeros((b + 1, n), dtype=pattern.dtype)
+        base.flat[flat[lower]] = pattern.data[lower]
+        entry, cell = np.nonzero(lower[self.slots])
+        # base[k, j] is H[j + k, j]; past row n - 1 the band holds zeros
+        below = np.minimum(np.arange(1, b + 1)[:, None] + np.arange(n), n - 1).ravel()
+        start = np.random.default_rng(0).standard_normal(n).astype(pattern.dtype)
+        base.flags.writeable = start.flags.writeable = False
+        return order, base, flat[self.slots[entry, cell]], self.values[entry], cell, below, start
 
 
 def _require_finite(hopping: HoppingOperator, potential: SingleCellPotential) -> None:
@@ -369,31 +383,35 @@ def _norm(x: np.ndarray):
     return np.sqrt(x.dot(x))
 
 
-def _banded_lowest_vector(
-    structure: TorusStructure, matrix: sp.csr_matrix, scale: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest eigenvector of a Hermitian torus filled from ``structure``, in
-    the original site order, and the torus's lower band in the structure's
-    reverse Cuthill-McKee order. See README, ``bandedge.verification``.
-    """
+def _banded_lowest(
+    structure: TorusStructure, epsilon: float, omega: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The torus ``structure.fill(epsilon, omega)`` as its lower band in the
+    structure's reverse Cuthill-McKee order, filled straight from the slots;
+    its lowest eigenvector in that order; and the bound ``scale`` on its norm.
+    See README, ``bandedge.verification``."""
     import scipy.linalg as sla
 
-    order, b, rows, off_diagonal, lower, flat = structure.band
-    n = len(order)
-    band = np.zeros((b + 1, n), dtype=matrix.dtype)
-    band.flat[flat] = matrix.data[lower]
-    x = np.zeros(n, dtype=matrix.dtype)
+    _, base, slots, values, cells, below, start = structure.band
+    b, n = len(base) - 1, base.shape[1]
+    band = base.copy()
+    band.reshape(-1)[slots] += values * (epsilon * omega)[cells]  # fill's arithmetic, its bits
+    # Gershgorin radii: row i's off-diagonal entries are H[i, i - k] = band[k, i - k] and,
+    # by Hermitian symmetry, H[i, i + k] = conj band[k, i]
+    magnitudes = np.abs(band)
+    radii = np.bincount(below, magnitudes[1:].ravel(), n) + magnitudes[1:].sum(0)
+    scale = float((magnitudes[0] + radii).max())
+    x = np.zeros(n, dtype=band.dtype)
     if b == 0:  # a diagonal torus, such as one site: its lowest unit vector is exact
         x[np.argmin(band[0].real)] = 1.0
     else:
         pbtrs = sla.get_lapack_funcs("pbtrs", (band,))
-        radii = np.bincount(rows, np.abs(matrix.data) * off_diagonal, n)
         lo = float((band[0].real - radii).min()) - 1e-10 * scale  # below Gershgorin's bound
         hi = float(band[0].real.min())  # a Rayleigh quotient
         factor, failed = _shifted_cholesky(band, lo), False
         if factor is None:
             raise ConvergenceError(f"Cholesky below the Gershgorin bound failed on {n} sites")
-        y = np.random.default_rng(0).standard_normal(n).astype(matrix.dtype)
+        y = start
         for _ in range(100):  # a budget: an unconverged iterate fails the certificate
             for _ in range(2):
                 x = y / _norm(y)
@@ -416,9 +434,7 @@ def _banded_lowest_vector(
                 else:
                     factor, lo = better, shift
         x = y / _norm(y)
-    vec = np.empty_like(x)
-    vec[order] = x
-    return vec, band
+    return x, band, scale
 
 
 def _shifted_inverses(symbol: np.ndarray, shift: float) -> tuple[np.ndarray, np.ndarray]:
@@ -546,25 +562,32 @@ def box_min_eig(
         raise ValueError(f"coupling q must be finite, got {q!r}")
     if (q is None) == (sampler == SAMPLER_CONSTANT):
         raise ValueError(f"sampler {sampler!r} {'needs' if q is None else 'takes no'} q")
-    _require_finite(hopping, potential)
 
     omega = _draw_couplings(disorder, L**hopping.geometry.d, sampler, seed, q)
-    structure = structure or torus_structure(hopping, potential, L)
-    if not (structure.hopping is hopping and structure.potential is potential) or structure.L != L:
+    if structure is None:
+        _require_finite(hopping, potential)
+        structure = torus_structure(hopping, potential, L)
+    elif not (
+        structure.hopping is hopping and structure.potential is potential and structure.L == L
+    ):
         raise ValueError("structure was built for another hopping, potential or L")
-    matrix = structure.fill(epsilon, omega)
-    n_sites = matrix.shape[0]
-    # the inf-norm bounds the operator norm; a Hermitian torus's column sums are its row sums
-    scale = float(np.bincount(matrix.indices, np.abs(matrix.data)).max(initial=0.0))
-    bound = 1e-10 * max(scale, 1e-300)
 
-    if n_sites <= max(dense_cutoff, 1):  # one site is banded: LOBPCG needs two
-        (vec, band), weyl = _banded_lowest_vector(structure, matrix, scale), np.inf
+    if structure.pattern.shape[0] <= max(dense_cutoff, 1):  # one site is banded: LOBPCG needs two
+        import scipy.linalg as sla
+
+        vec, band, scale = _banded_lowest(structure, epsilon, omega)
+        product = sla.get_blas_funcs("sbmv" if band.dtype.kind == "f" else "hbmv", (band,))
+        image, weyl = product(len(band) - 1, 1.0, band, vec, lower=1), np.inf
     else:
+        matrix = structure.fill(epsilon, omega)
+        # the inf-norm bounds the operator norm; a Hermitian torus's column sums are its row sums
+        scale = float(np.bincount(matrix.indices, np.abs(matrix.data)).max(initial=0.0))
         precondition, _, weyl = _translation_average(structure, matrix, epsilon, omega, scale)
         vec, band = _lobpcg_lowest_vector(matrix, precondition, scale), None
-    lam = float(np.vdot(vec, matrix @ vec).real / np.vdot(vec, vec).real)
-    residual = float(np.linalg.norm(matrix @ vec - lam * vec))
+        image = matrix @ vec
+    bound = 1e-10 * max(scale, 1e-300)
+    lam = float(np.vdot(vec, image).real / np.vdot(vec, vec).real)
+    residual = float(np.linalg.norm(image - lam * vec))
     if not residual <= bound:  # a NaN residual fails too
         raise ConvergenceError(f"eigenpair residual {residual:.3e} exceeds certificate bound")
     if lam > weyl + bound or (band is not None and _shifted_cholesky(band, lam - bound) is None):

@@ -384,6 +384,35 @@ def test_montecarlo_builds_one_structure_for_all_samples(monkeypatch):
         assert [s.lambda_min for s in samples] == [s.lambda_min for s in alone]
 
 
+@pytest.mark.parametrize("name, L", [("anderson", 16), ("dipole", 8)])
+def test_banded_montecarlo_builds_no_matrix_per_sample(monkeypatch, name, L):
+    # each banded sample is filled straight into its band: no CSR fill, no
+    # csr_matrix and no second finiteness check of the table per sample
+    import scipy.sparse as sp
+
+    counts = {"csr_matrix": 0, "_require_finite": 0}
+    init, check = sp.csr_matrix.__init__, verification._require_finite
+
+    def counting_init(self, *args, **kwargs):
+        counts["csr_matrix"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_check(*args):
+        counts["_require_finite"] += 1
+        check(*args)
+
+    monkeypatch.setattr(verification.TorusStructure, "fill", refuse("TorusStructure.fill"))
+    monkeypatch.setattr(sp.csr_matrix, "__init__", counting_init)
+    monkeypatch.setattr(verification, "_require_finite", counting_check)
+    hopping, potential, disorder = preset_model(name)
+    per_run = []
+    for samples in (1, 6):
+        before = dict(counts)
+        pipeline.montecarlo_minima(hopping, potential, disorder, [1e-4, 0.1], L, samples, 2)
+        per_run.append({key: counts[key] - before[key] for key in counts})
+    assert per_run[0] == per_run[1] and per_run[0]["_require_finite"] == 1
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

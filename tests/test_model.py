@@ -191,6 +191,15 @@ def test_lipschitz_bound_of_the_presets(name, params, bound, entry_sum):
     assert sum(abs(v) * sum(map(abs, m)) for (_, _, m), v in hopping) == entry_sum
 
 
+def test_table_bounds_are_computed_once_and_only_on_use():
+    hopping = preset_model("dipole", d=2)[0]
+    assert not {"_lipschitz_bound", "_hopping_scale"} & set(vars(hopping))
+    bound, scale = hopping.lipschitz_bound(), hopping.hopping_scale()
+    assert {"_lipschitz_bound", "_hopping_scale"} <= set(vars(hopping))
+    assert (bound, scale) == (hopping.lipschitz_bound(), hopping.hopping_scale())
+    assert scale == sum(abs(v) for v in hopping.coefficients.values())
+
+
 def test_preset_alloy_requires_w():
     with pytest.raises(ValueError, match="^preset 'alloy' requires W$"):
         preset_model("alloy", N=2)

@@ -463,6 +463,40 @@ def test_box_min_eig_matches_full_eigvalsh(kind, d, N, L):
         assert shared.lambda_min == sample.lambda_min
 
 
+@pytest.mark.parametrize("kind,d,N,L", TORUS_CASES)
+def test_band_filled_from_slots_is_the_gathered_fill(kind, d, N, L):
+    # the banded path adds the potential straight into the hopping band; it
+    # must hold the bits of the CSR fill, gathered into the lower band
+    hopping, own, _ = MODELS[kind](d, N)
+    rng = np.random.default_rng(100 + L)
+    dense = random_potential(rng, hopping.geometry.cell_size).matrix  # off-diagonal entries
+    omega = rng.uniform(-1.0, 1.0, L**d)
+    for potential in (own, SingleCellPotential(dense.real if kind == "real" else dense)):
+        structure = torus_structure(hopping, potential, L)
+        order, base, *_, start = structure.band
+        assert not (base.flags.writeable or start.flags.writeable)
+        rank = np.argsort(order)
+        for epsilon in (0.0, 0.3):
+            _, band, scale = verification._banded_lowest(structure, epsilon, omega)
+            matrix = structure.fill(epsilon, omega).tocoo()
+            i, j = rank[matrix.row], rank[matrix.col]
+            lower = i >= j
+            gathered = np.zeros_like(band)
+            gathered[(i - j)[lower], j[lower]] = matrix.data[lower]
+            assert band.dtype == matrix.dtype and band.tobytes() == gathered.tobytes()
+            rows = np.abs(matrix.toarray()).sum(axis=1)
+            assert abs(scale - rows.max()) <= 1e-15 * rows.max()
+
+
+def test_endpoint_draw_is_rng_choice():
+    # indexing the endpoints by rng.integers draws what rng.choice drew
+    disorder = DisorderSupport(-0.7, 1.3)
+    for seed, n in itertools.product(range(40), (1, 2, 5, 64, 256, 1000)):
+        drawn = verification._draw_couplings(disorder, n, SAMPLER_ENDPOINT, seed, None)
+        chosen = np.random.default_rng(seed).choice([disorder.s_minus, disorder.s_plus], size=n)
+        assert drawn.dtype == chosen.dtype and drawn.tobytes() == chosen.tobytes()
+
+
 def _band_case(model, L, epsilons=(0.0, 0.3), *, id):
     return pytest.param(model, L, epsilons, id=id)
 
@@ -579,16 +613,18 @@ def test_box_banded_certificate_rejects_the_second_eigenpair(monkeypatch):
     # the exact second eigenpair of a 64-site ring passes the residual
     # certificate; only the Cholesky factorization at its eigenvalue minus
     # 1e-10*scale shows that it is not the lowest
-    lowest = verification._banded_lowest_vector
+    lowest = verification._banded_lowest
     residuals = []
 
-    def second(structure, matrix, scale):
-        _, band = lowest(structure, matrix, scale)
-        values, vectors = np.linalg.eigh(matrix.toarray())
+    def second(structure, epsilon, omega):
+        _, band, scale = lowest(structure, epsilon, omega)
+        order = structure.band[0]  # the band's site order
+        matrix = structure.fill(epsilon, omega).toarray()[np.ix_(order, order)]
+        values, vectors = np.linalg.eigh(matrix)
         residuals.append(np.linalg.norm(matrix @ vectors[:, 1] - values[1] * vectors[:, 1]) / scale)
-        return vectors[:, 1], band
+        return vectors[:, 1], band, scale
 
-    monkeypatch.setattr("bandedge.verification._banded_lowest_vector", second)
+    monkeypatch.setattr("bandedge.verification._banded_lowest", second)
     hopping, potential, disorder = preset_model("anderson")
     with pytest.raises(ConvergenceError, match="is not the lowest eigenvalue"):
         box_min_eig(hopping, potential, disorder, 0.05, 64)
