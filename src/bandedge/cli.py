@@ -73,7 +73,7 @@ def _emit_csv(rows: list[dict], stream) -> None:
 
 
 def _print_json(payload) -> None:
-    print(pipeline.write_report(payload, pipeline.OutputConfig()))
+    print(pipeline.write_report(payload))
 
 
 def _fit_summary(epsilons, values) -> dict:
@@ -98,7 +98,7 @@ def cmd_floquet_scan(args) -> int:
     from . import floquet
 
     hopping, _, _ = _load(args)
-    theta_set = pipeline.scan_zone(hopping, pipeline.BZConfig(args.grid, args.refinements))
+    theta_set = pipeline.scan_zone(hopping, args.grid, args.refinements)
     rows = []
     for theta in theta_set.minimizers:
         ground = floquet.ground_space(theta_set.hopping, theta)
@@ -122,9 +122,9 @@ def cmd_fiber(args) -> int:
 
 def cmd_coefficients(args) -> int:
     hopping, potential, disorder = _load(args)
-    config = pipeline.RunConfig(model=args.model, epsilon_list=tuple(args.eps or ()))
-    theta_set = pipeline.scan_zone(hopping, config.bz, config.tolerances)
-    report, _, _ = pipeline.coefficients_report(theta_set, potential, disorder, config)
+    eps = pipeline.RunConfig(model=args.model, epsilon_list=tuple(args.eps or ())).epsilon_list
+    theta_set = pipeline.scan_zone(hopping)
+    report, _, _ = pipeline.coefficients_report(theta_set, potential, disorder, eps)
     _print_json(report["best"])
     return 0
 
@@ -132,12 +132,12 @@ def cmd_coefficients(args) -> int:
 def cmd_verify_fiber_sweep(args) -> int:
     from . import verification
 
-    config = pipeline.RunConfig(model=args.model, epsilon_list=tuple(args.eps))
+    eps = pipeline.RunConfig(model=args.model, epsilon_list=tuple(args.eps)).epsilon_list
     if not args.eps:  # refused before the scan, as fiber_bound_sandwich would refuse it
         raise ValueError("epsilon_list is empty: the sweep would pass vacuously")
     hopping, potential, disorder = _load(args)
     theta_set = pipeline.scan_zone(hopping)
-    _, ground, coeffs = pipeline.coefficients_report(theta_set, potential, disorder, config)
+    _, ground, coeffs = pipeline.coefficients_report(theta_set, potential, disorder, eps)
     report = verification.fiber_bound_sandwich(
         theta_set.hopping, potential, disorder, ground, coeffs, args.eps
     )
@@ -210,7 +210,7 @@ def cmd_run(args) -> int:
         verify=pipeline.VerifyConfig(
             L=args.L, samples=args.samples, seed=args.seed, sampler=args.sampler
         ),
-        output=pipeline.OutputConfig(path=args.output),
+        output=args.output,
         model_params=_model_params(args),
     )
     status, report = pipeline.run_pipeline(config)

@@ -11,7 +11,6 @@ from numpy.linalg import _umath_linalg
 
 from .model import DEFAULT_GRID_PER_DIM, DEFAULT_REFINEMENTS, DEFAULT_TOL_THETA, MAX_REFINEMENTS
 from .model import ConvergenceError, HoppingOperator, LatticeGeometry, _require_count
-from .model import MAX_EPSILON, _require_epsilon  # unused here; kept under their floquet names
 
 # stride per axis of the grid points solved first: an upper bound on its minimum
 # and the anchors of a lower bound elsewhere
@@ -311,13 +310,11 @@ def scan_theta_set(
 def ground_space(
     hopping: HoppingOperator,
     theta,
-    tol_deg: float | None = None,
 ) -> GroundSpaceData:
     """Eigendata of the fiber at theta with the near-degenerate ground cluster."""
     fiber = build_floquet(hopping, theta)
     eigenvalues, vectors = fiber_eigh(fiber)
-    if tol_deg is None:
-        tol_deg = max(1e-10, 1e-8 * float(np.abs(eigenvalues).max()))
+    tol_deg = max(1e-10, 1e-8 * float(np.abs(eigenvalues).max()))
     p = int(np.count_nonzero(eigenvalues <= eigenvalues[0] + tol_deg))
     basis = _fix_phases(vectors[:, :p])
     gap = None if p == len(eigenvalues) else float(eigenvalues[p] - eigenvalues[0])

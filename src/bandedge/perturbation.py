@@ -167,12 +167,10 @@ def edge_coefficients(
     ground: GroundSpaceData,
     potential: SingleCellPotential,
     disorder: DisorderSupport,
-    tol_case: float | None = None,
 ) -> EdgeCoefficients:
     """Assemble the coefficient record and classify the leading behavior."""
     pert = perturbation_matrix(ground, potential)
-    if tol_case is None:
-        tol_case = case_tolerance(potential, disorder)
+    tol_case = case_tolerance(potential, disorder)
     A2 = 0.0 if ground.gap is None else coeff_A2(ground, pert, potential, disorder)
     if disorder.regime == DisorderSupport.SIGN_CHANGING:
         A1 = coeff_A1(pert, disorder)

@@ -27,26 +27,6 @@ def worker_count() -> int:
 
 
 @dataclass(frozen=True)
-class BZConfig:
-    grid_per_dim: int = model.DEFAULT_GRID_PER_DIM
-    refinements: int = model.DEFAULT_REFINEMENTS
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    tol_shift: float = model.DEFAULT_TOL_SHIFT
-    tol_theta: float = model.DEFAULT_TOL_THETA
-    tol_deg: float | None = None  # None: max(1e-10, 1e-8 * fiber norm)
-    tol_case: float | None = None  # None: scaled by potential and coupling size
-
-    def __post_init__(self) -> None:
-        for name in ("tol_shift", "tol_theta", "tol_deg", "tol_case"):
-            value = getattr(self, name)
-            if value is not None and not 0 < value < np.inf:
-                raise ValueError(f"{name} must be finite and positive, got {value}")
-
-
-@dataclass(frozen=True)
 class VerifyConfig:
     L: int = 64
     samples: int = 0
@@ -61,27 +41,18 @@ class VerifyConfig:
 
 
 @dataclass(frozen=True)
-class OutputConfig:
-    format: str = "JSON"  # the only format; kept because reports embed the config
-    path: str | None = None
-
-    def __post_init__(self) -> None:  # the OSError write_report would raise, before any run
-        if (p := self.path) is not None and (Path(p).is_dir() or not Path(p).parent.is_dir()):
-            code = errno.EISDIR if Path(p).is_dir() else errno.ENOENT
-            raise OSError(code, os.strerror(code), p)
-
-
-@dataclass(frozen=True)
 class RunConfig:
     model: str  # preset name or path to a model JSON file
     epsilon_list: tuple[float, ...] = ()
-    bz: BZConfig = field(default_factory=BZConfig)
-    tolerances: Tolerances = field(default_factory=Tolerances)
     verify: VerifyConfig = field(default_factory=VerifyConfig)
-    output: OutputConfig = field(default_factory=OutputConfig)
+    output: str | None = None  # report path; None returns the report text
     model_params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        # the OSError write_report would raise, before any run
+        if (p := self.output) is not None and (Path(p).is_dir() or not Path(p).parent.is_dir()):
+            code = errno.EISDIR if Path(p).is_dir() else errno.ENOENT
+            raise OSError(code, os.strerror(code), p)
         eps = tuple(sorted(float(e) for e in self.epsilon_list))
         object.__setattr__(self, "epsilon_list", eps)
         for epsilon in eps:  # before any scan
@@ -105,22 +76,15 @@ def resolve_model(
 
 def scan_zone(
     hopping: model.HoppingOperator,
-    bz: BZConfig | None = None,
-    tolerances: Tolerances | None = None,
+    grid_per_dim: int = model.DEFAULT_GRID_PER_DIM,
+    refinements: int = model.DEFAULT_REFINEMENTS,
 ) -> floquet.ThetaSet:
     """The one zone scan of a run: minimizers of the lowest band, with the
-    operator shifted so that its band bottom is zero.  Configs default to
-    BZConfig() and Tolerances()."""
+    operator shifted so that its band bottom is zero."""
     from . import floquet
 
-    bz = bz or BZConfig()
-    tolerances = tolerances or Tolerances()
     return floquet.scan_theta_set(
-        hopping,
-        bz.grid_per_dim,
-        bz.refinements,
-        tol_theta=tolerances.tol_theta,
-        tol_shift=tolerances.tol_shift,
+        hopping, grid_per_dim, refinements, tol_shift=model.DEFAULT_TOL_SHIFT
     )
 
 
@@ -128,7 +92,7 @@ def coefficients_report(
     theta_set: floquet.ThetaSet,
     potential: model.SingleCellPotential,
     disorder: model.DisorderSupport,
-    config: RunConfig,
+    epsilon_list,
 ) -> tuple[dict, floquet.GroundSpaceData, perturbation.EdgeCoefficients]:
     """Per-minimizer expansion coefficients of a zone scan, plus the best
     minimizer's ground space and coefficients.
@@ -141,11 +105,9 @@ def coefficients_report(
     hopping = theta_set.hopping
     rows = []
     for theta in theta_set.minimizers:
-        ground = floquet.ground_space(hopping, theta, tol_deg=config.tolerances.tol_deg)
-        coeffs = perturbation.edge_coefficients(
-            ground, potential, disorder, tol_case=config.tolerances.tol_case
-        )
-        bound = {repr(e): perturbation.edge_bound(coeffs, e) for e in config.epsilon_list}
+        ground = floquet.ground_space(hopping, theta)
+        coeffs = perturbation.edge_coefficients(ground, potential, disorder)
+        bound = {repr(e): perturbation.edge_bound(coeffs, e) for e in epsilon_list}
         rows.append(({**dataclasses.asdict(coeffs), "bound": bound}, ground, coeffs))
     best, ground, coeffs = min(
         rows, key=lambda row: (min(row[0]["bound"].values(), default=0.0), tuple(row[2].theta))
@@ -210,12 +172,12 @@ def run_pipeline(config: RunConfig) -> tuple[int, dict]:
     if not report["validation"]["passed"]:
         return 1, report
 
-    theta_set = scan_zone(hopping, config.bz, config.tolerances)
+    theta_set = scan_zone(hopping)
     hopping = theta_set.hopping
     report["energy_shift"] = hopping.energy_shift
 
     report["coefficients"], ground, coeffs = coefficients_report(
-        theta_set, potential, disorder, config
+        theta_set, potential, disorder, config.epsilon_list
     )
 
     if config.epsilon_list:
@@ -252,13 +214,13 @@ def validation_block(report: model.ValidationReport) -> dict:
     return {"passed": report.passed, "checks": [dataclasses.asdict(c) for c in report.checks]}
 
 
-def write_report(report: dict, output: OutputConfig) -> str | None:
-    """Strict JSON text of a report or any CLI payload, written to ``output.path``
-    when it is set, else returned."""
+def write_report(report: dict, path: str | None = None) -> str | None:
+    """Strict JSON text of a report or any CLI payload, written to ``path``
+    when it is given, else returned."""
     text = json.dumps(_json_ready(report), indent=2, allow_nan=False)
-    if output.path is None:
+    if path is None:
         return text
-    Path(output.path).write_text(text + "\n")
+    Path(path).write_text(text + "\n")
     return None
 
 

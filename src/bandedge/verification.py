@@ -202,6 +202,12 @@ def _cell_vector(u0, cell_size: int) -> np.ndarray:
     return u0
 
 
+def _require_coupling(epsilon: float, q: float | None) -> None:
+    _require_epsilon(epsilon)
+    if q is not None and not np.isfinite(q):
+        raise ValueError(f"coupling q must be finite, got {q!r}")
+
+
 def quasiperiodic_rayleigh(
     hopping: HoppingOperator,
     potential: SingleCellPotential,
@@ -217,6 +223,7 @@ def quasiperiodic_rayleigh(
     and is cut to a window of n cells per dimension; the quotients converge to
     the fiber quotient at rate O(1/n).
     """
+    _require_coupling(epsilon, q)
     geom = hopping.geometry
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (geom.d,):
@@ -238,6 +245,7 @@ def fiber_quotient(
     u0,
 ) -> float:
     """The limiting value of quasiperiodic_rayleigh for the same data."""
+    _require_coupling(epsilon, q)
     u0 = _cell_vector(u0, hopping.geometry.cell_size)
     matrix = build_floquet(hopping, theta).matrix + epsilon * q * potential.matrix
     return float(np.vdot(u0, matrix @ u0).real / np.vdot(u0, u0).real)
@@ -557,9 +565,7 @@ def box_min_eig(
     ``ConvergenceError``. Bad input raises ``ValueError`` before any structure is
     built. See README, ``bandedge.verification``."""
     _require_count("L", L, 1)
-    _require_epsilon(epsilon)
-    if q is not None and not np.isfinite(q):
-        raise ValueError(f"coupling q must be finite, got {q!r}")
+    _require_coupling(epsilon, q)
     if (q is None) == (sampler == SAMPLER_CONSTANT):
         raise ValueError(f"sampler {sampler!r} {'needs' if q is None else 'takes no'} q")
 
@@ -610,6 +616,7 @@ def torus_dual_minimum(
     minimum is +inf and not eigensolved, so the minimum keeps its bits.
     """
     _require_count("L", L, 1)
+    _require_coupling(epsilon, q)
     return float(grid_band_bottom(hopping, L, 0.0, epsilon * q * potential.matrix)[1].min())
 
 

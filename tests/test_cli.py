@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -9,7 +10,7 @@ import pytest
 from bandedge import floquet, model, perturbation, pipeline, verification
 from bandedge.cli import main
 from bandedge.model import preset_model, save_model
-from bandedge.pipeline import RunConfig, Tolerances, VerifyConfig, run_pipeline
+from bandedge.pipeline import RunConfig, VerifyConfig, run_pipeline
 
 from conftest import halve_ks_dispersion, refuse
 
@@ -141,7 +142,8 @@ def test_verify_fiber_sweep_honours_scan_grid(capsys, monkeypatch):
 
     monkeypatch.setattr(floquet, "scan_theta_set", recorded)
     monkeypatch.setattr(model, "shift_to_zero", second_scan)
-    monkeypatch.setattr(pipeline, "BZConfig", functools.partial(pipeline.BZConfig, grid_per_dim=16))
+    zone_16 = functools.partial(pipeline.scan_zone, grid_per_dim=16)
+    monkeypatch.setattr(pipeline, "scan_zone", zone_16)
     status, out = run_cli(
         capsys, "verify", "fiber-sweep", "--model", "dipole", "--eps", "1e-3,1e-2,1e-1"
     )
@@ -198,9 +200,38 @@ def test_run_report_embeds_resolved_config(tmp_path):
     )
     status, report = run_pipeline(config)
     assert status == 0
-    assert report["config"]["tolerances"]["tol_shift"] == 1e-9
     assert report["config"]["verify"]["seed"] == 5
     assert "montecarlo" in report
+
+
+def test_every_run_setting_has_a_run_flag(monkeypatch, tmp_path):
+    # bz, tolerances and output.format had no flag: no run could set them
+    configs = []
+
+    def captured(config):
+        configs.append(config)
+        raise AssertionError("run_pipeline was called")
+
+    monkeypatch.setattr(pipeline, "run_pipeline", captured)
+    argv = [
+        "run", "--model", "alloy", "--s-minus", "-0.5", "--s-plus", "0.5", "--d", "2",
+        "--N", "3", "--W", "0,1,2", "--eps", "0.01", "--L", "8", "--samples", "2",
+        "--seed", "3", "--sampler", "Uniform", "--output", str(tmp_path / "r.json"),
+    ]
+    with pytest.raises(AssertionError, match="run_pipeline was called"):
+        main(argv)
+
+    def assert_set(config, path):
+        for f in dataclasses.fields(config):
+            value = getattr(config, f.name)
+            if dataclasses.is_dataclass(value):
+                assert_set(value, f"{path}.{f.name}")
+                continue
+            default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+            assert value != default, f"{path}.{f.name} keeps its default {default!r}"
+
+    (config,) = configs
+    assert_set(config, "config")
 
 
 def test_run_deterministic_reports():
@@ -212,25 +243,15 @@ def test_run_deterministic_reports():
     assert json.dumps(a, default=str) == json.dumps(b, default=str)
 
 
-def test_run_sweeps_with_the_reported_coefficients():
+def test_run_sweeps_with_the_reported_coefficients(monkeypatch):
     # tol_case = 1.0 makes the dipole's A2 = -1/4 count as zero; the sweep
     # judges the case the coefficients block reports, and refutes it
-    config = RunConfig(
-        model="dipole", epsilon_list=(1e-3, 1e-2), tolerances=Tolerances(tol_case=1.0)
-    )
-    status, report = run_pipeline(config)
+    monkeypatch.setattr(perturbation, "case_tolerance", lambda potential, disorder: 1.0)
+    status, report = run_pipeline(RunConfig(model="dipole", epsilon_list=(1e-3, 1e-2)))
     assert report["coefficients"]["best"]["case"] == "NoMotion"
     assert report["fiber_sweep"]["case"] == "NoMotion"
     assert report["fiber_sweep"]["passed"] is False
     assert status == 1
-
-
-@pytest.mark.parametrize("name", ["tol_shift", "tol_theta", "tol_deg", "tol_case"])
-@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
-def test_tolerances_must_be_finite_and_positive(name, value):
-    # a NaN tol_case made every case test false: anderson came out NoMotion
-    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
-        Tolerances(**{name: value})
 
 
 def test_run_computes_coefficients_once_per_minimizer(monkeypatch):
@@ -682,7 +703,7 @@ def test_run_writes_to_output_what_it_would_print(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     written = (tmp_path / "r.json").read_text()
     # the report embeds its config, so only the output path differs
-    assert written == printed.replace('"path": null', f'"path": "{tmp_path / "r.json"}"')
+    assert written == printed.replace('"output": null', f'"output": "{tmp_path / "r.json"}"')
 
 
 def test_cli_reports_a_convergence_error_as_a_failed_check(capsys):
@@ -720,7 +741,7 @@ def test_validate_and_run_report_a_non_hermitian_table(tmp_path, capsys, amplitu
     assert checks["hopping_hermitian"] is False
     status, report = run_pipeline(RunConfig(model=path, epsilon_list=(0.01,)))
     assert status == 1
-    assert _strict_json(pipeline.write_report(report, pipeline.OutputConfig()))["validation"] == {
+    assert _strict_json(pipeline.write_report(report))["validation"] == {
         "passed": False,
         "checks": _strict_json(out)["checks"],
     }

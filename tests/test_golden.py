@@ -28,7 +28,7 @@ from pathlib import Path
 import pytest
 
 from bandedge.cli import main
-from bandedge.pipeline import OutputConfig, RunConfig, VerifyConfig, run_pipeline, write_report
+from bandedge.pipeline import RunConfig, VerifyConfig, run_pipeline, write_report
 
 DATA = Path(__file__).parent / "data" / "golden"
 EPS = (1e-3, 1e-2)
@@ -74,9 +74,8 @@ CLI_CASES = {
 
 
 def report_text(name: str) -> str:
-    config = RunConfig(epsilon_list=EPS, output=OutputConfig(), **CASES[name])
-    _, report = run_pipeline(config)
-    return write_report(report, config.output)
+    _, report = run_pipeline(RunConfig(epsilon_list=EPS, **CASES[name]))
+    return write_report(report)
 
 
 def cli_text(name: str) -> str:

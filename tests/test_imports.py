@@ -73,8 +73,7 @@ def test_shared_constants_have_one_definition_and_keep_their_old_spellings():
     assert floquet.MAX_REFINEMENTS is model.MAX_REFINEMENTS
     for name in ("SAMPLER_ENDPOINT", "SAMPLER_UNIFORM", "SAMPLER_CONSTANT"):
         assert getattr(verification, name) is getattr(model, name)
+    assert floquet._require_count is model._require_count
     for name in ("_require_count", "_require_epsilon"):
-        assert getattr(floquet, name) is getattr(model, name)
         assert getattr(verification, name) is getattr(model, name)
     assert perturbation._require_epsilon is model._require_epsilon
-    assert floquet.MAX_EPSILON is model.MAX_EPSILON

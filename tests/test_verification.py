@@ -16,8 +16,9 @@ import scipy.sparse as sp
 
 import bandedge
 from bandedge import verification
-from bandedge.floquet import MAX_EPSILON, ground_space
+from bandedge.floquet import ground_space
 from bandedge.model import (
+    MAX_EPSILON,
     ConvergenceError,
     DisorderSupport,
     HoppingOperator,
@@ -897,6 +898,37 @@ def test_box_rejects_bad_input_before_assembly(monkeypatch, capfd, model, epsilo
     with pytest.raises(ValueError, match=message):
         box_min_eig(hopping, potential, disorder, epsilon, L, sampler=SAMPLER_CONSTANT, q=q)
     assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "epsilon, q, message",
+    [
+        (-0.1, 1.0, "epsilon must be finite and nonnegative"),
+        (float("nan"), 1.0, "epsilon must be finite and nonnegative"),
+        (float("inf"), 1.0, "epsilon must be finite and nonnegative"),
+        (0.05, float("nan"), "coupling q must be finite"),
+        (0.05, float("inf"), "coupling q must be finite"),
+        (0.05, float("-inf"), "coupling q must be finite"),
+    ],
+    ids=["eps-negative", "eps-nan", "eps-inf", "q-nan", "q-inf", "q-minus-inf"],
+)
+def test_dual_and_quotients_refuse_a_bad_coupling_before_any_fiber(
+    monkeypatch, epsilon, q, message
+):
+    # each returned NaN for a NaN or infinite epsilon or q, and the dual grid
+    # took epsilon = -0.1 to -0.0025 on the dipole; box_min_eig, its partner in
+    # every dual check, refuses all of them
+    monkeypatch.setattr(HoppingOperator, "fibers", refuse("HoppingOperator.fibers"))
+    monkeypatch.setattr("bandedge.verification.grid_band_bottom", refuse("grid_band_bottom"))
+    hopping, potential, _ = preset_model("dipole")
+    calls = [
+        lambda: torus_dual_minimum(hopping, potential, epsilon, q, 8),
+        lambda: quasiperiodic_rayleigh(hopping, potential, q, epsilon, [0.0], [1.0, 1.0], [8]),
+        lambda: fiber_quotient(hopping, potential, q, epsilon, [0.0], [1.0, 1.0]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 @pytest.mark.parametrize(
