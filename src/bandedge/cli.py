@@ -138,9 +138,7 @@ def cmd_verify_fiber_sweep(args) -> int:
     hopping, potential, disorder = _load(args)
     theta_set = pipeline.scan_zone(hopping)
     _, ground, coeffs = pipeline.coefficients_report(theta_set, potential, disorder, eps)
-    report = verification.fiber_bound_sandwich(
-        theta_set.hopping, potential, disorder, ground, coeffs, args.eps
-    )
+    report = verification.fiber_bound_sandwich(potential, disorder, ground, coeffs, args.eps)
     summary = dataclasses.asdict(report)
     _emit_csv(summary.pop("rows"), sys.stdout)
     _print_json({**summary, "passed": report.passed})

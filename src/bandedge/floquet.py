@@ -217,7 +217,8 @@ def grid_band_bottom(
     # - the distances steps * fl(P/n) lie within 5uP of the true ones (also
     #   for an anchor read through its pair or across the period), and G is
     #   rounded up, so with the two products and the subtractions the bound
-    #   loses <= 10uGP + 2us <= (4d + 1) delta, as GP <= 2 pi d s.
+    #   loses <= 10uGP + 2us <= (4d + 1) delta, as GP <= 2 pi d s: G is at most
+    #   the entry sum of S = sum_m |m|_1 |H_m|, and |m|_1 <= dN.
     # As delta >= 16us, mu = (8 + 4d(d + 1) + D) delta covers the sum.
     mu = (8 + 4 * geom.d * (geom.d + 1) + len(hopping.offsets)) * delta
     # a pair with no value yet anchors at -inf, and a NaN anchor gives a NaN

@@ -148,11 +148,20 @@ class HoppingOperator:
     def lipschitz_bound(self) -> float:
         """Bound G with |lambda_min(theta) - lambda_min(theta')| <= G * |theta - theta'|_inf.
 
-        G = sum_m ||H_m||_2 |m|_1 over the offset blocks, with ||H_m||_2 <=
-        sqrt(||H_m||_1 ||H_m||_inf), rounded up: by Weyl and |e^{-i theta.m} -
-        e^{-i theta'.m}| <= |m|_1 |theta - theta'|_inf, ||M(theta) - M(theta')||_2
-        is at most G |theta - theta'|_inf.  Up to the rounding, never above the
-        entry sum sum |amplitude| |m|_1.
+        |M(theta) - M(theta')| <= S |theta - theta'|_inf entrywise, S = sum_m
+        |m|_1 |H_m|, as |e^{-i theta.m} - e^{-i theta'.m}| <= |m|_1 |theta -
+        theta'|_inf.  As ||B||_2 <= || |B| ||_2, monotone in |B|'s entries, ||S||_2
+        is a G by Weyl.  G is the smaller of two bounds on it, sqrt(||S||_1
+        ||S||_inf) and the block sum sum_m |m|_1 sqrt(||H_m||_1 ||H_m||_inf),
+        neither above the entry sum sum |amplitude| |m|_1.
+
+        Rounded up: with nonnegative operands each rounding keeps at least
+        (1 - u) of its exact result, in any order (u the unit roundoff).  abs
+        (hypot, under 1 ulp) counts 2, the weight's product 1, the D block and
+        n row or column terms D - 1 and n - 1, the norms' product 1, and sqrt
+        halves the count and adds 1: either bound keeps (1 - u)^(n + D + 2.5).
+        The exact factor 1 + 2(n + D + 4)u and its product's rounding leave
+        (1 - u)^(n + D + 3.5) (1 + 2(n + D + 4)u) > 1 times the exact bound.
         """
         return self._lipschitz_bound
 
@@ -164,8 +173,10 @@ class HoppingOperator:
     @functools.cached_property
     def _lipschitz_bound(self) -> float:
         size, magnitudes = self.geometry.cell_size, np.abs(self.blocks)
+        weights = np.abs(self.offsets).sum(1)
         norms = np.sqrt(magnitudes.sum(1).max(-1) * magnitudes.sum(2).max(-1))
-        bound = float(norms @ np.abs(self.offsets).sum(1))
+        entrywise = np.tensordot(weights, magnitudes, 1)  # S, n x n
+        bound = min(norms @ weights, np.sqrt(entrywise.sum(0).max() * entrywise.sum(1).max()))
         return bound * (1 + (size + len(self.blocks) + 4) * np.finfo(float).eps)
 
     def _require_finite_phases(self, thetas: np.ndarray, name: str) -> None:

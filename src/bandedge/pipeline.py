@@ -184,7 +184,7 @@ def run_pipeline(config: RunConfig) -> tuple[int, dict]:
         from . import verification
 
         sandwich = verification.fiber_bound_sandwich(
-            hopping, potential, disorder, ground, coeffs, config.epsilon_list
+            potential, disorder, ground, coeffs, config.epsilon_list
         )
         report["fiber_sweep"] = {
             "case": sandwich.case,

@@ -8,7 +8,6 @@ checked against brute force rather than against themselves.
 from __future__ import annotations
 
 import functools
-import itertools
 import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -85,15 +84,19 @@ def fiber_min_over_q(
     triangle alone, so the family it solves is Hermitian and affine for any input.
     """
     _require_epsilon(epsilon)
-    base = build_floquet(hopping, theta).matrix
-    couplings = np.array([disorder.s_minus, disorder.s_plus])
-    stack = base + (epsilon * couplings)[:, None, None] * potential.matrix
-    lo, hi = np.linalg.eigvalsh(stack)[:, 0].tolist()
-    if lo <= hi:
-        q_star, value = disorder.s_minus, lo
-    else:
-        q_star, value = disorder.s_plus, hi
-    return FiberMinResult(epsilon=epsilon, q_star=q_star, value=value)
+    return _endpoint_minima(build_floquet(hopping, theta).matrix, potential, disorder, [epsilon])[0]
+
+
+def _endpoint_minima(base, potential, disorder, epsilons) -> list[FiberMinResult]:
+    """``fiber_min_over_q`` on the fiber ``base`` at each epsilon, all endpoint
+    matrices in one eigvalsh, which solves each with the bits of a lone call."""
+    couplings = np.outer(np.asarray(epsilons, dtype=float), [disorder.s_minus, disorder.s_plus])
+    stack = base + couplings.reshape(-1, 1, 1) * potential.matrix
+    bottoms = np.linalg.eigvalsh(stack)[:, 0].reshape(-1, 2).tolist()
+    return [
+        FiberMinResult(e, *((disorder.s_minus, lo) if lo <= hi else (disorder.s_plus, hi)))
+        for e, (lo, hi) in zip(epsilons, bottoms)
+    ]
 
 
 @dataclass(frozen=True)
@@ -119,7 +122,6 @@ class SandwichReport:
 
 
 def fiber_bound_sandwich(
-    hopping: HoppingOperator,
     potential: SingleCellPotential,
     disorder: DisorderSupport,
     ground: GroundSpaceData,
@@ -128,6 +130,7 @@ def fiber_bound_sandwich(
 ) -> SandwichReport:
     """Check the coupling-swept fiber bottom at ``ground.theta`` against the
     expansion ``coeffs`` predicts there: ``ground.e0`` plus its edge motion.
+    It solves from ``ground.fiber``, with the bits of ``fiber_min_over_q``.
 
     The remainder constant C is fitted from the two largest positive epsilons
     (where the remainder dominates rounding; 0 when there are none); every
@@ -138,9 +141,11 @@ def fiber_bound_sandwich(
     epsilons = sorted(float(e) for e in epsilon_list)
     if not epsilons:
         raise ValueError("epsilon_list is empty: the sweep would pass vacuously")
+    for e in epsilons:
+        _require_epsilon(e)
     power = {CASE_LINEAR: 1.5, CASE_QUADRATIC: 3.0, CASE_NO_MOTION: None}[coeffs.case]
 
-    results = [fiber_min_over_q(hopping, potential, disorder, ground.theta, e) for e in epsilons]
+    results = _endpoint_minima(ground.fiber.matrix, potential, disorder, epsilons)
     predicted = [ground.e0 + edge_bound(coeffs, e) for e in epsilons]
     residuals = [r.value - p for r, p in zip(results, predicted)]
 
@@ -704,14 +709,17 @@ KS_SLACK = 1e-9  # band motion may leave the Kirsch-Simon sandwich by this much
 
 def _ks_dispersion(thetas: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     """Folded free dispersion at each row of ``thetas`` (shape (b, d)), and
-    kappa = theta + 2 pi b* / N on the branch b* that attains the fold."""
-    d = thetas.shape[1]
-    # the fold over the N^d branches theta + 2 pi b / N
-    branches = 2.0 * np.pi * np.array(list(itertools.product(range(N), repeat=d))) / N
-    shifted = thetas[:, None, :] + branches
-    folded = np.sum(2.0 * (1.0 - np.cos(shifted)), axis=2)
-    kappa = shifted[np.arange(len(thetas)), folded.argmin(axis=1)]
-    return folded.min(axis=1), kappa
+    kappa = theta + 2 pi b* / N on the branch b* that attains the fold.
+
+    The fold over the N^d branches theta + 2 pi b / N of a sum over axes is the
+    sum of per-axis minima, b* the first minimal b_a per axis: rounded addition
+    is monotone, so the sum in axis order has the bits of the least branch sum.
+    """
+    shifted = thetas[:, :, None] + 2.0 * np.pi * np.arange(N) / N  # (b, d, N)
+    per_axis = 2.0 * (1.0 - np.cos(shifted))
+    best = per_axis.argmin(axis=2)[:, :, None]
+    folded = np.take_along_axis(per_axis, best, 2)[:, :, 0]
+    return np.sum(folded, axis=1), np.take_along_axis(shifted, best, 2)[:, :, 0]
 
 
 def _ks_trial_quotients(stack: np.ndarray, psi: np.ndarray, kappa: np.ndarray, geom) -> np.ndarray:

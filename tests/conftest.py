@@ -11,6 +11,20 @@ from bandedge.model import (
 )
 
 
+# the presets a pipeline run takes, in d = 1 and d = 2
+PIPELINE_PRESETS = [
+    ("anderson", {"d": 1}),
+    ("anderson", {"d": 2}),
+    ("dipole", {"d": 1}),
+    ("dipole", {"d": 2}),
+    ("dipole", {"d": 1, "s_minus": 0.0, "s_plus": 1.0}),
+    ("dipole", {"d": 2, "s_minus": 0.0, "s_plus": 1.0}),
+    ("quartic", {}),
+    ("alloy", {"d": 1, "N": 3, "W": [0.3, 1.1, 0.7]}),
+    ("alloy", {"d": 2, "N": 3, "W": [0.3, 1.1, 0.7, 0.2, 1.9, 0.4, 1.2, 0.8, 0.05]}),
+]
+
+
 def random_hopping(rng: np.random.Generator, d: int = 1, N: int = 2) -> HoppingOperator:
     """Random Hermitian finite-range hopping table on the cell of period N."""
     geom = LatticeGeometry(d, N)

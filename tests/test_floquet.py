@@ -22,7 +22,7 @@ from bandedge.model import (
 )
 from bandedge.pipeline import RunConfig, run_pipeline
 
-from conftest import random_hopping, random_potential, refuse, sign_changing
+from conftest import PIPELINE_PRESETS, random_hopping, random_potential, refuse, sign_changing
 
 NAN = float("nan")
 
@@ -254,19 +254,6 @@ def test_band_bottom_matches_per_theta_eigvalsh(d, N):
             assert np.abs(bottoms - expected[:batch]).max() <= tol
 
 
-PIPELINE_PRESETS = [
-    ("anderson", {"d": 1}),
-    ("anderson", {"d": 2}),
-    ("dipole", {"d": 1}),
-    ("dipole", {"d": 2}),
-    ("dipole", {"d": 1, "s_minus": 0.0, "s_plus": 1.0}),
-    ("dipole", {"d": 2, "s_minus": 0.0, "s_plus": 1.0}),
-    ("quartic", {}),
-    ("alloy", {"d": 1, "N": 3, "W": [0.3, 1.1, 0.7]}),
-    ("alloy", {"d": 2, "N": 3, "W": [0.3, 1.1, 0.7, 0.2, 1.9, 0.4, 1.2, 0.8, 0.05]}),
-]
-
-
 def _shift_then_scan(hopping):
     """The zone scanned twice: once to shift, once for the minimizers."""
     shifted = shift_to_zero(hopping, 64)
@@ -339,11 +326,11 @@ def _orbits(n: int, d: int) -> np.ndarray:
 OPEN_PAIRS = {
     ("anderson", 1): (5, 5),
     ("anderson", 2): (136, 136),
-    ("dipole", 1): (12, 12),
-    ("dipole", 2): (716, 716),
-    ("quartic", 1): (27, 28),
-    ("alloy", 1): (18, 18),
-    ("alloy", 2): (1536, 1536),
+    ("dipole", 1): (7, 7),
+    ("dipole", 2): (326, 326),
+    ("quartic", 1): (26, 27),
+    ("alloy", 1): (12, 12),
+    ("alloy", 2): (775, 775),
 }
 
 

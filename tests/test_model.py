@@ -179,16 +179,27 @@ def test_preset_quartic_cell_mapping():
     "name, params, bound, entry_sum",
     [
         ("anderson", {"d": 2}, 4.0, 4.0),
-        ("dipole", {"d": 2}, 8.0, 16.0),
-        ("alloy", {"d": 2, "N": 3, "W": [0.3, 1.1, 0.7, 0.2, 1.9, 0.4, 1.2, 0.8, 0.1]}, 12.0, 36.0),
-        ("quartic", {}, 30.0, 36.0),
+        ("dipole", {"d": 2}, 4.0, 16.0),
+        ("alloy", {"d": 2, "N": 3, "W": [0.3, 1.1, 0.7, 0.2, 1.9, 0.4, 1.2, 0.8, 0.1]}, 6.0, 36.0),
+        ("quartic", {}, 15.0, 36.0),
     ],
 )
 def test_lipschitz_bound_of_the_presets(name, params, bound, entry_sum):
-    # sum_m ||H_m||_2 |m|_1, rounded up; the entry sum sum |amplitude| |m|_1 it replaced
+    # sqrt(||S||_1 ||S||_inf) with S = sum_m |m|_1 |H_m|, rounded up; the entry
+    # sum sum |amplitude| |m|_1
     hopping = preset_model(name, **params)[0]
     assert bound <= hopping.lipschitz_bound() <= bound * (1 + 1e-13)
     assert sum(abs(v) * sum(map(abs, m)) for (_, _, m), v in hopping) == entry_sum
+
+
+def test_lipschitz_bound_takes_the_block_sum_when_it_is_smaller():
+    # sqrt(||S||_1 ||S||_inf) with S = sum_m |m|_1 |H_m| is 19.738 on this
+    # table, above the block sum sum_m |m|_1 sqrt(||H_m||_1 ||H_m||_inf)
+    hopping = random_hopping(np.random.default_rng(6), d=1, N=3)
+    magnitudes, weights = np.abs(hopping.blocks), np.abs(hopping.offsets).sum(1)
+    entrywise = np.tensordot(weights, magnitudes, 1)
+    assert np.sqrt(entrywise.sum(0).max() * entrywise.sum(1).max()) > 19.737
+    assert 19.6281 <= hopping.lipschitz_bound() <= 19.6282
 
 
 def test_table_bounds_are_computed_once_and_only_on_use():

@@ -157,6 +157,18 @@ def test_lipschitz_bound_never_exceeds_the_entry_sum(seed, d, N, real):
 
 
 @settings(max_examples=40, deadline=None)
+@given(seed=seeds, d=st.integers(min_value=1, max_value=2), N=periods, real=st.booleans())
+def test_lipschitz_bound_never_exceeds_the_block_sum(seed, d, N, real):
+    # the block sum sum_m |m|_1 sqrt(||H_m||_1 ||H_m||_inf), with the same rounding up
+    hopping = _random_table(seed, d, N, real)
+    block_sum = 0.0
+    for m, block in zip(hopping.offsets, np.abs(hopping.blocks)):
+        block_sum += np.abs(m).sum() * np.sqrt(block.sum(0).max() * block.sum(1).max())
+    rounding = 1 + (hopping.geometry.cell_size + len(hopping.blocks) + 4) * np.finfo(float).eps
+    assert hopping.lipschitz_bound() <= block_sum * rounding * (1 + 1e-13)
+
+
+@settings(max_examples=40, deadline=None)
 @given(
     seed=seeds,
     preset=st.sampled_from([None, "anderson", "dipole", "quartic"]),

@@ -46,6 +46,7 @@ from bandedge.verification import (
 )
 
 from conftest import (
+    PIPELINE_PRESETS,
     halve_ks_dispersion,
     no_motion_model,
     random_hopping,
@@ -106,7 +107,34 @@ def test_fiber_min_guard_on_random_models():
 def sandwich_at_zero(hopping, potential, disorder, epsilon_list):
     ground = ground_space(hopping, [0.0])
     coeffs = edge_coefficients(ground, potential, disorder)
-    return fiber_bound_sandwich(hopping, potential, disorder, ground, coeffs, epsilon_list)
+    return fiber_bound_sandwich(potential, disorder, ground, coeffs, epsilon_list)
+
+
+@pytest.mark.parametrize("name, params", PIPELINE_PRESETS)
+def test_sandwich_solves_from_the_ground_fiber(monkeypatch, name, params):
+    # every epsilon's endpoints in one eigvalsh on ground.fiber, with no fiber
+    # built, and the bits of fiber_min_over_q at ground.theta
+    hopping, potential, disorder = preset_model(name, **params)
+    ground = ground_space(hopping, np.zeros(hopping.geometry.d))
+    coeffs = edge_coefficients(ground, potential, disorder)
+    epsilons = [0.0, 1e-3, 0.1, MAX_EPSILON]
+    expected = [fiber_min_over_q(hopping, potential, disorder, ground.theta, e) for e in epsilons]
+    monkeypatch.setattr(HoppingOperator, "fibers", refuse("HoppingOperator.fibers"))
+    report = fiber_bound_sandwich(potential, disorder, ground, coeffs, epsilons)
+    solved = verification._endpoint_minima(ground.fiber.matrix, potential, disorder, epsilons)
+    assert [r.value.hex() for r in report.rows] == [e.value.hex() for e in expected]
+    bits = [(e.q_star, e.value.hex()) for e in expected]
+    assert [(r.q_star, r.value.hex()) for r in solved] == bits
+
+
+@pytest.mark.parametrize("epsilon", [float("nan"), -0.01])
+def test_sandwich_refuses_a_bad_epsilon_before_any_solve(monkeypatch, epsilon):
+    hopping, potential, disorder = preset_model("dipole")
+    ground = ground_space(hopping, [0.0])
+    coeffs = edge_coefficients(ground, potential, disorder)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse("eigvalsh"))
+    with pytest.raises(ValueError, match="epsilon must be finite and nonnegative"):
+        fiber_bound_sandwich(potential, disorder, ground, coeffs, [1e-3, epsilon])
 
 
 def test_sandwich_anderson_exact():
@@ -134,11 +162,11 @@ def test_sandwich_fits_its_constant_on_positive_epsilons():
     hopping, potential, disorder = preset_model("dipole")
     ground = ground_space(hopping, [0.0])
     coeffs = edge_coefficients(ground, potential, disorder)
-    fitted = fiber_bound_sandwich(hopping, potential, disorder, ground, coeffs, [1e-3, 1e-2])
-    report = fiber_bound_sandwich(hopping, potential, disorder, ground, coeffs, [0.0, 1e-3, 1e-2])
+    fitted = fiber_bound_sandwich(potential, disorder, ground, coeffs, [1e-3, 1e-2])
+    report = fiber_bound_sandwich(potential, disorder, ground, coeffs, [0.0, 1e-3, 1e-2])
     assert report.C == fitted.C > 0
     assert report.passed and report.rows[0].epsilon == 0.0
-    alone = fiber_bound_sandwich(hopping, potential, disorder, ground, coeffs, [0.0])
+    alone = fiber_bound_sandwich(potential, disorder, ground, coeffs, [0.0])
     assert alone.C == 0.0 and alone.passed
 
 
@@ -954,7 +982,7 @@ def test_sweep_takes_the_largest_epsilon_whose_cube_is_finite(name):
     hopping, potential, disorder = preset_model(name)
     ground = ground_space(hopping, [0.0])
     coeffs = edge_coefficients(ground, potential, disorder)
-    report = fiber_bound_sandwich(hopping, potential, disorder, ground, coeffs, [MAX_EPSILON])
+    report = fiber_bound_sandwich(potential, disorder, ground, coeffs, [MAX_EPSILON])
     assert np.isfinite(report.rows[0].predicted)
 
 
@@ -1294,6 +1322,21 @@ def test_kirsch_simon_trial_quotient_lies_between_bottom_and_upper_side(d, N):
         zero = np.zeros((1, d))
         at_zero = verification._ks_trial_quotients(hopping.fibers(zero), psi, zero, geom)
         assert abs(at_zero[0] - ground.e0) <= tiny
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+def test_ks_dispersion_has_the_bits_of_the_fold_over_all_branches(d, N):
+    # the fold as the minimum over the N^d branches theta + 2 pi b / N of the
+    # sum over axes, and the branch argmin takes first
+    thetas = np.random.default_rng(10 * d + N).uniform(-10.0, 10.0, size=(2000, d))
+    branches = 2.0 * np.pi * np.array(list(itertools.product(range(N), repeat=d))) / N
+    shifted = thetas[:, None, :] + branches
+    folded = np.sum(2.0 * (1.0 - np.cos(shifted)), axis=2)
+    kappa = shifted[np.arange(len(thetas)), folded.argmin(axis=1)]
+    disp, got_kappa = verification._ks_dispersion(thetas, N)
+    assert disp.tobytes() == folded.min(axis=1).tobytes()
+    assert got_kappa.tobytes() == kappa.tobytes()
 
 
 def test_kirsch_simon_solves_no_point_of_a_weak_alloy(monkeypatch):
