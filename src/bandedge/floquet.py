@@ -139,10 +139,10 @@ def _grid_layout(geometry: LatticeGeometry, n: int, folded: bool) -> tuple[np.nd
     every COARSE_STRIDE-th line of each axis, and of the rest.  For each
     corner c of the coarse cell of each tested point (2^d rows, one column
     per point), ``anchor`` is the position in ``coarse`` of c's pair, or
-    len(coarse) if that pair is not coarse, and ``steps`` is the sup
-    distance |j - c|_inf in grid steps along the unwrapped displacement: a
-    cell that runs past the last coarse point ends at the period, whose
-    pair is the point 0's.
+    len(coarse) if that pair is not coarse, and ``steps[a]`` is the distance
+    |j_a - c_a| in grid steps along axis a of the unwrapped displacement, one
+    C-contiguous (d, 2^d, points) array: a cell that runs past the last coarse
+    point ends at the period, whose pair is the point 0's.
     """
     d, shape, axis = geometry.d, (n,) * geometry.d, np.arange(n)
     rep = np.arange(n**d)
@@ -156,15 +156,14 @@ def _grid_layout(geometry: LatticeGeometry, n: int, folded: bool) -> tuple[np.nd
     position[coarse] = np.arange(len(coarse))
     ends = np.append(axis[::COARSE_STRIDE], n)  # an axis's coarse points, then the period
     at_ends = position[pair[np.ravel_multi_index(np.ix_(*[ends % n] * d), shape)]]
-    # per axis a, the two cell ends (rows) of each point, viewed along axes a
-    # and d + a of the (2,)*d + (n,)*d array of corners and points
+    # along each axis, the two cell ends of each coordinate and its distance to them
     cell = np.stack([axis // COARSE_STRIDE, axis // COARSE_STRIDE + 1])
-    views = [tuple(np.concatenate([1 + e, 1 + (n - 1) * e])) for e in np.eye(d, dtype=int)]
-    anchor = at_ends[tuple(cell.reshape(v) for v in views)]
-    steps = functools.reduce(np.maximum, [abs(axis - ends[cell]).reshape(v) for v in views])
-    columns = solved[tested]
-    anchor = anchor.reshape(2**d, -1)[:, columns]
-    steps = steps.reshape(2**d, -1)[:, columns].astype(np.int8)  # at most COARSE_STRIDE
+    distance = abs(axis - ends[cell])
+    # per axis, the (corner, tested point) indices into cell and distance
+    corners = np.array(list(itertools.product((0, 1), repeat=d)))[:, :, None]
+    at = [(corners[:, a], j) for a, j in enumerate(np.unravel_index(solved[tested], shape))]
+    anchor = at_ends[tuple(cell[a] for a in at)]
+    steps = np.stack([distance[a] for a in at]).astype(np.int8)  # at most COARSE_STRIDE
     layout = (zone_grid(geometry, n), solved, pair, coarse, tested, anchor, steps)
     for array in layout:
         array.setflags(write=False)
@@ -180,13 +179,15 @@ def grid_band_bottom(
 
     The bottoms at every COARSE_STRIDE-th point per axis, kept there, bound the
     minimum by ``upper``.  They also anchor a lower bound: with G =
-    lipschitz_bound(), a point where max_c lambda(c) - G |theta - theta_c|_inf
+    lipschitz_bound() and G_a = axis_lipschitz_bounds(), a point where max_c
+    lambda(c) - min(G |theta - theta_c|_inf, sum_a G_a |theta_a - theta_c,a|)
     - mu > upper + window, over the 2^d corners c of its coarse cell, gets
-    +inf with no fiber built.  Another point where Cholesky of M - s*I, s =
-    upper + window + delta, has only finite positive pivots has lambda_min >
-    upper + window; it is not eigensolved and gets +inf.  delta covers that
-    factorization's backward error, and mu the anchor bound's rounding
-    (derived below).
+    +inf with no fiber built.  The sup term is formed only where sum_a G_a > G:
+    otherwise the per-axis sum is never the larger, as in d = 1, where G_1 =
+    G.  Another point where Cholesky of M - s*I, s = upper + window + delta,
+    has only finite positive pivots has lambda_min > upper + window; it is not
+    eigensolved and gets +inf.  delta covers that factorization's backward
+    error, and mu the anchor bound's rounding (derived below).
 
     A real table and perturbation give M(-theta) = conj M(theta), and M has
     period 2pi/N per axis, so points j and (-j) mod n share a bottom: only the
@@ -214,18 +215,28 @@ def grid_band_bottom(
     #   moduli, so the Hermitian matrix eigvalsh reads from the lower triangle
     #   errs in norm by <= 2u(4 pi d^2 + 22 + 2D)s; both fibers together, by
     #   <= (pi d^2 + 6 + D/2) delta;
-    # - the distances steps * fl(P/n) lie within 5uP of the true ones (also
-    #   for an anchor read through its pair or across the period), and G is
-    #   rounded up, so with the two products and the subtractions the bound
-    #   loses <= 10uGP + 2us <= (4d + 1) delta, as GP <= 2 pi d s: G is at most
-    #   the entry sum of S = sum_m |m|_1 |H_m|, and |m|_1 <= dN.
+    # - the distances steps_a * fl(P/n) lie within 5uP of the true ones (also
+    #   for an anchor read through its pair or across the period), and G and
+    #   the G_a are rounded up.  With its two products and the subtractions
+    #   the sup bound loses <= 10uGP + 2us; the per-axis sum, with d products
+    #   of two roundings and d - 1 additions of nonnegative terms, loses <=
+    #   (d + 9)u P sum_a G_a + 2us.  Both GP and P sum_a G_a are <= 2 pi d s,
+    #   as G and each G_a are at most the entry sums of S = sum_m |m|_1 |H_m|
+    #   and of S_a = sum_m |m_a| |H_m|, which add up to S's, and |m|_1 <= dN:
+    #   either bound loses <= (d + 9) 2 pi d us + 2us <= (d^2/2 + 4d) delta.
     # As delta >= 16us, mu = (8 + 4d(d + 1) + D) delta covers the sum.
     mu = (8 + 4 * geom.d * (geom.d + 1) + len(hopping.offsets)) * delta
     # a pair with no value yet anchors at -inf, and a NaN anchor gives a NaN
     # bound: neither clears a point
     anchors = np.append(values[coarse] - mu, -np.inf)[anchor]
-    slope = hopping.lipschitz_bound() * (2.0 * np.pi / geom.N / n)
-    rest = tested[~((anchors - slope * steps).max(0) > level)]
+    spacing, bound = 2.0 * np.pi / geom.N / n, hopping.lipschitz_bound()
+    axes = hopping.axis_lipschitz_bounds()
+    reach = functools.reduce(np.add, [g * spacing * s for g, s in zip(axes, steps)])
+    # sum_a G_a |x_a| <= G |x|_inf for every x when sum_a G_a <= G, as in
+    # d = 1 and on every preset
+    if sum(axes) > bound:
+        reach = np.minimum(reach, bound * spacing * steps.max(0))
+    rest = tested[~((anchors - reach).max(0) > level)]
     shift = level + delta
     values[rest] = hopping.band_bottom(
         points[solved[rest]], perturbation, lambda stack, _: _proven_above(stack, shift)

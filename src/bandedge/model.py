@@ -163,7 +163,20 @@ class HoppingOperator:
         The exact factor 1 + 2(n + D + 4)u and its product's rounding leave
         (1 - u)^(n + D + 3.5) (1 + 2(n + D + 4)u) > 1 times the exact bound.
         """
-        return self._lipschitz_bound
+        return self._lipschitz_bounds[0]
+
+    def axis_lipschitz_bounds(self) -> tuple[float, ...]:
+        """Bounds G_a <= G with |lambda_min(theta) - lambda_min(theta')|
+        <= sum_a G_a |theta_a - theta'_a|.
+
+        Entrywise |M(theta) - M(theta')| <= sum_a |theta_a - theta'_a| S_a, S_a =
+        sum_m |m_a| |H_m|, as |theta.m - theta'.m| <= sum_a |m_a| |theta_a -
+        theta'_a|.  So by Weyl, as for G, sqrt(||S_a||_1 ||S_a||_inf) >=
+        ||S_a||_2 is a G_a, rounded up as G is.  A step along one axis a costs
+        at most G |theta_a - theta'_a| too, so walking the axes in turn shows
+        that min(G_a, G) is a G_a.  In d = 1, S_1 = S and G_1 = G.
+        """
+        return self._lipschitz_bounds[1]
 
     # both depend on the table alone: computed on first use, then kept
     @functools.cached_property
@@ -171,13 +184,20 @@ class HoppingOperator:
         return sum(abs(v) for v in self.coefficients.values()) or 1.0
 
     @functools.cached_property
-    def _lipschitz_bound(self) -> float:
-        size, magnitudes = self.geometry.cell_size, np.abs(self.blocks)
-        weights = np.abs(self.offsets).sum(1)
-        norms = np.sqrt(magnitudes.sum(1).max(-1) * magnitudes.sum(2).max(-1))
-        entrywise = np.tensordot(weights, magnitudes, 1)  # S, n x n
-        bound = min(norms @ weights, np.sqrt(entrywise.sum(0).max() * entrywise.sum(1).max()))
-        return bound * (1 + (size + len(self.blocks) + 4) * np.finfo(float).eps)
+    def _lipschitz_bounds(self) -> tuple[float, tuple[float, ...]]:
+        magnitudes, weights, n = np.abs(self.blocks), np.abs(self.offsets), self.geometry.cell_size
+        rounding = 1 + (n + len(self.blocks) + 4) * np.finfo(float).eps
+
+        def spectral(entrywise):  # sqrt(||S||_1 ||S||_inf) for each S in the stack
+            return np.sqrt(entrywise.sum(-2).max(-1) * entrywise.sum(-1).max(-1))
+
+        weight = weights.sum(1)  # |m|_1
+        bound = min(spectral(magnitudes) @ weight, spectral(np.tensordot(weight, magnitudes, 1)))
+        bound *= rounding
+        if self.geometry.d == 1:  # S_1 = S
+            return bound, (bound,)
+        per_axis = (weights.T @ magnitudes.reshape(len(weights), -1)).reshape(-1, n, n)  # the S_a
+        return bound, tuple(np.minimum(spectral(per_axis) * rounding, bound))
 
     def _require_finite_phases(self, thetas: np.ndarray, name: str) -> None:
         """Refuse quasi-momenta a caller gives, the rows of ``thetas`` (b, d),

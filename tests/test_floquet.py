@@ -325,12 +325,12 @@ def _orbits(n: int, d: int) -> np.ndarray:
 # they go to the inertia test, without and with the perturbation
 OPEN_PAIRS = {
     ("anderson", 1): (5, 5),
-    ("anderson", 2): (136, 136),
+    ("anderson", 2): (84, 84),
     ("dipole", 1): (7, 7),
-    ("dipole", 2): (326, 326),
+    ("dipole", 2): (200, 200),
     ("quartic", 1): (26, 27),
     ("alloy", 1): (12, 12),
-    ("alloy", 2): (775, 775),
+    ("alloy", 2): (536, 536),
 }
 
 
@@ -395,7 +395,9 @@ def test_anchor_bound_clears_only_points_above_the_level(monkeypatch, d):
     # no n is a multiple of COARSE_STRIDE: each axis's last coarse cell ends at
     # the period, and on a folded grid of 30 points the coarse points 16 and 24
     # have their pair's first point (14, 6) off the coarse lines, so they
-    # anchor nothing; below 8 the only anchor is the point 0
+    # anchor nothing; below 8 the only anchor is the point 0.  The random d = 2
+    # tables have G_1 != G_2, so a per-axis slope halved or read from the
+    # other axis clears a point below the level
     cleared = 0
     for n in (3, 5, 7, 30):
         rng = np.random.default_rng(10 * n + d)

@@ -175,6 +175,10 @@ def test_preset_quartic_cell_mapping():
     assert hopping.coefficients[((0,), (2,), (-3,))] == -4.0
 
 
+# per-axis bounds G_a of the presets below, by name
+AXIS_BOUNDS = {"anderson": (2.0, 2.0), "dipole": (2.0, 2.0), "alloy": (3.0, 3.0), "quartic": (15.0,)}
+
+
 @pytest.mark.parametrize(
     "name, params, bound, entry_sum",
     [
@@ -182,14 +186,21 @@ def test_preset_quartic_cell_mapping():
         ("dipole", {"d": 2}, 4.0, 16.0),
         ("alloy", {"d": 2, "N": 3, "W": [0.3, 1.1, 0.7, 0.2, 1.9, 0.4, 1.2, 0.8, 0.1]}, 6.0, 36.0),
         ("quartic", {}, 15.0, 36.0),
+        ("dipole", {"d": 1}, 2.0, 4.0),
     ],
 )
 def test_lipschitz_bound_of_the_presets(name, params, bound, entry_sum):
     # sqrt(||S||_1 ||S||_inf) with S = sum_m |m|_1 |H_m|, rounded up; the entry
-    # sum sum |amplitude| |m|_1
+    # sum sum |amplitude| |m|_1; per axis a the same with S_a = sum_m |m_a|
+    # |H_m|, which in d = 1 is S, so G_1 = G to the bit
     hopping = preset_model(name, **params)[0]
     assert bound <= hopping.lipschitz_bound() <= bound * (1 + 1e-13)
     assert sum(abs(v) * sum(map(abs, m)) for (_, _, m), v in hopping) == entry_sum
+    axes, per_axis = AXIS_BOUNDS[name][: hopping.geometry.d], hopping.axis_lipschitz_bounds()
+    assert len(per_axis) == hopping.geometry.d
+    assert all(a <= g <= a * (1 + 1e-13) for a, g in zip(axes, per_axis))
+    if hopping.geometry.d == 1:
+        assert per_axis == (hopping.lipschitz_bound(),)
 
 
 def test_lipschitz_bound_takes_the_block_sum_when_it_is_smaller():
@@ -204,10 +215,11 @@ def test_lipschitz_bound_takes_the_block_sum_when_it_is_smaller():
 
 def test_table_bounds_are_computed_once_and_only_on_use():
     hopping = preset_model("dipole", d=2)[0]
-    assert not {"_lipschitz_bound", "_hopping_scale"} & set(vars(hopping))
+    assert not {"_lipschitz_bounds", "_hopping_scale"} & set(vars(hopping))
     bound, scale = hopping.lipschitz_bound(), hopping.hopping_scale()
-    assert {"_lipschitz_bound", "_hopping_scale"} <= set(vars(hopping))
+    assert {"_lipschitz_bounds", "_hopping_scale"} <= set(vars(hopping))
     assert (bound, scale) == (hopping.lipschitz_bound(), hopping.hopping_scale())
+    assert hopping.axis_lipschitz_bounds() is hopping.axis_lipschitz_bounds()
     assert scale == sum(abs(v) for v in hopping.coefficients.values())
 
 

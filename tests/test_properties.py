@@ -143,6 +143,24 @@ def test_lambda_min_lipschitz(seed, d, N, real, t1, t2):
     assert abs(a - b) <= L * np.abs(np.subtract(t1[:d], t2[:d])).max() + 1e-10
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=seeds,
+    d=st.integers(min_value=1, max_value=2),
+    N=periods,
+    real=st.booleans(),
+    t1=st.tuples(thetas, thetas),
+    t2=st.tuples(thetas, thetas),
+)
+def test_lambda_min_lipschitz_per_axis(seed, d, N, real, t1, t2):
+    hopping = _random_table(seed, d, N, real)
+    axes = hopping.axis_lipschitz_bounds()
+    assert len(axes) == d and max(axes) <= hopping.lipschitz_bound()
+    a = float(np.linalg.eigvalsh(build_floquet(hopping, t1[:d]).matrix)[0])
+    b = float(np.linalg.eigvalsh(build_floquet(hopping, t2[:d]).matrix)[0])
+    assert abs(a - b) <= np.dot(axes, np.abs(np.subtract(t1[:d], t2[:d]))) + 1e-10
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=seeds, d=st.integers(min_value=1, max_value=2), N=periods, real=st.booleans())
 def test_lipschitz_bound_never_exceeds_the_entry_sum(seed, d, N, real):
