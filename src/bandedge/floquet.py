@@ -50,7 +50,7 @@ class ThetaSet:
     minimizers: tuple[np.ndarray, ...]
     E0: float
     resolution: float
-    hopping: HoppingOperator  # the scanned operator, shifted when the scan asked for it
+    hopping: HoppingOperator  # the scanned operator; pipeline.scan_zone shifts it to E0 = 0
 
 
 def build_floquet(hopping: HoppingOperator, theta) -> FloquetMatrix:
@@ -248,14 +248,12 @@ def scan_theta_set(
     hopping: HoppingOperator,
     grid_per_dim: int = DEFAULT_GRID_PER_DIM,
     refinements: int = DEFAULT_REFINEMENTS,
-    tol_theta: float = DEFAULT_TOL_THETA,
-    tol_shift: float | None = None,
 ) -> ThetaSet:
     """Locate the minimizer set of the lowest band over [0, 2pi/N)^d.
 
-    A coarse grid scan (``grid_band_bottom`` with window tol_theta: a point
-    its anchor bound or Cholesky test proves more than tol_theta above the
-    grid minimum is +inf) keeps the points within tol_theta of the grid
+    A coarse grid scan (``grid_band_bottom`` with window tol = DEFAULT_TOL_THETA,
+    a fixed rule: a point its anchor bound or Cholesky test proves more than
+    tol above the grid minimum is +inf) keeps the points within tol of the grid
     minimum and clusters them once: in (value, theta) order each joins the
     first cluster with a grid neighbour among its members (sup-torus distance
     one spacing), else heads a new one.  Each round then halves the spacing
@@ -264,28 +262,21 @@ def scan_theta_set(
     the requested number of rounds and keeps refining until the per-round
     improvement of the minimum drops below tol/4; raises ConvergenceError if
     that has not happened after MAX_REFINEMENTS rounds.  The heads within
-    tol_theta of the final minimum are the minimizers.
-
-    With ``tol_shift`` the same scan also zeroes the band bottom: it refines
-    to tol = min(tol_shift, tol_theta), and if |E0| > tol_shift the result
-    carries the operator shifted by E0 and E0 re-evaluated on it at the
-    minimizers.  Without it tol = tol_theta.
+    tol of the final minimum are the minimizers.  The result carries
+    ``hopping`` unshifted; ``pipeline.scan_zone`` zeroes the band bottom.
     """
     _require_count("grid_per_dim", grid_per_dim, 1)
     _require_count("refinements", refinements, 0)
     if refinements > MAX_REFINEMENTS:
         raise ValueError(f"refinements must be <= {MAX_REFINEMENTS}, got {refinements}")
-    for name, value in (("tol_theta", tol_theta), ("tol_shift", tol_shift)):
-        if value is not None and not 0 < value < np.inf:
-            raise ValueError(f"{name} must be finite and positive, got {value!r}")
-    tol = tol_theta if tol_shift is None else min(tol_shift, tol_theta)
+    tol = DEFAULT_TOL_THETA
     geom = hopping.geometry
     width = 2.0 * np.pi / geom.N
     spacing = width / grid_per_dim
-    points, values = grid_band_bottom(hopping, grid_per_dim, tol_theta)
+    points, values = grid_band_bottom(hopping, grid_per_dim, tol)
     minimum = float(values.min())
     steps = np.array(list(itertools.product((0, -1, 1), repeat=geom.d)))  # centre first
-    near = np.flatnonzero(values <= minimum + tol_theta)
+    near = np.flatnonzero(values <= minimum + tol)
     near = near[np.argsort(values[near], kind="stable")]  # (value, theta) order
     shape = (grid_per_dim,) * geom.d
     cells = zip(np.unravel_index(near, shape), steps.T)
@@ -312,10 +303,7 @@ def scan_theta_set(
         heads, lowest = trial[best], trial_values[best]
         improvement = minimum - float(lowest.min())
         minimum = min(minimum, float(lowest.min()))
-    kept = sorted(heads[lowest <= minimum + tol_theta], key=tuple)
-    if tol_shift is not None and abs(minimum) > tol_shift:
-        hopping = hopping.shifted(minimum)
-        minimum = float(hopping.band_bottom(np.array(kept)).min())
+    kept = sorted(heads[lowest <= minimum + tol], key=tuple)
     return ThetaSet(tuple(kept), minimum, spacing, hopping)
 
 

@@ -30,6 +30,7 @@ MAX_REFINEMENTS = 60
 SAMPLER_ENDPOINT = "EndpointBernoulli"
 SAMPLER_UNIFORM = "Uniform"
 SAMPLER_CONSTANT = "PeriodicConstant"
+PRESETS = ("anderson", "dipole", "quartic", "alloy")  # the names preset_model builds
 
 
 def _require_count(name: str, value, least: int) -> None:
@@ -82,8 +83,19 @@ class LatticeGeometry:
         return idx
 
 
+def _as_int(value, name: str) -> int:
+    """``value`` as an int; a bool or a fractional, non-finite or non-numeric
+    value is refused, not truncated."""
+    if type(value) is int:  # the common case, first: every shift rebuilds a table
+        return value
+    numeric = isinstance(value, (int, float, np.integer, np.floating))
+    if isinstance(value, (bool, np.bool_)) or not numeric or not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _as_site(value, d: int) -> Site:
-    site = tuple(int(v) for v in value)
+    site = tuple(_as_int(v, "a site coordinate") for v in value)
     if len(site) != d:
         raise ValueError(f"expected a length-{d} site, got {value!r}")
     return site
@@ -377,8 +389,10 @@ def validate_hypotheses(
                 break
     checks.append(HypothesisCheck("hopping_nontrivial", witness_hop is not None, witness_hop or {}))
 
-    vnorm = potential.norm
-    asymmetry = float(np.abs(potential.matrix - potential.matrix.conj().T).max())
+    matrix = potential.matrix
+    finite = np.isfinite(matrix).all()  # an inf or NaN entry has no SVD and no finite asymmetry
+    vnorm = potential.norm if finite else np.inf
+    asymmetry = float(np.abs(matrix - matrix.conj().T).max()) if finite else np.nan
     checks.append(
         HypothesisCheck(
             "potential_hermitian", asymmetry <= 1e-14 * vnorm, {"max_asymmetry": asymmetry}
@@ -399,15 +413,11 @@ def validate_hypotheses(
     return ValidationReport(tuple(checks))
 
 
-def shift_to_zero(
-    hopping: HoppingOperator,
-    bz_resolution: int = 64,
-    tol_shift: float = DEFAULT_TOL_SHIFT,
-) -> HoppingOperator:
+def shift_to_zero(hopping: HoppingOperator) -> HoppingOperator:
     """Shift the diagonal so the global fiber minimum over the zone is zero."""
-    from .floquet import scan_theta_set  # here, not at the top: floquet imports model
+    from .pipeline import scan_zone  # here, not at the top: pipeline imports model
 
-    return scan_theta_set(hopping, bz_resolution, tol_theta=tol_shift, tol_shift=tol_shift).hopping
+    return scan_zone(hopping).hopping
 
 
 def _stencil_coefficients(
@@ -446,13 +456,13 @@ def preset_model(
     disorder = DisorderSupport(float(params.pop("s_minus", -1.0)), float(params.pop("s_plus", 1.0)))
 
     if name == "anderson":
-        d = int(params.pop("d", 1))
+        d = _as_int(params.pop("d", 1), "d")
         _reject_extra(name, params)
         geom = LatticeGeometry(d, 1)
         hopping = HoppingOperator(geom, _laplacian_coefficients(geom))
         potential = SingleCellPotential(np.array([[1.0]]))
     elif name == "dipole":
-        d = int(params.pop("d", 1))
+        d = _as_int(params.pop("d", 1), "d")
         _reject_extra(name, params)
         geom = LatticeGeometry(d, 2)
         hopping = HoppingOperator(geom, _laplacian_coefficients(geom))
@@ -472,10 +482,10 @@ def preset_model(
         # site -1 is canonical site 2
         potential = SingleCellPotential(np.diag([1.0, -0.5, -0.5]))
     elif name == "alloy":
-        d = int(params.pop("d", 1))
+        d = _as_int(params.pop("d", 1), "d")
         if missing := sorted({"N", "W"} - params.keys()):
             raise ValueError(f"preset 'alloy' requires {' and '.join(missing)}")
-        N = int(params.pop("N"))
+        N = _as_int(params.pop("N"), "N")
         W = np.asarray(params.pop("W"), dtype=float).reshape(-1)
         _reject_extra(name, params)
         geom = LatticeGeometry(d, N)
@@ -544,9 +554,10 @@ def model_from_dict(data: dict) -> tuple[HoppingOperator, SingleCellPotential, D
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"model field {name!r} is missing or malformed: {exc!r}") from exc
 
-    geom = LatticeGeometry(read("dimension", int), read("period", int))
+    d, N = (read(key, functools.partial(_as_int, name=key)) for key in ("dimension", "period"))
+    geom = LatticeGeometry(d, N)
     coeffs = read("hoppings", lambda hops: {
-        (tuple(h["k"]), tuple(h["k_prime"]), tuple(h["m"])): complex(h["re"], h["im"])
+        tuple(_as_site(h[key], geom.d) for key in ("k", "k_prime", "m")): complex(h["re"], h["im"])
         for h in hops
     })
     hopping = HoppingOperator(geom, coeffs, read("energy_shift", float, {"energy_shift": 0} | data))

@@ -64,10 +64,13 @@ class RunConfig:
 def resolve_model(
     name: str, params: dict | None = None
 ) -> tuple[model.HoppingOperator, model.SingleCellPotential, model.DisorderSupport]:
-    """Load a model from a preset name, or from a JSON file path without params."""
+    """Load a model from a preset name, or from a JSON file path without params:
+    a name that ends in .json or names a file is a file, a preset name wins over
+    a directory of that name, and any other existing path is opened."""
     params = dict(params or {})
     path = Path(name)
-    if path.suffix == ".json" or path.exists():
+    opened = path.exists() and name.lower() not in model.PRESETS
+    if path.suffix == ".json" or path.is_file() or opened:
         if params:
             raise ValueError(f"a model file takes no preset parameters, got {sorted(params)}")
         return model.load_model(path)
@@ -79,13 +82,16 @@ def scan_zone(
     grid_per_dim: int = model.DEFAULT_GRID_PER_DIM,
     refinements: int = model.DEFAULT_REFINEMENTS,
 ) -> floquet.ThetaSet:
-    """The one zone scan of a run: minimizers of the lowest band, with the
-    operator shifted so that its band bottom is zero."""
+    """The one zone scan of a run: minimizers of the lowest band, and, when |E0|
+    exceeds DEFAULT_TOL_SHIFT, the operator shifted by E0 and E0 re-evaluated."""
     from . import floquet
 
-    return floquet.scan_theta_set(
-        hopping, grid_per_dim, refinements, tol_shift=model.DEFAULT_TOL_SHIFT
-    )
+    theta_set = floquet.scan_theta_set(hopping, grid_per_dim, refinements)
+    if abs(theta_set.E0) > model.DEFAULT_TOL_SHIFT:
+        hopping = hopping.shifted(theta_set.E0)
+        E0 = float(hopping.band_bottom(np.array(theta_set.minimizers)).min())
+        theta_set = dataclasses.replace(theta_set, E0=E0, hopping=hopping)
+    return theta_set
 
 
 def coefficients_report(

@@ -628,10 +628,10 @@ def test_cli_refuses_a_bad_epsilon_before_the_zone_scan(monkeypatch, capsys, arg
     assert scans == []
 
 
-def _anderson_file(tmp_path, edit):
-    """The anderson preset as a model file, its payload first passed through ``edit``."""
+def _preset_file(tmp_path, edit, preset="anderson"):
+    """A preset as a model file, its payload first passed through ``edit``."""
     path = tmp_path / "model.json"
-    path.write_text(json.dumps(edit(model.model_to_dict(*preset_model("anderson")))))
+    path.write_text(json.dumps(edit(model.model_to_dict(*preset_model(preset)))))
     return str(path)
 
 
@@ -643,6 +643,18 @@ def _first_hop(**fields):
     return lambda data: {**data, "hoppings": [{**data["hoppings"][0], **fields}]}
 
 
+def _not_integral(field, name, value):
+    refusal = f"ValueError('{name} must be an integer, got {value}')"
+    return f"model field {field!r} is missing or malformed: {refusal}"
+
+
+def _hops_with(key, old, new):
+    """Every hop whose ``key`` is ``old`` given ``new`` in its place."""
+    return lambda data: {
+        **data, "hoppings": [{**h, key: new} if h[key] == old else h for h in data["hoppings"]]
+    }
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -652,18 +664,74 @@ def _first_hop(**fields):
         (_first_hop(re="abc"), "model field 'hoppings' is missing or malformed: TypeError"),
         (lambda data: {**data, "potential": [[1]]}, "model field 'potential' is missing"),
         (lambda data: {**data, "hoppings": 5}, "model field 'hoppings' is missing or malformed"),
+        (lambda data: {**data, "period": 2.7}, _not_integral("period", "period", 2.7)),
+        (lambda data: {**data, "dimension": 1.5}, _not_integral("dimension", "dimension", 1.5)),
+        (lambda data: {**data, "dimension": True}, _not_integral("dimension", "dimension", True)),
+        (_hops_with("k", [0], [0.6]), _not_integral("hoppings", "a site coordinate", 0.6)),
+        (_hops_with("m", [1], [1.4]), _not_integral("hoppings", "a site coordinate", 1.4)),
     ],
-    ids=["no-period", "no-disorder", "top-level-list", "hop-re-abc", "potential-row-1", "hops-5"],
+    ids=[
+        "no-period", "no-disorder", "top-level-list", "hop-re-abc", "potential-row-1", "hops-5",
+        "period-2.7", "dimension-1.5", "dimension-true", "hop-k-0.6", "hop-m-1.4",
+    ],
 )
 def test_cli_reports_an_unreadable_model_file_as_a_usage_error(tmp_path, capsys, edit, message):
-    # each ended in a KeyError or TypeError traceback
-    path = _anderson_file(tmp_path, edit)
+    # each ended in a KeyError or TypeError traceback, or, for a bool or a
+    # fraction in an integer field, was truncated and read
+    path = _preset_file(tmp_path, edit)
     with pytest.raises(SystemExit) as exc:
         main(["validate", "--model", path])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"error: model file {path}: {message}" in err
     assert "Traceback" not in err
+
+
+def _poisoned(key, value):
+    """A model payload with its first hop's ``re`` or the real part of its
+    potential[0][0] set to ``value``."""
+
+    def edit(data):
+        entry, index = (data["hoppings"][0], "re") if key == "re" else (data["potential"][0][0], 0)
+        entry[index] = value
+        return data
+
+    return edit
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "command", [["validate"], ["run", "--eps", "0.01"]], ids=["validate", "run"]
+)
+@pytest.mark.parametrize(
+    "key, value, failed",
+    [
+        ("re", float("nan"), "hopping_hermitian"),
+        ("potential", float("nan"), "potential_hermitian"),
+        ("potential", float("inf"), "potential_hermitian"),
+    ],
+    ids=["hop-nan", "potential-nan", "potential-inf"],
+)
+def test_validate_and_run_fail_a_non_finite_model(tmp_path, capsys, command, key, value, failed):
+    # a NaN potential entry ended in "SVD did not converge" (exit 2) and an
+    # infinite one warned of an invalid subtraction
+    path = _preset_file(tmp_path, _poisoned(key, value), "dipole")
+    status = main([*command, "--model", path])
+    captured = capsys.readouterr()
+    assert status == 1
+    payload = json.loads(captured.out)
+    checks = payload["checks"] if command == ["validate"] else payload["validation"]["checks"]
+    assert [check["name"] for check in checks if not check["passed"]] == [failed]
+    assert captured.err == ""
+
+
+def test_a_directory_named_like_a_preset_does_not_shadow_it(tmp_path, monkeypatch, capsys):
+    # the directory was opened as a model file: "[Errno 21] Is a directory"
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "anderson").mkdir()
+    status, out = run_cli(capsys, "validate", "--model", "anderson")
+    assert status == 0
+    assert json.loads(out)["passed"] is True
 
 
 @pytest.mark.parametrize(
@@ -782,7 +850,7 @@ def test_epsilon_zero_in_a_sweep_passes(capsys, argv):
 
 
 def test_sweep_measures_motion_from_the_ground_energy(tmp_path, capsys):
-    # a band bottom of 5e-10 is under the scan's tol_shift and stays unshifted,
+    # a band bottom of 5e-10 is under DEFAULT_TOL_SHIFT and stays unshifted,
     # one of -2e-9 is shifted to 0: the sweep once compared the absolute fiber
     # bottom with the motion alone, and failed the first model at eps = 1e-3
     hopping, potential, disorder = preset_model("dipole")

@@ -143,21 +143,6 @@ def test_grid_band_bottom_rejects_bad_arguments(monkeypatch, n, window):
         grid_band_bottom(hopping, n, window)
 
 
-@pytest.mark.parametrize(
-    "tol_theta, tol_shift",
-    [(NAN, None), (-1e-9, None), (0.0, None), (np.inf, None), (1e-9, NAN), (1e-9, -1e-9),
-     (1e-9, 0.0), (1e-9, np.inf)],
-)
-def test_scan_rejects_bad_tolerances(monkeypatch, tol_theta, tol_shift):
-    def refuse(*args, **kwargs):
-        raise AssertionError("band solved before the tolerances were checked")
-
-    monkeypatch.setattr(HoppingOperator, "band_bottom", refuse)
-    hopping, _, _ = preset_model("dipole", d=2)
-    with pytest.raises(ValueError, match="tol_(theta|shift) must be finite and positive"):
-        scan_theta_set(hopping, tol_theta=tol_theta, tol_shift=tol_shift)
-
-
 def test_ground_space_dipole():
     hopping, _, _ = preset_model("dipole")
     ground = ground_space(hopping, [0.0])
@@ -255,8 +240,9 @@ def test_band_bottom_matches_per_theta_eigvalsh(d, N):
 
 
 def _shift_then_scan(hopping):
-    """The zone scanned twice: once to shift, once for the minimizers."""
-    shifted = shift_to_zero(hopping, 64)
+    """The zone scanned twice: once by ``shift_to_zero`` (one ``scan_zone``,
+    at its default grid) to shift, once for the minimizers."""
+    shifted = shift_to_zero(hopping)
     return shifted.energy_shift, scan_theta_set(shifted)
 
 

@@ -233,6 +233,24 @@ def test_preset_alloy_requires_w():
     assert potential.matrix[0, 0] == 1.0
 
 
+@pytest.mark.parametrize(
+    "name, params, field",
+    [
+        ("alloy", {"d": 1.7, "N": 2, "W": [0.0, 1.0]}, "d"),
+        ("alloy", {"d": 1, "N": 2.9, "W": [0.0, 1.0]}, "N"),
+        ("alloy", {"N": True, "W": [0.0]}, "N"),
+        ("anderson", {"d": 2.5}, "d"),
+        ("dipole", {"d": True}, "d"),
+    ],
+)
+def test_preset_refuses_a_non_integral_size(name, params, field):
+    # alloy d=1.7, N=2.9 built LatticeGeometry(d=1, N=2)
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+        preset_model(name, **params)
+    hopping, _, _ = preset_model("alloy", d=1.0, N=np.int64(2), W=[0.0, 0.0])
+    assert hopping.geometry == LatticeGeometry(1, 2)
+
+
 def test_preset_alloy_takes_no_potential():
     # the alloy's potential is delta at cell site 0; a model file sets any other
     message = r"unexpected parameters for preset 'alloy': \['potential'\]"
